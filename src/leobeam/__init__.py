@@ -6,7 +6,7 @@ comparison baselines, the stochastic channel model behind them, an in-repo
 conic interior-point solver, and a seeded Monte-Carlo validation harness.
 """
 
-from .baselines import design_nonrobust, design_tdma, design_zfbf, tdma_power
+from .baselines import design_nonrobust, design_tdma, design_zfbf
 from .channel import (
     BeamPattern,
     ChannelVector,
@@ -66,5 +66,4 @@ __all__ = [
     "sic_order",
     "sinr",
     "sweep",
-    "tdma_power",
 ]

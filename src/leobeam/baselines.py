@@ -135,8 +135,3 @@ def design_tdma(scenario) -> BeamDesign:
             "reconstruction": True,
         },
     )
-
-
-def tdma_power(scenario) -> float:
-    """Time-averaged total transmit power of the TDMA reconstruction."""
-    return design_tdma(scenario).total_power

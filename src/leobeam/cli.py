@@ -114,60 +114,29 @@ def _uniform_or_join(values):
 
 
 def write_design_csv(design, scenario, report, path):
-    """Per-design summary row; the outage design adds its empirical outage."""
-    gamma_db = _uniform_or_join(10.0 * np.log10(np.asarray([u.gamma_lin for u in scenario.users])))
-    sigma_deg = _uniform_or_join([np.rad2deg(u.sigma_rad) for u in scenario.users])
-    eta = _uniform_or_join([u.eta for u in scenario.users])
+    """Per-design summary row; the outage design reports its outage target in
+    place of eta and adds its empirical outage."""
+    users = scenario.users
+    outage = design.algorithm == "outage"
+    header = ["gamma_db", "sigma_deg", "p_outage" if outage else "eta"]
+    header += ["total_power_w", "iters", "max_rank_gap"]
+    row = [
+        _uniform_or_join(10.0 * np.log10(np.asarray([u.gamma_lin for u in users]))),
+        _uniform_or_join([np.rad2deg(u.sigma_rad) for u in users]),
+        _uniform_or_join([u.outage_prob if outage else u.eta for u in users]),
+        repr(design.total_power),
+        design.iterations,
+        repr(design.max_rank_gap),
+    ]
+    if outage:
+        header.append("empirical_outage_max")
+        row.append(repr(report.max_outage) if report is not None else "")
+    header.append("status")
+    row.append(design.status)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if design.algorithm == "outage":
-            writer.writerow(
-                [
-                    "gamma_db",
-                    "sigma_deg",
-                    "p_outage",
-                    "total_power_w",
-                    "iters",
-                    "max_rank_gap",
-                    "empirical_outage_max",
-                    "status",
-                ]
-            )
-            writer.writerow(
-                [
-                    gamma_db,
-                    sigma_deg,
-                    _uniform_or_join([u.outage_prob for u in scenario.users]),
-                    repr(design.total_power),
-                    design.iterations,
-                    repr(design.max_rank_gap),
-                    repr(report.max_outage) if report is not None else "",
-                    design.status,
-                ]
-            )
-        else:
-            writer.writerow(
-                [
-                    "gamma_db",
-                    "sigma_deg",
-                    "eta",
-                    "total_power_w",
-                    "iters",
-                    "max_rank_gap",
-                    "status",
-                ]
-            )
-            writer.writerow(
-                [
-                    gamma_db,
-                    sigma_deg,
-                    eta,
-                    repr(design.total_power),
-                    design.iterations,
-                    repr(design.max_rank_gap),
-                    design.status,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerow(row)
 
 
 def _json_ready(obj):
@@ -209,18 +178,27 @@ def _apply_overrides(cfg, args):
         cfg["output"]["dir"] = args.out
 
 
-def cmd_design(args) -> int:
+def _prepare(args):
+    """Shared command preamble: (cfg, scenario, penalty, outdir, eval_kw).
+
+    Loads the config, applies the command-line overrides, builds the
+    scenario and penalty config and creates the output directory;
+    ``eval_kw`` holds the Monte-Carlo ``samples`` and ``seed``.
+    """
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     net = scenario_from_config(cfg)
     penalty = penalty_from_config(cfg)
-    algorithm = cfg["design"].get("algorithm", "avg")
     outdir = _ensure_outdir(cfg)
     scenario = build_scenario(net)
-    design = design_fn(algorithm, penalty)(scenario)
-    report = evaluate(
-        design, scenario, samples=int(cfg["eval"]["samples"]), seed=int(cfg["eval"]["seed"])
-    )
+    eval_kw = {"samples": int(cfg["eval"]["samples"]), "seed": int(cfg["eval"]["seed"])}
+    return cfg, scenario, penalty, outdir, eval_kw
+
+
+def cmd_design(args) -> int:
+    cfg, scenario, penalty, outdir, eval_kw = _prepare(args)
+    design = design_fn(cfg["design"].get("algorithm", "avg"), penalty)(scenario)
+    report = evaluate(design, scenario, **eval_kw)
     write_design_csv(design, scenario, report, outdir / "design.csv")
     write_eval_csv(report, outdir / "eval.csv")
     if design.algorithm != "tdma":
@@ -249,8 +227,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {SWEEP_AXES}")
     try:
@@ -259,19 +235,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"could not parse grid {args.grid!r} as comma-separated floats")
     if not grid:
         raise ConfigError("sweep grid is empty")
-    net = scenario_from_config(cfg)
-    penalty = penalty_from_config(cfg)
+    cfg, scenario, penalty, outdir, eval_kw = _prepare(args)
     algorithm = cfg["design"].get("algorithm", "avg")
-    outdir = _ensure_outdir(cfg)
-    scenario = build_scenario(net)
-    rows = sweep(
-        scenario,
-        args.axis,
-        grid,
-        design_fn(algorithm, penalty),
-        samples=int(cfg["eval"]["samples"]),
-        seed=int(cfg["eval"]["seed"]),
-    )
+    rows = sweep(scenario, args.axis, grid, design_fn(algorithm, penalty), **eval_kw)
     write_sweep_csv(rows, outdir / "sweep.csv")
     write_manifest(
         outdir / "manifest.json",
@@ -281,26 +247,19 @@ def cmd_sweep(args) -> int:
     )
     for r in rows:
         print(f"{args.axis}={r.value:g}: {r.status} power={r.total_power:.6g}")
-    return EXIT_OK if all(r.status == "OPTIMAL" for r in rows) else EXIT_INFEASIBLE
+    statuses = {r.status for r in rows}
+    if "NONCONVERGED" in statuses:
+        return EXIT_NONCONVERGED
+    return EXIT_OK if statuses == {"OPTIMAL"} else EXIT_INFEASIBLE
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    net = scenario_from_config(cfg)
-    penalty = penalty_from_config(cfg)
-    outdir = _ensure_outdir(cfg)
-    scenario = build_scenario(net)
+    cfg, scenario, penalty, outdir, eval_kw = _prepare(args)
     rows = []
     for algorithm in ALGORITHMS:
         try:
             design = design_fn(algorithm, penalty)(scenario)
-            report = evaluate(
-                design,
-                scenario,
-                samples=int(cfg["eval"]["samples"]),
-                seed=int(cfg["eval"]["seed"]),
-            )
+            report = evaluate(design, scenario, **eval_kw)
             rows.append(
                 [
                     algorithm,

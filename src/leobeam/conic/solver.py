@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ConvergenceError
 from .cones import (
     PSD as PSD_KIND,
     identity_element,
@@ -76,7 +77,6 @@ class SolveOptions:
     inf_tol: float = 1e-9
     max_iter: int = 100
     frac_to_boundary: float = 0.99
-    verbose: bool = False
 
 
 @dataclass
@@ -361,12 +361,11 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         z = zn
         tau += alpha * dtau
         kappa += alpha * dkap
-        if opts.verbose:
-            print(
-                f"  it {it:3d}  mu {mu:9.2e}  gap {relgap:9.2e}  pres {pres:9.2e} "
-                f"dres {dres:9.2e}  step {alpha:6.3f}"
-            )
 
+    if best is None:
+        raise ConvergenceError(
+            f"no iterate with finite residuals in {len(log)} iterations"
+        )
     xo, yo, zo, pobj, dobj, relgap, pres, dres = best
     if status != OPTIMAL and max(pres, dres, relgap) <= opts.tol_relaxed:
         status = OPTIMAL

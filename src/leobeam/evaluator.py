@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDesignError, LeobeamError
+from .errors import ConvergenceError, LeobeamError
 from .network import BeamDesign, sinr_samples
 
 
@@ -141,7 +141,8 @@ def apply_axis(scenario, axis: str, value: float):
 
 
 def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int = 0):
-    """Re-design and re-evaluate along one axis; infeasible points are marked
+    """Re-design and re-evaluate along one axis; failed points are marked
+    NONCONVERGED (ConvergenceError) or INFEASIBLE (any other LeobeamError)
     and the sweep continues."""
     if len(list(grid)) == 0:
         raise LeobeamError("sweep grid must be nonempty")
@@ -163,10 +164,9 @@ def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int 
                     min_mean_over_target=report.min_mean_over_target,
                 )
             )
-        except (InfeasibleDesignError, LeobeamError) as ex:
-            rows.append(
-                SweepRow(axis=axis, value=float(value), status="INFEASIBLE", detail=str(ex))
-            )
+        except LeobeamError as ex:
+            status = "NONCONVERGED" if isinstance(ex, ConvergenceError) else "INFEASIBLE"
+            rows.append(SweepRow(axis=axis, value=float(value), status=status, detail=str(ex)))
     return rows
 
 

@@ -56,22 +56,27 @@ def avg_constraint_coeffs(scenario, user):
     return coeffs, gamma * scenario.noise_power
 
 
-class AvgSinrProblem:
-    """Assembled constraint system, reused across penalty iterations."""
+class LiftedProblem:
+    """Lifted constraint system shared by both robust designs.
+
+    Holds one Hermitian PSD block W_m per region, one nonnegative slack per
+    terminal row and per feed, the terminal rows a subclass emits through
+    ``add_terminal_rows`` and, last, the per-feed power caps.  Assembled
+    once and reused across penalty iterations.
+    """
+
+    family: str  # constraint family that infeasibility certificates name
 
     def __init__(self, scenario):
         self.scenario = scenario
         k, m = scenario.feeds, scenario.beams
         bld = ConeProgramBuilder()
+        self.builder = bld
         self.w_refs = [bld.add_hermitian_psd(k) for _ in range(m)]
-        self.sinr_slack = bld.add_nonneg(len(scenario.users))
+        self.row_slack = bld.add_nonneg(len(scenario.users))
         self.feed_slack = bld.add_nonneg(k)
-        self.n_sinr_rows = len(scenario.users)
         for idx, user in enumerate(scenario.users):
-            coeffs, rhs = avg_constraint_coeffs(scenario, user)
-            terms = [(self.w_refs[j], g) for j, g in coeffs.items()]
-            terms.append((self.sinr_slack, {idx: -1.0}))
-            bld.add_eq(terms, rhs)
+            self.add_terminal_rows(idx, user)
         caps = scenario.power_caps
         for kk in range(k):
             e = np.zeros((k, k))
@@ -79,7 +84,10 @@ class AvgSinrProblem:
             terms = [(ref, e) for ref in self.w_refs]
             terms.append((self.feed_slack, {kk: 1.0}))
             bld.add_eq(terms, caps[kk])
-        self.builder = bld
+
+    def add_terminal_rows(self, idx, user):
+        """Emit terminal ``idx``'s rows; its main row takes -row_slack[idx]."""
+        raise NotImplementedError
 
     def solve(self, objective_matrices=None, options=None):
         """Solve with per-region Hermitian objective matrices (default: identity)."""
@@ -98,17 +106,36 @@ class AvgSinrProblem:
         """Attribute an infeasibility certificate to a constraint family.
 
         The certificate satisfies b'y > 0; the rows contributing positively
-        to that inner product are the ones driving the contradiction.
+        to that inner product are the ones driving the contradiction.  The
+        feed-cap rows are the last K rows, every row before them belongs to
+        a terminal.
         """
         if sol.certificate is None:
             return "unknown"
         contrib = sol.certificate * self.builder.rhs_vector
-        sinr_w = contrib[: self.n_sinr_rows].sum()
-        feed_w = contrib[self.n_sinr_rows :].sum()
-        return "average-sinr" if sinr_w >= feed_w else "per-feed-power"
+        k = self.scenario.feeds
+        user_w = contrib[:-k].sum()
+        feed_w = contrib[-k:].sum()
+        return self.family if user_w >= feed_w else "per-feed-power"
 
 
-def solve_sdr_init(problem: AvgSinrProblem, options=None):
+class AvgSinrProblem(LiftedProblem):
+    """One linear average-SINR trace row per terminal."""
+
+    family = "average-sinr"
+
+    # Own __init__ so the benchmark tracer can time this design's assembly.
+    def __init__(self, scenario):
+        super().__init__(scenario)
+
+    def add_terminal_rows(self, idx, user):
+        coeffs, rhs = avg_constraint_coeffs(self.scenario, user)
+        terms = [(self.w_refs[j], g) for j, g in coeffs.items()]
+        terms.append((self.row_slack, {idx: -1.0}))
+        self.builder.add_eq(terms, rhs)
+
+
+def solve_sdr_init(problem: LiftedProblem, options=None):
     """Relaxation without the rank constraint; typed failure when infeasible."""
     ws, sol = problem.solve(options=options)
     if sol.status == PRIMAL_INFEASIBLE:
@@ -121,7 +148,7 @@ def solve_sdr_init(problem: AvgSinrProblem, options=None):
     return ws, sol
 
 
-def penalty_step(problem: AvgSinrProblem, top_vectors, rho: float, options=None):
+def penalty_step(problem: LiftedProblem, top_vectors, rho: float, options=None):
     """One penalized solve: objective (1+rho) tr(W) - rho v^H W v per region."""
     k = problem.scenario.feeds
     objs = [
@@ -196,17 +223,22 @@ def run_penalty_loop(problem, config: PenaltyConfig):
     )
 
 
-def design_avg_sinr(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
-    """Full noncritical design: relaxation, penalty loop, beam extraction."""
+def design_lifted(
+    problem: LiftedProblem, algorithm: str, config: PenaltyConfig | None, **metadata
+) -> BeamDesign:
+    """Penalty loop and beam extraction on an assembled lifted problem.
+
+    ``metadata`` adds design-specific keys after the per-terminal targets.
+    """
     config = config or PenaltyConfig()
-    problem = AvgSinrProblem(scenario)
+    scenario = problem.scenario
     ws, iterations, gaps, history = run_penalty_loop(problem, config)
     beams = extract_beams(ws, config.rank_gap_tol)
     return BeamDesign(
         beams=beams,
         noise_power=scenario.noise_power,
         lifted=ws,
-        algorithm="avg",
+        algorithm=algorithm,
         iterations=iterations,
         max_rank_gap=float(np.max(gaps)),
         status="OPTIMAL",
@@ -214,6 +246,12 @@ def design_avg_sinr(scenario, config: PenaltyConfig | None = None) -> BeamDesign
             "gamma_lin": [u.gamma_lin for u in scenario.users],
             "sigma_deg": [np.rad2deg(u.sigma_rad) for u in scenario.users],
             "eta": [u.eta for u in scenario.users],
+            **metadata,
             "history": history,
         },
     )
+
+
+def design_avg_sinr(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
+    """Full noncritical design: relaxation, penalty loop, beam extraction."""
+    return design_lifted(AvgSinrProblem(scenario), "avg", config)

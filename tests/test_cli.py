@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from leobeam import cli
 from leobeam.cli import main
+from leobeam.errors import ConvergenceError, InfeasibleDesignError
 
 SMALL = {
     "scenario": {"feeds": 6, "beams": 2, "users_per_region": 2, "seed": 3},
@@ -127,6 +129,21 @@ class TestSweepCommand:
         assert rc == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "error, status, code",
+        [(ConvergenceError, "NONCONVERGED", 4), (InfeasibleDesignError, "INFEASIBLE", 3)],
+    )
+    def test_failed_point_exit_code(self, tmp_path, monkeypatch, error, status, code):
+        def fails(sc):
+            raise error("design failed")
+
+        monkeypatch.setattr(cli, "design_fn", lambda algorithm, penalty: fails)
+        cfg = write_cfg(tmp_path, SMALL)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", cfg, "--out", str(out), "--axis", "gamma", "--grid", "0"])
+        assert rc == code
+        assert f",{status}," in (out / "sweep.csv").read_text()
 
     def test_bad_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL)

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import random_feasible_problem, solve_conic_admm
 
+from leobeam.errors import ConvergenceError
 from leobeam.conic import (
     MAX_ITER,
     OPTIMAL,
@@ -23,6 +24,15 @@ def kkt_residuals(p, s):
     dres = np.linalg.norm(p.A.T @ s.y + s.z - p.c) / (1 + np.linalg.norm(p.c))
     comp = abs(s.x @ s.z) / (1 + abs(p.c @ s.x))
     return pres, dres, comp
+
+
+def soc_pythagorean():
+    bld = ConeProgramBuilder()
+    v = bld.add_soc(3)
+    bld.add_eq([(v, {1: 1.0})], 3.0)
+    bld.add_eq([(v, {2: 1.0})], 4.0)
+    bld.set_objective([(v, {0: 1.0})])
+    return bld.build()
 
 
 class TestCannedProblems:
@@ -79,6 +89,19 @@ class TestCannedProblems:
         bld.set_objective([(v, {0: 1.0})])
         s = solve(bld.build(), SolveOptions(max_iter=2, tol_relaxed=1e-12))
         assert s.status == MAX_ITER
+
+    def test_zero_iterations_raise_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            solve(soc_pythagorean(), SolveOptions(max_iter=0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_no_finite_iterate_raises_convergence_error(self):
+        # finite data that passes validate() but overflows every residual
+        p = soc_pythagorean()
+        p = ConicProblem(p.c, 1e200 * p.A, 1e200 * p.b, p.cones)
+        p.validate()
+        with pytest.raises(ConvergenceError):
+            solve(p)
 
     def test_dimension_validation(self):
         p = ConicProblem(np.ones(3), np.ones((1, 3)), np.ones(1), [ConeBlock("nonneg", 2)])

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import desk_config
 
-from leobeam.errors import LeobeamError
+from leobeam.errors import ConvergenceError, LeobeamError
 from leobeam.evaluator import apply_axis, evaluate, sweep, write_eval_csv, write_sweep_csv
 from leobeam.network import sinr
 from leobeam.robust_avg import design_avg_sinr
@@ -70,6 +70,14 @@ class TestSweep:
         assert [r.status for r in rows] == ["OPTIMAL", "OPTIMAL", "INFEASIBLE"]
         assert rows[0].total_power < rows[1].total_power
         assert rows[2].detail != ""
+
+    def test_convergence_failure_marked_nonconverged(self, desk_scenario):
+        def stalls(sc):
+            raise ConvergenceError("penalty loop stalled")
+
+        rows = sweep(desk_scenario, "gamma", [0.0], stalls, samples=10, seed=1)
+        assert [r.status for r in rows] == ["NONCONVERGED"]
+        assert rows[0].detail == "penalty loop stalled"
 
     def test_apply_axis_unknown(self, desk_scenario):
         with pytest.raises(LeobeamError):

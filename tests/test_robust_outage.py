@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import desk_config
 
 from leobeam.errors import ConfigError
 from leobeam.evaluator import evaluate
-from leobeam.robust_avg import design_avg_sinr
+from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
 from leobeam.robust_outage import (
     OutageProblem,
     bernstein_tail_bound,
@@ -231,6 +233,27 @@ class TestSocRows:
             assert np.allclose(q2, factor * q1)
             assert np.allclose(r2, factor * r1)
             assert s2 == pytest.approx(factor * s1, rel=1e-12)
+
+
+class TestInfeasibilityFamily:
+    """Certificate attribution on the shared lifted layout, without a solve."""
+
+    @pytest.mark.parametrize(
+        "cls, family", [(AvgSinrProblem, "average-sinr"), (OutageProblem, "outage")]
+    )
+    def test_user_rows_vs_feed_rows(self, desk_scenario, cls, family):
+        prob = cls(desk_scenario)
+        rhs = prob.builder.rhs_vector
+        k = desk_scenario.feeds
+        user_only = np.where(np.arange(rhs.size) < rhs.size - k, rhs, 0.0)
+        feed_only = rhs - user_only
+        assert np.any(user_only > 0) and np.any(feed_only > 0)
+        assert prob.infeasibility_family(SimpleNamespace(certificate=user_only)) == family
+        assert (
+            prob.infeasibility_family(SimpleNamespace(certificate=feed_only))
+            == "per-feed-power"
+        )
+        assert prob.infeasibility_family(SimpleNamespace(certificate=None)) == "unknown"
 
 
 class TestDesignOutage:
