@@ -165,8 +165,8 @@ class _NonnegScaling:
     def apply_H(self, v):
         return self.w * self.w * v
 
-    def apply_H_cols(self, cols):
-        return (self.w * self.w)[None, :] * cols
+    def apply_W_cols(self, cols):
+        return self.w[None, :] * cols
 
     def lam_div(self, d):
         return d / self.lam
@@ -199,10 +199,15 @@ class _SocScaling:
         return out
 
     def _hyp(self, v):
+        # v: (dim,) or (dim, ncols)
         w0, w1 = self.wbar[0], self.wbar[1:]
         out = np.empty_like(v)
         out[0] = w0 * v[0] + w1 @ v[1:]
-        out[1:] = v[0] * w1 + v[1:] + w1 * (w1 @ v[1:]) / (1.0 + w0)
+        out[1:] = (
+            np.multiply.outer(w1, v[0])
+            + v[1:]
+            + np.multiply.outer(w1, w1 @ v[1:]) / (1.0 + w0)
+        )
         return out
 
     def apply_W(self, v):
@@ -217,10 +222,9 @@ class _SocScaling:
         # W^2 = beta^2 (2 wbar wbar' - J)
         return self.beta**2 * (2.0 * self.wbar * (self.wbar @ v) - self._J(v))
 
-    def apply_H_cols(self, cols):
-        # cols: (ncols, dim)
-        w = self.wbar
-        return self.beta**2 * (2.0 * np.outer(cols @ w, w) - self._J(cols))
+    def apply_W_cols(self, cols):
+        # cols: (ncols, dim); W is symmetric, so cols W = (W cols')'
+        return self.beta * self._hyp(cols.T).T
 
     def lam_div(self, dvec):
         lam = self.lam
@@ -261,9 +265,9 @@ class _PsdScaling:
     def apply_H(self, v):
         return svec(self.T @ smat(v, self.block.size) @ self.T)
 
-    def apply_H_cols(self, cols):
+    def apply_W_cols(self, cols):
         mats = smat_batch(cols, self.block.size)
-        return svec_batch(self.T @ mats @ self.T)
+        return svec_batch(self.R.T @ mats @ self.R)
 
     def lam_div(self, dvec):
         d = self.block.size

@@ -12,6 +12,8 @@ self-dual embedding, so primal or dual infeasibility is detected with a
 certificate ray instead of a diverging iterate.
 """
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +29,15 @@ from .cones import (
     smat,
 )
 
-
-def _psd_mat(blk, seg):
-    return smat(seg, blk.size)
-
 OPTIMAL = "OPTIMAL"
 PRIMAL_INFEASIBLE = "PRIMAL_INFEASIBLE"
 DUAL_INFEASIBLE = "DUAL_INFEASIBLE"
 MAX_ITER = "MAX_ITER"
+
+# Keys of ConicSolution.timings: seconds per solver phase, summed over iterations.
+PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
+# Triangular blocks at or below this order are inverted by one LAPACK solve.
+_TRIL_LEAF = 96
 
 
 @dataclass
@@ -107,6 +110,7 @@ class ConicSolution:
     dres: float
     iterations: list = field(default_factory=list)
     certificate: np.ndarray | None = None
+    timings: dict = field(default_factory=dict)
 
     @property
     def n_iter(self):
@@ -184,6 +188,15 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     best_score = np.inf
     stall = 0
     no_progress = 0
+    timings = dict.fromkeys(PHASES, 0.0)
+
+    @contextmanager
+    def timed(phase):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            timings[phase] += time.perf_counter() - t0
 
     def unscaled(xv, yv, zv):
         return dc * xv, cscale * dr * yv, cscale * (zv / dc)
@@ -239,7 +252,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 best = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
                 cert = yu / by
                 sol = ConicSolution(
-                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert
+                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
                 )
                 return sol
         cx = float(c0 @ xu)
@@ -248,50 +261,58 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 status = DUAL_INFEASIBLE
                 cert = xu / -cx
                 sol = ConicSolution(
-                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert
+                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
                 )
                 return sol
 
-        try:
-            scalings = [
-                nt_scaling(blk, xb, zb)
-                for blk, xb, zb in zip(cones, layout.blocks(x), layout.blocks(z))
-            ]
-        except (FloatingPointError, np.linalg.LinAlgError):
-            break  # iterate degenerated numerically; report best so far
+        with timed("nt_scaling"):
+            try:
+                scalings = [
+                    nt_scaling(blk, xb, zb)
+                    for blk, xb, zb in zip(cones, layout.blocks(x), layout.blocks(z))
+                ]
+            except (FloatingPointError, np.linalg.LinAlgError):
+                break  # iterate degenerated numerically; report best so far
         lam = np.concatenate([sc.lam for sc in scalings])
 
-        # Schur complement S = A H A' (+ tiny ridge if needed).
-        HAt = np.empty((n, m))
-        for sc, sl in zip(scalings, layout.slices):
-            HAt[sl, :] = sc.apply_H_cols(As[:, sl]).T if m else np.zeros((sl.stop - sl.start, 0))
-        S = As @ HAt
-        Hc = _apply_H(scalings, layout, cs)
-        AHc = As @ Hc
+        # Schur complement S = A H A' = G G' with G = A W' (H = W'W), so the
+        # product takes the symmetric (syrk) path; a tiny ridge if needed.
+        with timed("schur_assembly"):
+            G = np.empty((m, n))
+            for sc, sl in zip(scalings, layout.slices):
+                G[:, sl] = sc.apply_W_cols(As[:, sl])
+            S = G @ G.T
+            del G
+            AHc = As @ _apply_H(scalings, layout, cs)
 
-        ridge = 0.0
-        for attempt in range(4):
-            try:
-                L = np.linalg.cholesky(S + ridge * np.eye(m))
+        # One factor per iteration, S^-1 = Linv' Linv, reused by every solve below.
+        with timed("factor"):
+            ridge = 0.0
+            for attempt in range(4):
+                try:
+                    L = np.linalg.cholesky(S + ridge * np.eye(m))
+                    break
+                except np.linalg.LinAlgError:
+                    ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
+            else:
                 break
-            except np.linalg.LinAlgError:
-                ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
-        else:
-            break
+            Linv = _tril_inv(L)
+            del L
 
         def schur_solve(rhs):
-            sol = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
-            # Iterative refinement keeps directions usable in the
-            # ill-conditioned endgame; stop once the residual stagnates.
-            prev = np.inf
-            for _ in range(3):
-                resid = rhs - S @ sol
-                rnorm = np.linalg.norm(resid)
-                if rnorm >= 0.5 * prev:
-                    break
-                prev = rnorm
-                sol = sol + np.linalg.solve(L.T, np.linalg.solve(L, resid))
-            return sol
+            with timed("schur_solve"):
+                sol = Linv.T @ (Linv @ rhs)
+                # Iterative refinement keeps directions usable in the
+                # ill-conditioned endgame; stop once the residual stagnates.
+                prev = np.inf
+                for _ in range(3):
+                    resid = rhs - S @ sol
+                    rnorm = np.linalg.norm(resid)
+                    if rnorm >= 0.5 * prev:
+                        break
+                    prev = rnorm
+                    sol = sol + Linv.T @ (Linv @ resid)
+                return sol
 
         q1 = schur_solve(AHc + bs)
         p1 = _apply_H(scalings, layout, As.T @ q1 - cs)
@@ -316,7 +337,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
         # Predictor (affine scaling) direction.
         dx_a, dy_a, dz_a, dtau_a, dkap_a = directions(0.0, None, 0.0)
-        a_aff = _step_len(cones, layout, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
+        with timed("step_search"):
+            a_aff = _step_len(cones, layout, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
         a_aff = min(1.0, a_aff)
         mu_aff = (
             (x + a_aff * dx_a) @ (z + a_aff * dz_a)
@@ -335,27 +357,30 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         )
         dx, dy, dz, dtau, dkap = directions(sigma, eta, dtau_a * dkap_a)
 
-        a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
+        with timed("step_search"):
+            a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
         alpha = min(1.0, opts.frac_to_boundary * a_max)
         if alpha < 1e-6:
             # Recenter: a pure centering step is better conditioned and
             # restores interior margin after a degenerate combined step.
             dx, dy, dz, dtau, dkap = directions(1.0, None, 0.0)
-            a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
+            with timed("step_search"):
+                a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
             alpha = min(1.0, opts.frac_to_boundary * a_max)
         if alpha <= 1e-10:
             break  # stalled; report best iterate
         stall = stall + 1 if alpha < 1e-6 else 0
 
         # Keep the new iterate strictly interior despite rounding in a_max.
-        for _ in range(12):
-            xn = x + alpha * dx
-            zn = z + alpha * dz
-            if _strictly_interior(cones, layout, xn) and _strictly_interior(
-                cones, layout, zn
-            ):
-                break
-            alpha *= 0.8
+        with timed("step_search"):
+            for _ in range(12):
+                xn = x + alpha * dx
+                zn = z + alpha * dz
+                if _strictly_interior(cones, layout, xn) and _strictly_interior(
+                    cones, layout, zn
+                ):
+                    break
+                alpha *= 0.8
         x = xn
         y = y + alpha * dy
         z = zn
@@ -369,7 +394,28 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     xo, yo, zo, pobj, dobj, relgap, pres, dres = best
     if status != OPTIMAL and max(pres, dres, relgap) <= opts.tol_relaxed:
         status = OPTIMAL
-    return ConicSolution(status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, None)
+    return ConicSolution(
+        status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, None, timings
+    )
+
+
+def _tril_inv(L):
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: above the leaf
+    order only matrix products, about k^3/3 multiply-adds in all.
+    """
+    k = L.shape[0]
+    if k <= _TRIL_LEAF:
+        return np.linalg.solve(L, np.eye(k))
+    h = k // 2
+    Ainv = _tril_inv(L[:h, :h])
+    Cinv = _tril_inv(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = Ainv
+    out[h:, h:] = Cinv
+    out[h:, :h] = -Cinv @ (L[h:, :h] @ Ainv)
+    return out
 
 
 def _apply_H(scalings, layout, v):
@@ -404,7 +450,7 @@ def _strictly_interior(cones, layout, v):
         if blk.kind == PSD_KIND:
             # Cholesky success is the margin test actually needed downstream.
             try:
-                np.linalg.cholesky(_psd_mat(blk, v[sl]))
+                np.linalg.cholesky(smat(v[sl], blk.size))
             except np.linalg.LinAlgError:
                 return False
         elif interior_margin(blk, v[sl]) <= 0:

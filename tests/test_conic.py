@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from leobeam.conic import (
     load_problem,
     solve,
 )
+from leobeam.conic.cones import nt_scaling, smat, svec
+from leobeam.conic.solver import _TRIL_LEAF, PHASES, _tril_inv
 
 
 def kkt_residuals(p, s):
@@ -221,3 +225,74 @@ class TestDumpLoad:
         assert p.cones == q.cones
         s1, s2 = solve(p), solve(q)
         assert s1.obj_primal == s2.obj_primal
+
+
+def interior_point(block, rng):
+    """A random strictly interior point of the block."""
+    if block.kind == "nonneg":
+        return rng.uniform(0.5, 2.0, block.size)
+    if block.kind == "soc":
+        v = rng.normal(size=block.size)
+        v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
+        return v
+    g = rng.normal(size=(block.size, block.size))
+    return svec(g @ g.T + block.size * np.eye(block.size))
+
+
+class TestSchurKernels:
+    @pytest.mark.parametrize("k", [1, _TRIL_LEAF, _TRIL_LEAF + 1, 2 * _TRIL_LEAF + 1, 954])
+    def test_tril_inv_matches_inverse(self, k):
+        rng = np.random.default_rng(k)
+        g = rng.normal(size=(k, k))
+        L = np.linalg.cholesky(g @ g.T / k + np.eye(k))
+        Linv = _tril_inv(L)
+        assert np.abs(Linv @ L - np.eye(k)).max() <= 1e-12
+        assert np.allclose(Linv, np.linalg.inv(L), rtol=0, atol=1e-12)
+        assert np.array_equal(Linv, np.tril(Linv))
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            ConeBlock("nonneg", 1),
+            ConeBlock("nonneg", 5),
+            ConeBlock("soc", 1),
+            ConeBlock("soc", 6),
+            ConeBlock("psd", 1),
+            ConeBlock("psd", 4),
+        ],
+        ids=lambda b: f"{b.kind}{b.size}",
+    )
+    def test_w_cols_gram_equals_schur_term(self, block):
+        # H = W'W, so (A W')(A W')' = A H A' row by row.
+        rng = np.random.default_rng(block.veclen)
+        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        A = rng.normal(size=(7, block.veclen))
+        G = sc.apply_W_cols(A)
+        AHAt = A @ np.column_stack([sc.apply_H(row) for row in A])
+        assert G.shape == A.shape
+        assert np.allclose(G, np.array([sc.apply_W(row) for row in A]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(G @ G.T, AHAt, rtol=1e-10, atol=1e-12)
+
+    def test_no_equality_rows_mixed_cones(self):
+        # m = 0: minimize sum(x) + s0 + tr(X) over nonneg x SOC x PSD -> 0.
+        cones = [ConeBlock("nonneg", 2), ConeBlock("soc", 3), ConeBlock("psd", 2)]
+        c = np.concatenate([[1.0, 1.0, 1.0, 0.0, 0.0], svec(np.eye(2))])
+        p = ConicProblem(c, np.zeros((0, c.size)), np.zeros(0), cones)
+        s = solve(p)
+        assert s.status == OPTIMAL
+        assert s.obj_primal == pytest.approx(0.0, abs=1e-7)
+        assert np.linalg.eigvalsh(smat(s.x[5:], 2)).min() >= -1e-9
+
+
+class TestTimings:
+    def test_phase_seconds_within_wall_time(self):
+        rng = np.random.default_rng(9)
+        p, _ = random_feasible_problem(rng)
+        t0 = time.perf_counter()
+        s = solve(p)
+        wall = time.perf_counter() - t0
+        assert s.status == OPTIMAL
+        assert tuple(s.timings) == PHASES
+        assert all(v >= 0.0 for v in s.timings.values())
+        assert s.timings["factor"] > 0.0
+        assert sum(s.timings.values()) <= wall
