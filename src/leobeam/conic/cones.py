@@ -1,9 +1,19 @@
 """Cone block primitives for the interior-point solver.
 
-Blocks are nonnegative orthants, second-order cones, and real PSD cones.
-PSD blocks live in scaled-vector (svec) coordinates: upper triangle with
-off-diagonal entries multiplied by sqrt(2), so that the Euclidean inner
-product of two svecs equals the trace inner product of the matrices.
+Blocks are nonnegative orthants, second-order cones, and PSD cones over
+either field: real symmetric or complex Hermitian matrices.  PSD blocks live
+in scaled-vector (svec) coordinates whose Euclidean inner product equals the
+trace inner product tr(XY):
+
+- real symmetric, order d: the upper triangle row by row with off-diagonal
+  entries multiplied by sqrt(2), d(d+1)/2 coordinates;
+- complex Hermitian, order d: the same coordinates of the real part,
+  followed by sqrt(2) times the imaginary part of the strict upper
+  triangle, d^2 coordinates.
+
+``svec`` takes the field from the matrix dtype and ``smat`` from the vector
+length (at d = 1 the two layouts coincide).  The matrix code below uses
+conjugate transposes throughout, so one path serves both fields.
 """
 
 from dataclasses import dataclass
@@ -14,16 +24,19 @@ NONNEG = "nonneg"
 SOC = "soc"
 PSD = "psd"
 
+_SQRT2 = np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class ConeBlock:
     kind: str
     size: int  # vector length for nonneg/soc, matrix order for psd
+    hermitian: bool = False  # psd only: complex Hermitian instead of real symmetric
 
     @property
     def veclen(self) -> int:
         if self.kind == PSD:
-            return self.size * (self.size + 1) // 2
+            return self.size**2 if self.hermitian else self.size * (self.size + 1) // 2
         return self.size
 
     @property
@@ -37,43 +50,36 @@ class ConeBlock:
         return self.size
 
 
-def _triu_cache(d, _cache={}):
+def _layout(d, _cache={}):
+    """(upper-triangle indices, their svec scales, strict-upper positions in them)."""
     if d not in _cache:
         iu = np.triu_indices(d)
-        sc = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-        _cache[d] = (iu, sc)
+        strict = iu[0] != iu[1]
+        _cache[d] = (iu, np.where(strict, _SQRT2, 1.0), np.flatnonzero(strict))
     return _cache[d]
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    iu, sc = _triu_cache(d)
-    return mat[iu] * sc
+    """(..., d, d) -> (..., veclen); complex input takes the Hermitian layout."""
+    iu, sc, strict = _layout(mat.shape[-1])
+    up = mat[..., iu[0], iu[1]]
+    if np.iscomplexobj(up):
+        return np.concatenate([up.real * sc, up.imag[..., strict] * _SQRT2], axis=-1)
+    return up * sc
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
-    iu, sc = _triu_cache(d)
-    out = np.zeros((d, d))
-    out[iu] = v / sc
-    out = out + out.T
-    out[np.diag_indices(d)] *= 0.5
+    """(..., veclen) -> (..., d, d), complex when v has d^2 > d(d+1)/2 entries."""
+    iu, sc, strict = _layout(d)
+    nre = sc.size
+    up = v[..., :nre] / sc
+    if v.shape[-1] > nre:
+        up = up.astype(complex)
+        up[..., strict] += 1j * (v[..., nre:] / _SQRT2)
+    out = np.empty(v.shape[:-1] + (d, d), dtype=up.dtype)
+    out[..., iu[1], iu[0]] = up.conj()
+    out[..., iu[0], iu[1]] = up
     return out
-
-
-def smat_batch(v: np.ndarray, d: int) -> np.ndarray:
-    """(ncols, veclen) -> (ncols, d, d)."""
-    iu, sc = _triu_cache(d)
-    out = np.zeros((v.shape[0], d, d))
-    out[:, iu[0], iu[1]] = v / sc
-    out = out + np.transpose(out, (0, 2, 1))
-    out[:, np.arange(d), np.arange(d)] *= 0.5
-    return out
-
-
-def svec_batch(mats: np.ndarray) -> np.ndarray:
-    d = mats.shape[-1]
-    iu, sc = _triu_cache(d)
-    return mats[:, iu[0], iu[1]] * sc
 
 
 def identity_element(block: ConeBlock) -> np.ndarray:
@@ -83,7 +89,16 @@ def identity_element(block: ConeBlock) -> np.ndarray:
         e = np.zeros(block.size)
         e[0] = 1.0
         return e
-    return svec(np.eye(block.size))
+    return svec(np.eye(block.size, dtype=complex if block.hermitian else float))
+
+
+def row_operand(block: ConeBlock, cols: np.ndarray) -> np.ndarray:
+    """One block's columns of A in the form its ``apply_W_cols`` takes.
+
+    PSD rows become (rows, d, d) matrices, other blocks keep their columns.
+    A does not change within a solve, so the solver builds these once.
+    """
+    return smat(cols, block.size) if block.kind == PSD else cols
 
 
 def interior_margin(block: ConeBlock, v: np.ndarray) -> float:
@@ -122,12 +137,10 @@ def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:
         pos = [r for r in roots if r > 0]
         return float(min(pos)) if pos else np.inf
     # psd
+    # Eigenvalues of L^-1 dX L^-H with X = L L^H; one solve inverts L.
     d = block.size
-    xm = smat(x, d)
-    dm = smat(dx, d)
-    ch = np.linalg.cholesky(xm)
-    g = np.linalg.solve(ch, np.linalg.solve(ch, dm).T).T
-    g = 0.5 * (g + g.T)
+    linv = np.linalg.solve(np.linalg.cholesky(smat(x, d)), np.eye(d))
+    g = linv @ smat(dx, d) @ linv.conj().T
     lam_min = np.linalg.eigvalsh(g)[0]
     if lam_min >= 0:
         return np.inf
@@ -237,37 +250,38 @@ class _SocScaling:
 
 
 class _PsdScaling:
+    # W(V) = R^H V R.  With X = L1 L1^H, Z = L2 L2^H and L2^H L1 = U S V^H,
+    # R = L1 V S^-1/2 gives R^H Z R = R^-1 X R^-H = S (the NT point).
     def __init__(self, block, x, z):
         self.block = block
         d = block.size
-        xm = smat(x, d)
-        zm = smat(z, d)
-        l1 = np.linalg.cholesky(xm)
-        l2 = np.linalg.cholesky(zm)
-        u, s, vt = np.linalg.svd(l2.T @ l1)
+        l1 = np.linalg.cholesky(smat(x, d))
+        l2 = np.linalg.cholesky(smat(z, d))
+        u, s, vh = np.linalg.svd(l2.conj().T @ l1)
         si = 1.0 / np.sqrt(s)
-        self.R = l1 @ vt.T * si[None, :]
-        self.RmT = l2 @ u * si[None, :]  # R^{-T}
-        self.Rm = self.RmT.T  # R^{-1}
-        self.T = self.R @ self.R.T
+        self.R = l1 @ vh.conj().T * si[None, :]
+        self.Rh = self.R.conj().T
+        self.RmH = l2 @ u * si[None, :]  # R^-H
+        self.Rm = self.RmH.conj().T  # R^-1
+        self.T = self.R @ self.Rh
         self.sig = s
-        self.lam = svec(np.diag(s))
+        self.lam = svec(np.diag(s).astype(self.R.dtype))
 
     def apply_W(self, v):
-        return svec(self.R.T @ smat(v, self.block.size) @ self.R)
+        return svec(self.Rh @ smat(v, self.block.size) @ self.R)
 
     def apply_WinvT(self, v):
-        return svec(self.Rm @ smat(v, self.block.size) @ self.RmT)
+        return svec(self.Rm @ smat(v, self.block.size) @ self.RmH)
 
     def apply_Winv(self, v):
-        return svec(self.RmT @ smat(v, self.block.size) @ self.Rm)
+        return svec(self.RmH @ smat(v, self.block.size) @ self.Rm)
 
     def apply_H(self, v):
         return svec(self.T @ smat(v, self.block.size) @ self.T)
 
-    def apply_W_cols(self, cols):
-        mats = smat_batch(cols, self.block.size)
-        return svec_batch(self.R.T @ mats @ self.R)
+    def apply_W_cols(self, mats):
+        # mats: (ncols, d, d) from row_operand
+        return svec(self.Rh @ mats @ self.R)
 
     def lam_div(self, dvec):
         d = self.block.size

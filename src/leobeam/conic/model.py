@@ -1,17 +1,14 @@
 """Problem assembly helpers on top of the raw conic solver.
 
 The builder tracks an ordered list of cone-variable blocks and dense equality
-rows over them.  Complex Hermitian PSD variables are lifted to real PSD blocks
-of twice the order through the [[A, -B], [B, A]] embedding; trace functionals
-against Hermitian coefficient matrices are halved so that they equal the
-complex-domain traces despite the embedding duplication.
+rows over them.  Complex Hermitian PSD variables are native complex PSD
+blocks; a matrix coefficient D on a PSD variable X contributes tr(D X).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import embed_hermitian, hermitian_from_embedding
 from .cones import NONNEG, PSD, SOC, ConeBlock, smat, svec
 from .solver import ConicProblem
 
@@ -24,15 +21,13 @@ class VarRef:
     kind: str
     offset: int
     veclen: int
-    order: int = 0  # matrix order: real order for psd, complex order for hermitian
+    order: int = 0  # matrix order for psd and hermitian
 
 
 def hermitian_trace_coeff(d: np.ndarray) -> np.ndarray:
-    """svec coefficients v with v . svec(X) = tr(D W) for X = embed(W).
-
-    The factor 1/2 compensates the trace doubling of the real embedding.
-    """
-    return 0.5 * svec(embed_hermitian(d))
+    """svec coefficients v with v . svec(W) = Re tr(D W) for Hermitian W."""
+    d = np.asarray(d, dtype=complex)
+    return svec(0.5 * (d + d.conj().T))
 
 
 class ConeProgramBuilder:
@@ -62,28 +57,20 @@ class ConeProgramBuilder:
         return self._add(PSD, order * (order + 1) // 2, ConeBlock(PSD, order), order)
 
     def add_hermitian_psd(self, order: int) -> VarRef:
-        """Complex Hermitian PSD variable, realized as an embedded real PSD block."""
-        emb = 2 * order
-        return self._add(HERMITIAN, emb * (emb + 1) // 2, ConeBlock(PSD, emb), order)
+        """Complex Hermitian PSD variable: a native complex PSD block."""
+        cone = ConeBlock(PSD, order, hermitian=True)
+        return self._add(HERMITIAN, cone.veclen, cone, order)
 
     # -- coefficients --------------------------------------------------------
 
     def _coeff_vector(self, ref: VarRef, coeff) -> np.ndarray:
-        if ref.kind == HERMITIAN:
-            d = np.asarray(coeff)
-            if d.ndim == 1 and d.shape == (ref.veclen,):
-                return d.astype(float)  # raw svec coefficients on the embedding
-            d = d.astype(complex)
+        if ref.kind in (PSD, HERMITIAN):
+            d = np.asarray(coeff, dtype=complex if ref.kind == HERMITIAN else float)
+            if d.shape == (ref.veclen,):
+                return d.real  # raw svec coefficients
             if d.shape != (ref.order, ref.order):
-                raise ValueError("hermitian coefficient has wrong shape")
-            return hermitian_trace_coeff(d)
-        if ref.kind == PSD:
-            d = np.asarray(coeff, dtype=float)
-            if d.ndim == 1 and d.shape == (ref.veclen,):
-                return d
-            if d.shape != (ref.order, ref.order):
-                raise ValueError("psd coefficient has wrong shape")
-            return svec(0.5 * (d + d.T))
+                raise ValueError(f"{ref.kind} coefficient has wrong shape")
+            return svec(0.5 * (d + d.conj().T))
         if isinstance(coeff, dict):
             vec = np.zeros(ref.veclen)
             for idx, val in coeff.items():
@@ -139,7 +126,7 @@ class ConeProgramBuilder:
     def extract(self, ref: VarRef, x: np.ndarray):
         seg = x[ref.offset : ref.offset + ref.veclen]
         if ref.kind == HERMITIAN:
-            return hermitian_from_embedding(smat(seg, 2 * ref.order))
+            return smat(seg, ref.order).astype(complex, copy=False)  # also at order 1
         if ref.kind == PSD:
             return smat(seg, ref.order)
         return seg.copy()
@@ -155,7 +142,7 @@ def dump_problem(problem: ConicProblem, path):
         fh.write(f"dims {problem.n} {problem.m}\n")
         fh.write(f"cones {len(problem.cones)}\n")
         for blk in problem.cones:
-            fh.write(f"{blk.kind} {blk.size}\n")
+            fh.write(f"{HERMITIAN if blk.hermitian else blk.kind} {blk.size}\n")
         fh.write("objective\n")
         fh.write(" ".join(repr(float(v)) for v in problem.c) + "\n")
         fh.write("rhs\n")
@@ -177,9 +164,12 @@ def load_problem(path) -> ConicProblem:
     cones = []
     for i in range(ncones):
         kind, size = lines[3 + i].split()
-        if kind not in (NONNEG, SOC, PSD):
+        if kind == HERMITIAN:
+            cones.append(ConeBlock(PSD, int(size), hermitian=True))
+        elif kind in (NONNEG, SOC, PSD):
+            cones.append(ConeBlock(kind, int(size)))
+        else:
             raise ValueError(f"unknown cone kind {kind!r}")
-        cones.append(ConeBlock(kind, int(size)))
     pos = 3 + ncones
     if lines[pos] != "objective":
         raise ValueError("expected objective section")

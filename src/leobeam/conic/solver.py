@@ -5,7 +5,8 @@ Standard form:
     minimize    c'x
     subject to  A x = b,   x in K
 
-with K an ordered product of nonnegative, second-order, and PSD blocks.
+with K an ordered product of nonnegative, second-order, and PSD blocks
+(real symmetric or complex Hermitian).
 The dual is  max b'y  s.t.  c - A'y = z in K.  A predictor-corrector
 path-following method with Nesterov-Todd scaling runs on the homogeneous
 self-dual embedding, so primal or dual infeasibility is detected with a
@@ -26,6 +27,7 @@ from .cones import (
     jordan_mul,
     max_step,
     nt_scaling,
+    row_operand,
     smat,
 )
 
@@ -170,6 +172,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     A0, b0, c0 = problem.A, problem.b, problem.c
     m, n = As.shape
     cones = problem.cones
+    rows = [row_operand(blk, As[:, sl]) for blk, sl in zip(cones, layout.slices)]
 
     e = np.concatenate([identity_element(blk) for blk in cones])
     nu = sum(blk.degree for blk in cones)
@@ -275,15 +278,22 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 break  # iterate degenerated numerically; report best so far
         lam = np.concatenate([sc.lam for sc in scalings])
 
+        def per_block(op, v):
+            """Apply the scaling method named ``op`` to each block of v."""
+            out = np.empty_like(v)
+            for sc, sl in zip(scalings, layout.slices):
+                out[sl] = getattr(sc, op)(v[sl])
+            return out
+
         # Schur complement S = A H A' = G G' with G = A W' (H = W'W), so the
         # product takes the symmetric (syrk) path; a tiny ridge if needed.
         with timed("schur_assembly"):
             G = np.empty((m, n))
-            for sc, sl in zip(scalings, layout.slices):
-                G[:, sl] = sc.apply_W_cols(As[:, sl])
+            for sc, sl, rows_blk in zip(scalings, layout.slices, rows):
+                G[:, sl] = sc.apply_W_cols(rows_blk)
             S = G @ G.T
             del G
-            AHc = As @ _apply_H(scalings, layout, cs)
+            AHc = As @ per_block("apply_H", cs)
 
         # One factor per iteration, S^-1 = Linv' Linv, reused by every solve below.
         with timed("factor"):
@@ -301,39 +311,62 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
         def schur_solve(rhs):
             with timed("schur_solve"):
-                sol = Linv.T @ (Linv @ rhs)
-                # Iterative refinement keeps directions usable in the
-                # ill-conditioned endgame; stop once the residual stagnates.
-                prev = np.inf
-                for _ in range(3):
-                    resid = rhs - S @ sol
-                    rnorm = np.linalg.norm(resid)
-                    if rnorm >= 0.5 * prev:
-                        break
-                    prev = rnorm
-                    sol = sol + Linv.T @ (Linv @ resid)
-                return sol
+                return Linv.T @ (Linv @ rhs)
 
         q1 = schur_solve(AHc + bs)
-        p1 = _apply_H(scalings, layout, As.T @ q1 - cs)
-        den = float(cs @ p1 - bs @ q1 - kappa / tau)
+        Atq1 = As.T @ q1
+        p1 = per_block("apply_H", Atq1 - cs)
+        # cs'p1 - bs'q1 = -p1'H^-1 p1: summed as a square, the tau pivot
+        # keeps its sign where the difference would cancel.
+        den = -float(np.sum(per_block("apply_WinvT", p1) ** 2)) - kappa / tau
+
+        def newton(rp, rd, rg, g, dk):
+            """Solve the linearized system for (dx, dy, dz, dtau, dkap):
+                As dx - bs dtau = rp,    -As' dy - dz + cs dtau = rd,
+                cs'dx - bs'dy + dkap = rg,    W^-T dx + W dz = g,
+                kappa dtau + tau dkap = dk,
+            eliminating dz and dx onto the Schur complement."""
+            w1 = per_block("apply_Winv", g) + rd
+            q2 = schur_solve(rp - As @ per_block("apply_H", w1))
+            Atq2 = As.T @ q2
+            p2 = per_block("apply_H", Atq2 + w1)
+            dtau = (rg - float(cs @ p2) + float(bs @ q2) - dk / tau) / den
+            dy = q2 + dtau * q1
+            dx = p2 + dtau * p1
+            dz = cs * dtau - (Atq2 + dtau * Atq1) - rd
+            dkap = (dk - kappa * dtau) / tau
+            return dx, dy, dz, dtau, dkap
+
+        def newton_residual(rhs, d):
+            dx, dy, dz, dtau, dkap = d
+            return (
+                rhs[0] - (As @ dx - bs * dtau),
+                rhs[1] - (cs * dtau - As.T @ dy - dz),
+                rhs[2] - (float(cs @ dx) - float(bs @ dy) + dkap),
+                rhs[3] - (per_block("apply_WinvT", dx) + per_block("apply_W", dz)),
+                rhs[4] - (kappa * dtau + tau * dkap),
+            )
 
         def directions(sig, eta_corr, dkappa_corr):
             dc_vec = sig * mu * e - _jordan_sq(cones, layout, lam)
             if eta_corr is not None:
                 dc_vec -= eta_corr
-            d_kappa = sig * mu - tau * kappa - dkappa_corr
-            g = _lam_div(scalings, layout, dc_vec)
-            w1 = _apply_Winv(scalings, layout, g) - (1.0 - sig) * r_d
-            q2 = schur_solve(-(1.0 - sig) * r_p - As @ _apply_H(scalings, layout, w1))
-            p2 = _apply_H(scalings, layout, As.T @ q2 + w1)
-            num = -(1.0 - sig) * r_g - float(cs @ p2) + float(bs @ q2) - d_kappa / tau
-            dtau = num / den
-            dy = q2 + dtau * q1
-            dx = p2 + dtau * p1
-            dz = cs * dtau - As.T @ dy + (1.0 - sig) * r_d
-            dkap = (d_kappa - kappa * dtau) / tau
-            return dx, dy, dz, dtau, dkap
+            rhs = (
+                -(1.0 - sig) * r_p,
+                -(1.0 - sig) * r_d,
+                -(1.0 - sig) * r_g,
+                per_block("lam_div", dc_vec),
+                sig * mu - tau * kappa - dkappa_corr,
+            )
+            # One step of iterative refinement on the whole system, kept only
+            # if it shrinks the residual: in the ill-conditioned endgame the
+            # eliminated solve drifts from the equations it stands for.
+            d = newton(*rhs)
+            res = newton_residual(rhs, d)
+            refined = tuple(u + v for u, v in zip(d, newton(*res)))
+            if _norm(newton_residual(rhs, refined)) < _norm(res):
+                return refined
+            return d
 
         # Predictor (affine scaling) direction.
         dx_a, dy_a, dz_a, dtau_a, dkap_a = directions(0.0, None, 0.0)
@@ -418,25 +451,9 @@ def _tril_inv(L):
     return out
 
 
-def _apply_H(scalings, layout, v):
-    out = np.empty_like(v)
-    for sc, sl in zip(scalings, layout.slices):
-        out[sl] = sc.apply_H(v[sl])
-    return out
-
-
-def _apply_Winv(scalings, layout, v):
-    out = np.empty_like(v)
-    for sc, sl in zip(scalings, layout.slices):
-        out[sl] = sc.apply_Winv(v[sl])
-    return out
-
-
-def _lam_div(scalings, layout, v):
-    out = np.empty_like(v)
-    for sc, sl in zip(scalings, layout.slices):
-        out[sl] = sc.lam_div(v[sl])
-    return out
+def _norm(parts):
+    """Euclidean norm of a tuple of vectors and scalars taken as one vector."""
+    return float(np.sqrt(sum(np.vdot(p, p) for p in parts)))
 
 
 def _jordan_sq(cones, layout, lam):

@@ -116,33 +116,3 @@ def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_iter: int = 50000):
         f"power iteration did not reach residual {tol:g}*||m|| in {max_iter} steps"
     )
 
-
-def embed_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[A, -B], [B, A]] of a Hermitian A + jB.
-
-    The embedding is PSD iff the source is, each source eigenvalue appears
-    twice, and trace(embedded) = 2 trace(source).
-    """
-    m = np.asarray(m, dtype=complex)
-    a, b = m.real, m.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def hermitian_from_embedding(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`embed_hermitian`, projecting onto the structured part.
-
-    For a general symmetric 2K x 2K input this returns the Hermitian matrix
-    whose embedding is the orthogonal projection of the input onto the
-    embedding subspace (divided by the duplication); trace functionals against
-    embedded coefficients only see this part.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    if n % 2 != 0:
-        raise ValueError("embedded matrix must have even dimension")
-    k = n // 2
-    a = 0.5 * (x[:k, :k] + x[k:, k:])
-    b = 0.5 * (x[k:, :k] - x[:k, k:])
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b - b.T)
-    return a + 1j * b

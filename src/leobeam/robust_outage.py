@@ -18,7 +18,6 @@ import numpy as np
 from .conic.cones import smat
 from .errors import ConfigError
 from .network import BeamDesign
-from .numerics import hermitian_from_embedding
 from .robust_avg import LiftedProblem, PenaltyConfig, design_lifted
 
 # Above this phase-error std dev (radians) the second-order expansion the
@@ -134,14 +133,13 @@ class _UserResponses:
     """Linear responses of (Q, r, s) to each svec coordinate of one W block.
 
     The pipeline below svec coordinate -> Hermitian basis direction ->
-    margin form -> Taylor maps is linear, so evaluating it on the svec basis
-    yields the dense constraint coefficients directly.
+    margin form -> Taylor maps is linear, so evaluating it on the K^2 svec
+    basis vectors yields the dense constraint coefficients directly.
     """
 
     def __init__(self, scenario, user):
         k = scenario.feeds
-        emb = 2 * k
-        veclen = emb * (emb + 1) // 2
+        veclen = k * k
         h = user.channel.estimated
         phase_outer = np.outer(h.conj(), h)
         croot = _cov_sqrt(user, k)
@@ -150,8 +148,7 @@ class _UserResponses:
         self.s_row = np.zeros(veclen)
         basis = np.eye(veclen)
         for a in range(veclen):
-            v = hermitian_from_embedding(smat(basis[a], emb))
-            z = v * phase_outer
+            z = smat(basis[a], k) * phase_outer
             q, r = taylor_terms(user, z, croot)
             self.q_rows[a] = q.ravel()
             self.r_rows[a] = r

@@ -2,7 +2,8 @@
 
 These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
-for eigenpairs, and a first-order ADMM method for cone programs.  Expected
+for eigenpairs, a first-order ADMM method for cone programs, and the real
+[[A, -B], [B, A]] embedding of Hermitian PSD variables.  Expected
 values frozen into tests were computed with these routines.
 """
 
@@ -37,6 +38,84 @@ def full_eig_oracle(m: np.ndarray):
     """Largest eigenpair from a full dense eigendecomposition."""
     vals, vecs = np.linalg.eigh(m)
     return vals[-1], vecs[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# Real embedding of Hermitian matrices: a Hermitian PSD variable W of order K
+# is equivalent to a real PSD block X = embed(W) of order 2K, with
+# tr(D W) = tr(embed(D) X) / 2.
+# ---------------------------------------------------------------------------
+
+
+def embed_hermitian(m: np.ndarray) -> np.ndarray:
+    """Real symmetric embedding [[A, -B], [B, A]] of a Hermitian A + jB.
+
+    The embedding is PSD iff the source is, each source eigenvalue appears
+    twice, and trace(embedded) = 2 trace(source).
+    """
+    m = np.asarray(m, dtype=complex)
+    a, b = m.real, m.imag
+    return np.block([[a, -b], [b, a]])
+
+
+def hermitian_from_embedding(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`embed_hermitian`, projecting onto the structured part.
+
+    For a general symmetric 2K x 2K input this returns the Hermitian matrix
+    whose embedding is the orthogonal projection of the input onto the
+    embedding subspace (divided by the duplication); trace functionals against
+    embedded coefficients only see this part.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n % 2 != 0:
+        raise ValueError("embedded matrix must have even dimension")
+    k = n // 2
+    a = 0.5 * (x[:k, :k] + x[k:, k:])
+    b = 0.5 * (x[k:, :k] - x[:k, k:])
+    a = 0.5 * (a + a.T)
+    b = 0.5 * (b - b.T)
+    return a + 1j * b
+
+
+def random_hermitian(rng, k):
+    """Random Hermitian matrix of order k with Gaussian entries."""
+    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return 0.5 * (g + g.conj().T)
+
+
+def random_hermitian_program(rng):
+    """Data of a random strictly feasible program over Hermitian PSD blocks.
+
+    minimize sum_b tr(C_b W_b) + f'u  s.t.  sum_b tr(D_ib W_b) + a_i'u = r_i,
+    W_b Hermitian PSD, u >= 0.  The rhs comes from a strictly interior
+    (W0, u0) and the objective from a random y0 plus a strictly interior
+    dual slack, so both sides satisfy Slater's condition.  Returns a dict
+    with keys orders, n_nonneg, D (rows x blocks), a, rhs, C, f.
+    """
+
+    def interior(k):
+        g = 0.3 * random_hermitian(rng, k)
+        return g @ g + np.eye(k)
+
+    orders = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, 3)))]
+    n_nonneg = int(rng.integers(0, 3))
+    m = int(rng.integers(1, 1 + sum(k * k for k in orders)))
+    D = [[random_hermitian(rng, k) for k in orders] for _ in range(m)]
+    a = rng.normal(size=(m, n_nonneg))
+    w0 = [interior(k) for k in orders]
+    u0 = rng.uniform(0.5, 2.0, n_nonneg)
+    rhs = np.array(
+        [sum(np.trace(d @ w).real for d, w in zip(row, w0)) for row in D]
+    ) + a @ u0
+    y0 = rng.normal(size=m)
+    C = [
+        sum(y * row[j] for y, row in zip(y0, D)) + interior(k)
+        for j, k in enumerate(orders)
+    ]
+    f = a.T @ y0 + rng.uniform(0.5, 2.0, n_nonneg)
+    return {"orders": orders, "n_nonneg": n_nonneg, "D": D, "a": a,
+            "rhs": rhs, "C": C, "f": f}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import random_feasible_problem, solve_conic_admm
+from oracles import (
+    embed_hermitian,
+    hermitian_from_embedding,
+    random_feasible_problem,
+    random_hermitian,
+    random_hermitian_program,
+    solve_conic_admm,
+)
 
 from leobeam.errors import ConvergenceError
 from leobeam.conic import (
@@ -19,7 +26,15 @@ from leobeam.conic import (
     load_problem,
     solve,
 )
-from leobeam.conic.cones import nt_scaling, smat, svec
+from leobeam.conic.cones import (
+    identity_element,
+    jordan_mul,
+    max_step,
+    nt_scaling,
+    row_operand,
+    smat,
+    svec,
+)
 from leobeam.conic.solver import _TRIL_LEAF, PHASES, _tril_inv
 
 
@@ -74,9 +89,9 @@ class TestCannedProblems:
         assert s.status == PRIMAL_INFEASIBLE
         assert s.certificate is not None
         y = s.certificate
-        # Certificate ray: b'y > 0 with A'y + z = 0 for some z in K.
+        # Farkas ray: b'y > 0 and -(A'y) in K, here the nonnegative orthant.
         assert p.b @ y > 0
-        assert np.linalg.norm(p.A.T @ y + s.z / abs(p.b @ s.y)) <= 1e-6 or True
+        assert np.all(-(p.A.T @ y) >= 0)
 
     def test_dual_infeasible_certificate(self):
         p = ConicProblem(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0), [ConeBlock("nonneg", 1)])
@@ -212,6 +227,103 @@ class TestComplexLift:
         assert s.obj_primal == pytest.approx(best, abs=1e-6)
 
 
+def build_hermitian_program(data, embedded):
+    """The program of ``random_hermitian_program`` with native Hermitian
+    blocks, or with each block as its real embedding of twice the order."""
+    def coeff(d):
+        return 0.5 * embed_hermitian(d) if embedded else d
+
+    bld = ConeProgramBuilder()
+    if embedded:
+        refs = [bld.add_psd(2 * k) for k in data["orders"]]
+    else:
+        refs = [bld.add_hermitian_psd(k) for k in data["orders"]]
+    u = bld.add_nonneg(data["n_nonneg"]) if data["n_nonneg"] else None
+    for row, a, r in zip(data["D"], data["a"], data["rhs"]):
+        terms = [(ref, coeff(d)) for ref, d in zip(refs, row)]
+        if u is not None:
+            terms.append((u, a))
+        bld.add_eq(terms, r)
+    obj = [(ref, coeff(c)) for ref, c in zip(refs, data["C"])]
+    if u is not None:
+        obj.append((u, data["f"]))
+    bld.set_objective(obj)
+    return bld, refs
+
+
+class TestHermitianCone:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_svec_smat_round_trip(self, d):
+        rng = np.random.default_rng(d)
+        x = random_hermitian(rng, d)
+        v = svec(x)
+        assert v.shape == (d * d,) and v.dtype == float
+        assert np.allclose(smat(v, d), x, rtol=0, atol=1e-15)
+        assert np.array_equal(svec(smat(v, d)), v)
+        assert ConeBlock("psd", d, hermitian=True).veclen == d * d
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_inner_product_is_trace(self, d):
+        rng = np.random.default_rng(10 + d)
+        x, y = random_hermitian(rng, d), random_hermitian(rng, d)
+        assert svec(x) @ svec(y) == pytest.approx(np.trace(x @ y).real, abs=1e-12)
+        assert abs(np.trace(x @ y).imag) <= 1e-12
+
+    def test_real_part_keeps_real_layout(self):
+        rng = np.random.default_rng(14)
+        x = random_hermitian(rng, 3)
+        assert np.array_equal(svec(x)[:6], svec(x.real))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_identity_element(self, d):
+        blk = ConeBlock("psd", d, hermitian=True)
+        e = identity_element(blk)
+        assert e.shape == (blk.veclen,)
+        assert np.allclose(smat(e, d), np.eye(d))
+        x = svec(random_hermitian(np.random.default_rng(d), d))
+        assert np.allclose(jordan_mul(blk, e, x), x, rtol=0, atol=1e-14)
+
+    def test_jordan_mul(self):
+        rng = np.random.default_rng(15)
+        blk = ConeBlock("psd", 4, hermitian=True)
+        x, y = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        got = smat(jordan_mul(blk, svec(x), svec(y)), 4)
+        assert np.allclose(got, 0.5 * (x @ y + y @ x), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_max_step_reaches_boundary(self, hermitian):
+        rng = np.random.default_rng(16)
+        blk = ConeBlock("psd", 4, hermitian=hermitian)
+        x = interior_point(blk, rng)
+        d = random_hermitian(rng, 4)
+        dx = svec(d if hermitian else d.real)
+        alpha = max_step(blk, x, dx)
+        assert np.isfinite(alpha) and alpha > 0
+        eig = np.linalg.eigvalsh(smat(x + alpha * dx, 4))
+        assert abs(eig.min()) <= 1e-10 * np.abs(eig).max()
+        assert np.linalg.eigvalsh(smat(x + 0.99 * alpha * dx, 4)).min() > 0
+
+
+class TestComplexEmbeddingOracle:
+    def test_native_matches_embedding(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            data = random_hermitian_program(rng)
+            native, refs = build_hermitian_program(data, embedded=False)
+            emb, emb_refs = build_hermitian_program(data, embedded=True)
+            p, q = native.build(), emb.build()
+            assert p.n == sum(k * k for k in data["orders"]) + data["n_nonneg"]
+            s, t = solve(p), solve(q)
+            assert s.status == t.status == OPTIMAL
+            assert s.obj_primal == pytest.approx(t.obj_primal, abs=1e-7 * (1 + abs(t.obj_primal)))
+            for ref, eref in zip(refs, emb_refs):
+                w = native.extract(ref, s.x)
+                assert w.dtype == complex
+                assert np.linalg.eigvalsh(w).min() >= -1e-8
+                x = emb.extract(eref, t.x)
+                assert np.linalg.eigvalsh(hermitian_from_embedding(x)).min() >= -1e-8
+
+
 class TestDumpLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -226,6 +338,19 @@ class TestDumpLoad:
         s1, s2 = solve(p), solve(q)
         assert s1.obj_primal == s2.obj_primal
 
+    def test_round_trip_hermitian_block(self, tmp_path):
+        data = random_hermitian_program(np.random.default_rng(18))
+        p = build_hermitian_program(data, embedded=False)[0].build()
+        path = tmp_path / "problem.txt"
+        dump_problem(p, path)
+        assert "hermitian" in path.read_text()
+        q = load_problem(path)
+        assert p.cones == q.cones
+        assert any(blk.hermitian for blk in q.cones)
+        assert np.array_equal(p.A, q.A) and np.array_equal(p.c, q.c)
+        assert np.array_equal(p.b, q.b)
+        assert solve(p).obj_primal == solve(q).obj_primal
+
 
 def interior_point(block, rng):
     """A random strictly interior point of the block."""
@@ -236,7 +361,9 @@ def interior_point(block, rng):
         v[0] = np.linalg.norm(v[1:]) + rng.uniform(0.5, 2.0)
         return v
     g = rng.normal(size=(block.size, block.size))
-    return svec(g @ g.T + block.size * np.eye(block.size))
+    if block.hermitian:
+        g = g + 1j * rng.normal(size=(block.size, block.size))
+    return svec(g @ g.conj().T + block.size * np.eye(block.size))
 
 
 class TestSchurKernels:
@@ -259,15 +386,17 @@ class TestSchurKernels:
             ConeBlock("soc", 6),
             ConeBlock("psd", 1),
             ConeBlock("psd", 4),
+            ConeBlock("psd", 1, hermitian=True),
+            ConeBlock("psd", 4, hermitian=True),
         ],
-        ids=lambda b: f"{b.kind}{b.size}",
+        ids=lambda b: f"{'h' if b.hermitian else ''}{b.kind}{b.size}",
     )
     def test_w_cols_gram_equals_schur_term(self, block):
         # H = W'W, so (A W')(A W')' = A H A' row by row.
         rng = np.random.default_rng(block.veclen)
         sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
         A = rng.normal(size=(7, block.veclen))
-        G = sc.apply_W_cols(A)
+        G = sc.apply_W_cols(row_operand(block, A))
         AHAt = A @ np.column_stack([sc.apply_H(row) for row in A])
         assert G.shape == A.shape
         assert np.allclose(G, np.array([sc.apply_W(row) for row in A]), rtol=1e-12, atol=1e-12)

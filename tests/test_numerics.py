@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import bessel_series_oracle, full_eig_oracle
+from oracles import (
+    bessel_series_oracle,
+    embed_hermitian,
+    full_eig_oracle,
+    hermitian_from_embedding,
+)
 
 from leobeam.errors import ConvergenceError
-from leobeam.numerics import (
-    bessel_j,
-    embed_hermitian,
-    hermitian_from_embedding,
-    max_eigpair,
-)
+from leobeam.numerics import bessel_j, max_eigpair
 
 
 def random_hermitian(rng, k):
@@ -103,6 +103,8 @@ class TestMaxEigpair:
 
 
 class TestEmbedding:
+    """The real-embedding oracle the native Hermitian cone is checked against."""
+
     def test_real_scalar(self):
         out = embed_hermitian(np.array([[2.5]]))
         assert np.allclose(out, np.array([[2.5, 0.0], [0.0, 2.5]]))
