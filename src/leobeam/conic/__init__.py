@@ -1,12 +1,7 @@
 """Self-contained conic solver: PSD + second-order + nonnegative cones."""
 
 from .cones import NONNEG, PSD, SOC, ConeBlock, smat, svec
-from .model import (
-    ConeProgramBuilder,
-    dump_problem,
-    hermitian_trace_coeff,
-    load_problem,
-)
+from .model import ConeProgramBuilder, dump_problem, load_problem
 from .solver import (
     DUAL_INFEASIBLE,
     MAX_ITER,
@@ -32,7 +27,6 @@ __all__ = [
     "DUAL_INFEASIBLE",
     "MAX_ITER",
     "dump_problem",
-    "hermitian_trace_coeff",
     "load_problem",
     "smat",
     "solve",

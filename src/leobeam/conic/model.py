@@ -1,8 +1,9 @@
 """Problem assembly helpers on top of the raw conic solver.
 
-The builder tracks an ordered list of cone-variable blocks and dense equality
-rows over them.  Complex Hermitian PSD variables are native complex PSD
-blocks; a matrix coefficient D on a PSD variable X contributes tr(D X).
+The builder tracks an ordered list of cone-variable blocks and blocks of
+dense equality rows over them.  Complex Hermitian PSD variables are native
+complex PSD blocks; a matrix coefficient D on a PSD variable X contributes
+tr(D X).
 """
 
 from dataclasses import dataclass
@@ -12,124 +13,125 @@ import numpy as np
 from .cones import NONNEG, PSD, SOC, ConeBlock, smat, svec
 from .solver import ConicProblem
 
-HERMITIAN = "hermitian"
+HERMITIAN = "hermitian"  # cone token of a complex PSD block in the text format
 
 
 @dataclass(frozen=True)
 class VarRef:
     index: int
-    kind: str
     offset: int
-    veclen: int
-    order: int = 0  # matrix order for psd and hermitian
+    cone: ConeBlock
 
-
-def hermitian_trace_coeff(d: np.ndarray) -> np.ndarray:
-    """svec coefficients v with v . svec(W) = Re tr(D W) for Hermitian W."""
-    d = np.asarray(d, dtype=complex)
-    return svec(0.5 * (d + d.conj().T))
+    @property
+    def cols(self) -> slice:
+        return slice(self.offset, self.offset + self.cone.veclen)
 
 
 class ConeProgramBuilder:
     def __init__(self):
         self._vars = []
-        self._cones = []
-        self._rows = []  # (terms dict: var index -> coeff vector, rhs)
+        self._rows = []  # (terms dict: var index -> (r, veclen) block, rhs (r,))
         self._obj = {}
         self._n = 0
 
     # -- variables ---------------------------------------------------------
 
-    def _add(self, kind, veclen, cone, order=0):
-        ref = VarRef(len(self._vars), kind, self._n, veclen, order)
+    def _add(self, cone: ConeBlock) -> VarRef:
+        ref = VarRef(len(self._vars), self._n, cone)
         self._vars.append(ref)
-        self._cones.append(cone)
-        self._n += veclen
+        self._n += cone.veclen
         return ref
 
     def add_nonneg(self, dim: int) -> VarRef:
-        return self._add(NONNEG, dim, ConeBlock(NONNEG, dim))
+        return self._add(ConeBlock(NONNEG, dim))
 
     def add_soc(self, dim: int) -> VarRef:
-        return self._add(SOC, dim, ConeBlock(SOC, dim))
+        return self._add(ConeBlock(SOC, dim))
 
     def add_psd(self, order: int) -> VarRef:
-        return self._add(PSD, order * (order + 1) // 2, ConeBlock(PSD, order), order)
+        return self._add(ConeBlock(PSD, order))
 
     def add_hermitian_psd(self, order: int) -> VarRef:
         """Complex Hermitian PSD variable: a native complex PSD block."""
-        cone = ConeBlock(PSD, order, hermitian=True)
-        return self._add(HERMITIAN, cone.veclen, cone, order)
+        return self._add(ConeBlock(PSD, order, hermitian=True))
 
     # -- coefficients --------------------------------------------------------
 
-    def _coeff_vector(self, ref: VarRef, coeff) -> np.ndarray:
-        if ref.kind in (PSD, HERMITIAN):
-            d = np.asarray(coeff, dtype=complex if ref.kind == HERMITIAN else float)
-            if d.shape == (ref.veclen,):
-                return d.real  # raw svec coefficients
-            if d.shape != (ref.order, ref.order):
-                raise ValueError(f"{ref.kind} coefficient has wrong shape")
-            return svec(0.5 * (d + d.conj().T))
-        if isinstance(coeff, dict):
-            vec = np.zeros(ref.veclen)
-            for idx, val in coeff.items():
-                vec[idx] = val
-            return vec
-        vec = np.asarray(coeff, dtype=float)
-        if vec.shape != (ref.veclen,):
-            raise ValueError("coefficient vector has wrong length")
-        return vec
+    def _coeff_rows(self, ref: VarRef, coeff, rows: int | None) -> np.ndarray:
+        """One term's coefficients as a (rows, veclen) block.
 
-    def add_eq(self, terms, rhs: float):
-        """terms: iterable of (VarRef, coeff); the row reads sum tr/dot = rhs."""
-        row = {}
-        for ref, coeff in terms:
-            vec = self._coeff_vector(ref, coeff)
-            if ref.index in row:
-                row[ref.index] = row[ref.index] + vec
-            else:
-                row[ref.index] = vec
-        self._rows.append((row, float(rhs)))
+        ``rows`` None takes the single-row forms: a dict {coordinate: value},
+        a length-veclen vector or, for a PSD ref, a (d, d) matrix.  A block
+        of r rows takes the vector and matrix forms with a leading axis r.
+        """
+        cone = ref.cone
+        if isinstance(coeff, dict):
+            if rows is not None:
+                raise ValueError("a dict coefficient makes a single row")
+            vec = np.zeros(cone.veclen)
+            vec[list(coeff)] = list(coeff.values())
+            coeff = vec
+        d = np.asarray(coeff, dtype=complex if cone.hermitian else float)
+        if rows is None:
+            d, rows = d[None], 1
+        if d.shape == (rows, cone.veclen):
+            return d.real  # raw svec coefficients
+        if cone.kind == PSD and d.shape == (rows, cone.size, cone.size):
+            return svec(0.5 * (d + d.conj().swapaxes(-1, -2)))
+        raise ValueError(
+            f"{cone.kind} coefficient of shape {np.shape(coeff)} does not give "
+            f"{rows} row(s) of length {cone.veclen}"
+        )
+
+    def add_eq(self, terms, rhs):
+        """Equality rows sum over terms of <coeff, var> = rhs.
+
+        terms: iterable of (VarRef, coeff).  A scalar rhs makes one row; a
+        vector rhs of length r makes a block of r rows whose coefficients
+        carry a leading row axis (see ``_coeff_rows``).
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim > 1:
+            raise ValueError("rhs must be a scalar or a vector")
+        rows = rhs.size if rhs.ndim else None
+        self._rows.append((self._block(terms, rows), rhs.reshape(-1)))
 
     def set_objective(self, terms):
-        self._obj = {}
+        self._obj = {vi: vec[0] for vi, vec in self._block(terms, None).items()}
+
+    def _block(self, terms, rows: int | None) -> dict:
+        """var index -> summed (rows, veclen) coefficients of the terms on it."""
+        block = {}
         for ref, coeff in terms:
-            vec = self._coeff_vector(ref, coeff)
-            if ref.index in self._obj:
-                self._obj[ref.index] = self._obj[ref.index] + vec
-            else:
-                self._obj[ref.index] = vec
+            vec = self._coeff_rows(ref, coeff, rows)
+            block[ref.index] = block[ref.index] + vec if ref.index in block else vec
+        return block
 
     # -- assembly ------------------------------------------------------------
 
     @property
     def rhs_vector(self) -> np.ndarray:
-        return np.array([rhs for _, rhs in self._rows])
+        return np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
 
     def build(self) -> ConicProblem:
-        n = self._n
-        m = len(self._rows)
-        A = np.zeros((m, n))
-        b = np.empty(m)
-        for i, (row, rhs) in enumerate(self._rows):
-            for vi, vec in row.items():
-                ref = self._vars[vi]
-                A[i, ref.offset : ref.offset + ref.veclen] = vec
-            b[i] = rhs
-        c = np.zeros(n)
+        b = self.rhs_vector
+        A = np.zeros((b.size, self._n))
+        i = 0
+        for block, rhs in self._rows:
+            for vi, vec in block.items():
+                A[i : i + rhs.size, self._vars[vi].cols] = vec
+            i += rhs.size
+        c = np.zeros(self._n)
         for vi, vec in self._obj.items():
-            ref = self._vars[vi]
-            c[ref.offset : ref.offset + ref.veclen] = vec
-        return ConicProblem(c, A, b, list(self._cones))
+            c[self._vars[vi].cols] = vec
+        return ConicProblem(c, A, b, [ref.cone for ref in self._vars])
 
     def extract(self, ref: VarRef, x: np.ndarray):
-        seg = x[ref.offset : ref.offset + ref.veclen]
-        if ref.kind == HERMITIAN:
-            return smat(seg, ref.order).astype(complex, copy=False)  # also at order 1
-        if ref.kind == PSD:
-            return smat(seg, ref.order)
-        return seg.copy()
+        seg = x[ref.cols]
+        if ref.cone.kind != PSD:
+            return seg.copy()
+        w = smat(seg, ref.cone.size)
+        return w.astype(complex, copy=False) if ref.cone.hermitian else w  # real at order 1
 
 
 # -- plain-text interchange ---------------------------------------------------
@@ -155,7 +157,7 @@ def dump_problem(problem: ConicProblem, path):
 
 def load_problem(path) -> ConicProblem:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in fh]  # a blank line is an empty vector
     if lines[0] != "conic-problem v1":
         raise ValueError("unrecognized problem file header")
     _, n, m = lines[1].split()
@@ -176,11 +178,9 @@ def load_problem(path) -> ConicProblem:
     c = np.array([float(v) for v in lines[pos + 1].split()])
     if lines[pos + 2] != "rhs":
         raise ValueError("expected rhs section")
-    b = np.array([float(v) for v in lines[pos + 3].split()]) if m else np.zeros(0)
+    b = np.array([float(v) for v in lines[pos + 3].split()])
     if lines[pos + 4] != "rows":
         raise ValueError("expected rows section")
-    rows = []
-    for i in range(m):
-        rows.append([float(v) for v in lines[pos + 5 + i].split()])
-    A = np.array(rows) if m else np.zeros((0, n))
+    rows = [[float(v) for v in ln.split()] for ln in lines[pos + 5 : pos + 5 + m]]
+    A = np.array(rows).reshape(m, n)
     return ConicProblem(c, A, b, cones)

@@ -144,7 +144,8 @@ def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int 
     """Re-design and re-evaluate along one axis; failed points are marked
     NONCONVERGED (ConvergenceError) or INFEASIBLE (any other LeobeamError)
     and the sweep continues."""
-    if len(list(grid)) == 0:
+    grid = list(grid)  # a generator would be used up by the emptiness check
+    if not grid:
         raise LeobeamError("sweep grid must be nonempty")
     rows = []
     for value in grid:

@@ -77,13 +77,10 @@ class LiftedProblem:
         self.feed_slack = bld.add_nonneg(k)
         for idx, user in enumerate(scenario.users):
             self.add_terminal_rows(idx, user)
-        caps = scenario.power_caps
-        for kk in range(k):
-            e = np.zeros((k, k))
-            e[kk, kk] = 1.0
-            terms = [(ref, e) for ref in self.w_refs]
-            terms.append((self.feed_slack, {kk: 1.0}))
-            bld.add_eq(terms, caps[kk])
+        # Feed caps, one row per feed: sum_m tr(e_k e_k' W_m) + slack_k = cap_k.
+        units = np.array([np.diag(e) for e in np.eye(k)])
+        terms = [(ref, units) for ref in self.w_refs]
+        bld.add_eq(terms + [(self.feed_slack, np.eye(k))], scenario.power_caps)
 
     def add_terminal_rows(self, idx, user):
         """Emit terminal ``idx``'s rows; its main row takes -row_slack[idx]."""

@@ -27,16 +27,17 @@ SMALL_SIGMA_GUARD_RAD = np.deg2rad(15.0)
 
 def taylor_quad_matrix(a_sym: np.ndarray) -> np.ndarray:
     """Quadratic-term matrix of the phasor expansion: off-diagonals copied,
-    diagonal entry i replaced by A_ii - sum_n A_in."""
+    diagonal entry i replaced by A_ii - sum_n A_in.  Leading axes batch."""
     a = np.asarray(a_sym, dtype=float)
     out = a.copy()
-    np.fill_diagonal(out, np.diag(a) - a.sum(axis=1))
+    d = np.arange(a.shape[-1])
+    out[..., d, d] -= a.sum(axis=-1)
     return out
 
 
 def taylor_linear_vector(b_skew: np.ndarray) -> np.ndarray:
     """Linear-term vector of the phasor expansion: twice the row sums."""
-    return 2.0 * np.asarray(b_skew, dtype=float).sum(axis=1)
+    return 2.0 * np.asarray(b_skew, dtype=float).sum(axis=-1)
 
 
 def taylor_quadratic(z: np.ndarray, theta: np.ndarray) -> float:
@@ -92,24 +93,26 @@ def margin_scalars(scenario, user) -> dict:
     return out
 
 
+def margin_form(user, t: np.ndarray) -> np.ndarray:
+    """Z = T o (h^* h^T) for a weighted sum T of W matrices (leading axes batch)."""
+    h = user.channel.estimated
+    return t * np.outer(h.conj(), h)
+
+
 def margin_matrix(scenario, user, ws) -> np.ndarray:
     """Numeric Z for given W matrices: q^H Z q >= sigma0^2 iff SINR >= gamma
     (under the fixed-weight interference accounting)."""
-    h = user.channel.estimated
-    phase_outer = np.outer(h.conj(), h)
     betas = margin_scalars(scenario, user)
-    t = sum(beta * ws[j] for j, beta in betas.items())
-    return t * phase_outer
+    return margin_form(user, sum(beta * ws[j] for j, beta in betas.items()))
 
 
 def _cov_sqrt(user, feeds: int) -> np.ndarray | None:
     """Symmetric PSD square root of the phase covariance; None for identity."""
     if user.phase_cov is None:
         return None
+    user.phase_model.validate(feeds)
     c = np.asarray(user.phase_cov, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
-    if vals.min() < -1e-10:
-        raise ConfigError("phase covariance must be PSD")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
@@ -117,43 +120,16 @@ def taylor_terms(user, z: np.ndarray, croot: np.ndarray | None):
     """(Q, r) of the Gaussian quadratic form e'Qe + 2 e'r in the standardized
     phase error e, from the second-order expansion of q^H Z q.
 
-    Linear in Z; the conic rows probe it on a basis and the numeric checker
-    evaluates it directly.  ``croot`` is the covariance square root from
-    ``_cov_sqrt`` (None for identity covariance).
+    Linear in Z, and leading axes of ``z`` batch: the conic rows evaluate it
+    on the stacked svec basis, the numeric checker on one Z.  ``croot`` is
+    the covariance square root from ``_cov_sqrt`` (None for identity).
     """
     sigma = user.sigma_rad
     f1 = taylor_quad_matrix(z.real)
     f2 = taylor_linear_vector(z.imag)
     if croot is None:
         return sigma**2 * f1, 0.5 * sigma * f2
-    return sigma**2 * (croot @ f1 @ croot), 0.5 * sigma * (croot @ f2)
-
-
-class _UserResponses:
-    """Linear responses of (Q, r, s) to each svec coordinate of one W block.
-
-    The pipeline below svec coordinate -> Hermitian basis direction ->
-    margin form -> Taylor maps is linear, so evaluating it on the K^2 svec
-    basis vectors yields the dense constraint coefficients directly.
-    """
-
-    def __init__(self, scenario, user):
-        k = scenario.feeds
-        veclen = k * k
-        h = user.channel.estimated
-        phase_outer = np.outer(h.conj(), h)
-        croot = _cov_sqrt(user, k)
-        self.q_rows = np.zeros((veclen, k * k))
-        self.r_rows = np.zeros((veclen, k))
-        self.s_row = np.zeros(veclen)
-        basis = np.eye(veclen)
-        for a in range(veclen):
-            z = smat(basis[a], k) * phase_outer
-            q, r = taylor_terms(user, z, croot)
-            self.q_rows[a] = q.ravel()
-            self.r_rows[a] = r
-            self.s_row[a] = z.sum().real
-        self.trq_row = self.q_rows[:, :: k + 1].sum(axis=1)  # trace of Q per coord
+    return sigma**2 * (croot @ f1 @ croot), 0.5 * sigma * (f2 @ croot)
 
 
 class OutageProblem(LiftedProblem):
@@ -175,36 +151,27 @@ class OutageProblem(LiftedProblem):
     def add_terminal_rows(self, idx, user):
         scenario, bld = self.scenario, self.builder
         k = scenario.feeds
-        resp = _UserResponses(scenario, user)
+        n = k * k  # svec length of W_j and length of vec(Q)
+        # (Q, r, s) are linear in the margin form, which is linear in each
+        # W_j: on the svec basis they give one coefficient row per coordinate.
+        z = margin_form(user, smat(np.eye(n), k))
+        q, r = taylor_terms(user, z, _cov_sqrt(user, k))
+        q = q.reshape(n, n)
+        lin = q[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
         betas = margin_scalars(scenario, user)
         mu = mu_from_outage(user.outage_prob)
         g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
         r_soc = bld.add_soc(k + 1)  # head x bounds ||r||/sqrt(2)
-        q_soc = bld.add_soc(k * k + 1)  # head y bounds mu * ||Q||_F
+        q_soc = bld.add_soc(n + 1)  # head y bounds mu * ||Q||_F
         # Linear row: tr(Q) + sum Z - 2g(x + y) >= sigma0^2.
-        terms = [
-            (self.w_refs[j], beta * (resp.trq_row + resp.s_row))
-            for j, beta in betas.items()
-        ]
-        terms.append((r_soc, {0: -g2}))
-        terms.append((q_soc, {0: -g2}))
-        terms.append((self.row_slack, {idx: -1.0}))
+        terms = [(self.w_refs[j], beta * lin) for j, beta in betas.items()]
+        terms += [(r_soc, {0: -g2}), (q_soc, {0: -g2}), (self.row_slack, {idx: -1.0})]
         bld.add_eq(terms, scenario.noise_power)
         # SOC coupling rows: tail coordinates equal the linear forms.
-        for i in range(k):
-            terms = [
-                (self.w_refs[j], -beta * resp.r_rows[:, i] / np.sqrt(2.0))
-                for j, beta in betas.items()
-            ]
-            terms.append((r_soc, {1 + i: 1.0}))
-            bld.add_eq(terms, 0.0)
-        for i in range(k * k):
-            terms = [
-                (self.w_refs[j], -beta * mu * resp.q_rows[:, i])
-                for j, beta in betas.items()
-            ]
-            terms.append((q_soc, {1 + i: 1.0}))
-            bld.add_eq(terms, 0.0)
+        terms = [(self.w_refs[j], -beta * r.T / np.sqrt(2.0)) for j, beta in betas.items()]
+        bld.add_eq(terms + [(r_soc, np.eye(k, k + 1, 1))], np.zeros(k))
+        terms = [(self.w_refs[j], -beta * mu * q.T) for j, beta in betas.items()]
+        bld.add_eq(terms + [(q_soc, np.eye(n, n + 1, 1))], np.zeros(n))
 
 
 def soc_row_values(scenario, user, ws):

@@ -101,6 +101,7 @@ class NetworkConfig:
             raise ConfigError("angle_3db_deg must lie in (0, 90)")
         if self.phase_sigma_deg < 0:
             raise ConfigError("phase_sigma_deg must be nonnegative")
+        PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov).validate(self.feeds)
         etas = self.sic_eta if not np.isscalar(self.sic_eta) else [self.sic_eta]
         for eta in np.ravel(etas):
             if not 0 <= eta <= 1:

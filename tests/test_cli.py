@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from leobeam import cli
@@ -86,6 +87,19 @@ class TestValidation:
         rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "outage probability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cov", [np.eye(4), 0.5 * np.eye(6)], ids=["wrong-size", "half-diagonal"]
+    )
+    def test_bad_phase_cov_rejected(self, tmp_path, capsys, cov):
+        doc = {
+            "scenario": dict(SMALL["scenario"], phase_cov=cov.tolist()),
+            "design": {"algorithm": "outage"},
+        }
+        cfg = write_cfg(tmp_path, doc)
+        rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "phase covariance" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"scenario": {"feedz": 12}})

@@ -324,6 +324,67 @@ class TestComplexEmbeddingOracle:
                 assert np.linalg.eigvalsh(hermitian_from_embedding(x)).min() >= -1e-8
 
 
+class TestRowBlocks:
+    """A block add_eq stores the same rows as one add_eq per row."""
+
+    @staticmethod
+    def program(data, block):
+        bld = ConeProgramBuilder()
+        x = bld.add_nonneg(3)
+        v = bld.add_soc(4)
+        w = bld.add_hermitian_psd(3)
+        p = bld.add_psd(2)
+        bld.add_eq([(x, {0: 1.0})], 2.0)
+        terms = [(x, data["x"]), (v, data["v"]), (w, data["w"]), (p, data["p"]), (x, data["x2"])]
+        if block:
+            bld.add_eq(terms, data["rhs"])
+        else:
+            for i in range(data["rhs"].size):
+                bld.add_eq([(ref, coeff[i]) for ref, coeff in terms], data["rhs"][i])
+        bld.add_eq([(v, {0: 1.0})], 3.0)
+        bld.set_objective([(w, np.eye(3))])
+        return bld, bld.build()
+
+    def test_block_equals_single_rows(self):
+        rng = np.random.default_rng(31)
+        r = 5
+        data = {
+            "x": rng.normal(size=(r, 3)),
+            "x2": rng.normal(size=(r, 3)),
+            "v": rng.normal(size=(r, 4)),
+            "w": rng.normal(size=(r, 3, 3)) + 1j * rng.normal(size=(r, 3, 3)),
+            "p": rng.normal(size=(r, 3)),  # raw svec rows of a real order-2 block
+            "rhs": rng.normal(size=r),
+        }
+        single_bld, single = self.program(data, block=False)
+        block_bld, block = self.program(data, block=True)
+        assert block.m == single.m == r + 2
+        assert np.array_equal(block.A, single.A)
+        assert np.array_equal(block.b, single.b)
+        assert np.array_equal(block.c, single.c)
+        assert np.array_equal(block_bld.rhs_vector, single_bld.rhs_vector)
+
+    def test_wrong_block_shapes_raise(self):
+        bld = ConeProgramBuilder()
+        x = bld.add_nonneg(3)
+        w = bld.add_hermitian_psd(3)
+        rhs = np.zeros(2)
+        bad_terms = [
+            [(x, np.zeros((3, 3)))],  # three rows for a two-row block
+            [(x, np.zeros(3))],  # single-row vector in a block
+            [(x, np.zeros((2, 3, 3)))],  # matrix stack on a vector cone
+            [(w, np.zeros((2, 4, 4)))],  # stack of the wrong order
+            [(w, np.zeros((3, 3, 3)))],  # stack with the wrong row count
+            [(x, {0: 1.0})],  # dict coefficients make a single row
+        ]
+        for terms in bad_terms:
+            with pytest.raises(ValueError):
+                bld.add_eq(terms, rhs)
+        with pytest.raises(ValueError):
+            bld.add_eq([(x, np.zeros((1, 3)))], np.zeros((1, 1)))
+        assert bld.build().m == 0
+
+
 class TestDumpLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -337,6 +398,19 @@ class TestDumpLoad:
         assert p.cones == q.cones
         s1, s2 = solve(p), solve(q)
         assert s1.obj_primal == s2.obj_primal
+
+    def test_round_trip_no_rows(self, tmp_path):
+        bld = ConeProgramBuilder()
+        x = bld.add_nonneg(2)
+        bld.add_soc(3)
+        bld.set_objective([(x, [1.0, 2.0])])
+        p = bld.build()
+        assert p.m == 0
+        path = tmp_path / "problem.txt"
+        dump_problem(p, path)
+        q = load_problem(path)
+        assert q.A.shape == (0, p.n) and q.b.shape == (0,)
+        assert np.array_equal(p.c, q.c) and p.cones == q.cones
 
     def test_round_trip_hermitian_block(self, tmp_path):
         data = random_hermitian_program(np.random.default_rng(18))

@@ -79,6 +79,11 @@ class TestSweep:
         assert [r.status for r in rows] == ["NONCONVERGED"]
         assert rows[0].detail == "penalty loop stalled"
 
+    def test_generator_grid(self, desk_scenario):
+        grid = (g for g in [0.0, 1.0])
+        rows = sweep(desk_scenario, "gamma", grid, design_avg_sinr, samples=100, seed=3)
+        assert [(r.value, r.status) for r in rows] == [(0.0, "OPTIMAL"), (1.0, "OPTIMAL")]
+
     def test_apply_axis_unknown(self, desk_scenario):
         with pytest.raises(LeobeamError):
             apply_axis(desk_scenario, "bogus", 1.0)

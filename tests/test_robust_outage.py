@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import desk_config
 
+from leobeam.conic.cones import svec
 from leobeam.errors import ConfigError
 from leobeam.evaluator import evaluate
 from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
@@ -26,6 +28,12 @@ from leobeam.scenario import build_scenario
 def random_hermitian(rng, k):
     g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     return 0.5 * (g + g.conj().T)
+
+
+def correlated_cov(k, rho=0.3):
+    """Unit-diagonal PSD covariance rho^|i-j|."""
+    i = np.arange(k)
+    return rho ** np.abs(i[:, None] - i[None, :])
 
 
 class TestTaylorMaps:
@@ -59,6 +67,13 @@ class TestTaylorMaps:
             b1 = rng.normal(size=(4, 4))
             b1 = 0.5 * (b1 - b1.T)
             assert np.allclose(taylor_linear_vector(3.0 * b1), 3.0 * taylor_linear_vector(b1))
+
+    def test_batch_matches_one_at_a_time(self):
+        stack = np.random.default_rng(2).normal(size=(6, 5, 5))
+        quad, lin = taylor_quad_matrix(stack), taylor_linear_vector(stack)
+        for a, q, v in zip(stack, quad, lin):
+            assert np.array_equal(q, taylor_quad_matrix(a))
+            assert np.array_equal(v, taylor_linear_vector(a))
 
     def test_skew_linear_term_sums_to_zero(self):
         rng = np.random.default_rng(1)
@@ -233,6 +248,48 @@ class TestSocRows:
             assert np.allclose(q2, factor * q1)
             assert np.allclose(r2, factor * r1)
             assert s2 == pytest.approx(factor * s1, rel=1e-12)
+
+
+class TestConicRowsMatchNumeric:
+    """The assembled outage rows, applied to svec(W_j), give the (Q, r, s)
+    that ``soc_row_values`` computes from the same W_j."""
+
+    @pytest.mark.parametrize("cov", [None, "correlated"])
+    def test_rows_reproduce_soc_row_values(self, desk_scenario, cov):
+        sc = desk_scenario
+        if cov is not None:
+            sc = build_scenario(desk_config(phase_cov=correlated_cov(sc.feeds)))
+        k = sc.feeds
+        prob = OutageProblem(sc)
+        a = prob.builder.build().A
+        rng = np.random.default_rng(12)
+        ws = [random_hermitian(rng, k) for _ in range(sc.beams)]
+        x = np.zeros(a.shape[1])
+        for ref, w in zip(prob.w_refs, ws):
+            x[ref.cols] = svec(w)
+        rows = a @ x
+        per_user = 1 + k + k * k  # Bernstein row, r rows, Q rows
+        assert rows.size == per_user * len(sc.users) + k  # feed caps last
+        for idx, user in enumerate(sc.users):
+            q, r, s = soc_row_values(sc, user, ws)
+            mu = mu_from_outage(user.outage_prob)
+            got = rows[idx * per_user : (idx + 1) * per_user]
+            want = np.concatenate(
+                [[np.trace(q) + s + sc.noise_power], -r / np.sqrt(2.0), -mu * q.ravel()]
+            )
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+
+
+class TestPhaseCovariance:
+    @pytest.mark.parametrize(
+        "cov", [np.eye(4), 0.5 * np.eye(12)], ids=["wrong-size", "half-diagonal"]
+    )
+    def test_design_outage_rejects(self, desk_scenario, cov):
+        users = [dataclasses.replace(u, phase_cov=cov) for u in desk_scenario.users]
+        sc = dataclasses.replace(desk_scenario, users=users)
+        with pytest.raises(ConfigError, match="phase covariance"):
+            design_outage(sc)
 
 
 class TestInfeasibilityFamily:

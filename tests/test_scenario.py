@@ -135,6 +135,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             NetworkConfig(angle_3db_deg=95.0).validate()
 
+    @pytest.mark.parametrize(
+        "cov", [np.eye(4), 0.5 * np.eye(12)], ids=["wrong-size", "half-diagonal"]
+    )
+    def test_phase_cov_checked(self, cov):
+        with pytest.raises(ConfigError, match="phase covariance"):
+            NetworkConfig(phase_cov=cov).validate()
+
 
 def test_channel_ensemble_round_trip(tmp_path):
     sc = build_scenario(desk_config())
