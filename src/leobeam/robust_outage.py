@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .conic.cones import smat
+from .conic.cones import smat, svec
 from .errors import ConfigError
 from .network import BeamDesign
 from .robust_avg import LiftedProblem, PenaltyConfig, design_lifted
@@ -151,18 +151,19 @@ class OutageProblem(LiftedProblem):
     def add_terminal_rows(self, idx, user):
         scenario, bld = self.scenario, self.builder
         k = scenario.feeds
-        n = k * k  # svec length of W_j and length of vec(Q)
+        n = k * k  # svec length of W_j
         # (Q, r, s) are linear in the margin form, which is linear in each
         # W_j: on the svec basis they give one coefficient row per coordinate.
         z = margin_form(user, smat(np.eye(n), k))
         q, r = taylor_terms(user, z, _cov_sqrt(user, k))
-        q = q.reshape(n, n)
-        lin = q[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
+        lin = q.reshape(n, n)[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
+        q = svec(q)  # Q is symmetric: K(K+1)/2 coordinates of norm ||Q||_F
+        nq = q.shape[1]
         betas = margin_scalars(scenario, user)
         mu = mu_from_outage(user.outage_prob)
         g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
         r_soc = bld.add_soc(k + 1)  # head x bounds ||r||/sqrt(2)
-        q_soc = bld.add_soc(n + 1)  # head y bounds mu * ||Q||_F
+        q_soc = bld.add_soc(nq + 1)  # head y bounds mu * ||Q||_F
         # Linear row: tr(Q) + sum Z - 2g(x + y) >= sigma0^2.
         terms = [(self.w_refs[j], beta * lin) for j, beta in betas.items()]
         terms += [(r_soc, {0: -g2}), (q_soc, {0: -g2}), (self.row_slack, {idx: -1.0})]
@@ -171,7 +172,7 @@ class OutageProblem(LiftedProblem):
         terms = [(self.w_refs[j], -beta * r.T / np.sqrt(2.0)) for j, beta in betas.items()]
         bld.add_eq(terms + [(r_soc, np.eye(k, k + 1, 1))], np.zeros(k))
         terms = [(self.w_refs[j], -beta * mu * q.T) for j, beta in betas.items()]
-        bld.add_eq(terms + [(q_soc, np.eye(n, n + 1, 1))], np.zeros(n))
+        bld.add_eq(terms + [(q_soc, np.eye(nq, nq + 1, 1))], np.zeros(nq))
 
 
 def soc_row_values(scenario, user, ws):

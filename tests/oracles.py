@@ -3,8 +3,9 @@
 These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
 for eigenpairs, a first-order ADMM method for cone programs, and the real
-[[A, -B], [B, A]] embedding of Hermitian PSD variables.  Expected
-values frozen into tests were computed with these routines.
+[[A, -B], [B, A]] embedding of Hermitian PSD variables, and the outage
+program with Q on all K^2 coordinates of vec(Q).  Expected values frozen
+into tests were computed with these routines.
 """
 
 import mpmath
@@ -255,3 +256,47 @@ def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7):
         z = project_cone(xh + u, cones)
         u = u + xh - z
     return z, float(c @ z)
+
+
+# ---------------------------------------------------------------------------
+# Outage program in the vec(Q) layout: the Q cone holds all K^2 entries of Q,
+# so each off-diagonal Q_kl = Q_lk has its own coupling row.  The norm is the
+# same ||Q||_F, so the optimum equals that of the svec layout.
+# ---------------------------------------------------------------------------
+
+
+def vecq_outage_problem(scenario):
+    """``OutageProblem`` whose Q cone has K^2 + 1 coordinates and K^2 rows."""
+    from leobeam.conic.cones import smat
+    from leobeam.robust_outage import (
+        OutageProblem,
+        _cov_sqrt,
+        margin_form,
+        margin_scalars,
+        mu_from_outage,
+        taylor_terms,
+    )
+
+    class VecQOutageProblem(OutageProblem):
+        def add_terminal_rows(self, idx, user):
+            scenario, bld = self.scenario, self.builder
+            k = scenario.feeds
+            n = k * k  # svec length of W_j and length of vec(Q)
+            z = margin_form(user, smat(np.eye(n), k))
+            q, r = taylor_terms(user, z, _cov_sqrt(user, k))
+            q = q.reshape(n, n)
+            lin = q[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
+            betas = margin_scalars(scenario, user)
+            mu = mu_from_outage(user.outage_prob)
+            g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
+            r_soc = bld.add_soc(k + 1)
+            q_soc = bld.add_soc(n + 1)
+            terms = [(self.w_refs[j], beta * lin) for j, beta in betas.items()]
+            terms += [(r_soc, {0: -g2}), (q_soc, {0: -g2}), (self.row_slack, {idx: -1.0})]
+            bld.add_eq(terms, scenario.noise_power)
+            terms = [(self.w_refs[j], -beta * r.T / np.sqrt(2.0)) for j, beta in betas.items()]
+            bld.add_eq(terms + [(r_soc, np.eye(k, k + 1, 1))], np.zeros(k))
+            terms = [(self.w_refs[j], -beta * mu * q.T) for j, beta in betas.items()]
+            bld.add_eq(terms + [(q_soc, np.eye(n, n + 1, 1))], np.zeros(n))
+
+    return VecQOutageProblem(scenario)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
+from oracles import vecq_outage_problem
 
 from leobeam.conic.cones import svec
+from leobeam.conic.solver import OPTIMAL
 from leobeam.errors import ConfigError
 from leobeam.evaluator import evaluate
 from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
@@ -14,6 +16,8 @@ from leobeam.robust_outage import (
     OutageProblem,
     bernstein_tail_bound,
     design_outage,
+    _cov_sqrt,
+    margin_form,
     margin_matrix,
     margin_scalars,
     mu_from_outage,
@@ -21,6 +25,7 @@ from leobeam.robust_outage import (
     taylor_linear_vector,
     taylor_quad_matrix,
     taylor_quadratic,
+    taylor_terms,
 )
 from leobeam.scenario import build_scenario
 
@@ -34,6 +39,13 @@ def correlated_cov(k, rho=0.3):
     """Unit-diagonal PSD covariance rho^|i-j|."""
     i = np.arange(k)
     return rho ** np.abs(i[:, None] - i[None, :])
+
+
+def with_cov(desk_scenario, cov):
+    """The desk scenario, or its draw with the correlated covariance."""
+    if cov is None:
+        return desk_scenario
+    return build_scenario(desk_config(phase_cov=correlated_cov(desk_scenario.feeds)))
 
 
 class TestTaylorMaps:
@@ -256,9 +268,7 @@ class TestConicRowsMatchNumeric:
 
     @pytest.mark.parametrize("cov", [None, "correlated"])
     def test_rows_reproduce_soc_row_values(self, desk_scenario, cov):
-        sc = desk_scenario
-        if cov is not None:
-            sc = build_scenario(desk_config(phase_cov=correlated_cov(sc.feeds)))
+        sc = with_cov(desk_scenario, cov)
         k = sc.feeds
         prob = OutageProblem(sc)
         a = prob.builder.build().A
@@ -268,17 +278,46 @@ class TestConicRowsMatchNumeric:
         for ref, w in zip(prob.w_refs, ws):
             x[ref.cols] = svec(w)
         rows = a @ x
-        per_user = 1 + k + k * k  # Bernstein row, r rows, Q rows
+        per_user = 1 + k + k * (k + 1) // 2  # Bernstein row, r rows, svec(Q) rows
         assert rows.size == per_user * len(sc.users) + k  # feed caps last
         for idx, user in enumerate(sc.users):
             q, r, s = soc_row_values(sc, user, ws)
             mu = mu_from_outage(user.outage_prob)
             got = rows[idx * per_user : (idx + 1) * per_user]
             want = np.concatenate(
-                [[np.trace(q) + s + sc.noise_power], -r / np.sqrt(2.0), -mu * q.ravel()]
+                [[np.trace(q) + s + sc.noise_power], -r / np.sqrt(2.0), -mu * svec(q)]
             )
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+
+
+class TestSymmetricQ:
+    """The Q cone holds svec(Q): exact only because Q is symmetric."""
+
+    @pytest.mark.parametrize("cov", [None, "correlated"])
+    def test_q_symmetric_and_svec_norm_is_frobenius(self, desk_scenario, cov):
+        sc = with_cov(desk_scenario, cov)
+        k = sc.feeds
+        rng = np.random.default_rng(13)
+        stack = np.array([random_hermitian(rng, k) for _ in range(8)])
+        for user in sc.users:
+            q, _ = taylor_terms(user, margin_form(user, stack), _cov_sqrt(user, k))
+            for qi in q:
+                fro = np.linalg.norm(qi)
+                assert np.linalg.norm(qi - qi.T) <= 1e-14 * fro
+                assert abs(np.linalg.norm(svec(qi)) - fro) <= 1e-12 * fro
+
+    @pytest.mark.parametrize("cov", [None, "correlated"])
+    def test_same_optimum_as_vec_q_layout(self, desk_scenario, cov):
+        sc = with_cov(desk_scenario, cov)
+        k, users = sc.feeds, len(sc.users)
+        prob, oracle = OutageProblem(sc), vecq_outage_problem(sc)
+        assert prob.builder.build().A.shape[0] == users * (1 + k + k * (k + 1) // 2) + k == 558
+        assert oracle.builder.build().A.shape[0] == users * (1 + k + k * k) + k
+        _, sol = prob.solve()
+        _, ref = oracle.solve()
+        assert sol.status == ref.status == OPTIMAL
+        assert sol.obj_primal == pytest.approx(ref.obj_primal, rel=1e-7)
 
 
 class TestPhaseCovariance:
