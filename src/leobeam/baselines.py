@@ -103,7 +103,8 @@ def design_tdma(scenario) -> BeamDesign:
     beam, with the slot SINR raised to keep per-terminal spectral efficiency
     equal to the shared-beam scheme: slot target (1 + gamma)^N - 1.
 
-    The design's total power is the time average over slots.
+    The design's total power is the time average over slots; per-feed caps
+    are checked per slot.
     """
     users = scenario.users
     n_total = len(users)
@@ -123,6 +124,11 @@ def design_tdma(scenario) -> BeamDesign:
         cols.append(np.sqrt(power) * v)
         slot_targets.append(slot)
     beams = np.column_stack(cols)
+    # Each slot's beam transmits alone, so every column must meet the caps.
+    if np.any(np.abs(beams) ** 2 > scenario.power_caps[:, None] + 1e-12):
+        raise InfeasibleDesignError(
+            "a TDMA slot beam violates per-feed caps", family="per-feed-power"
+        )
     return BeamDesign(
         beams=beams,
         noise_power=scenario.noise_power,

@@ -11,14 +11,15 @@ import csv
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import design_nonrobust, design_tdma, design_zfbf
 from .errors import ConfigError, ConvergenceError, InfeasibleDesignError, LeobeamError
-from .evaluator import SWEEP_AXES, evaluate, sweep, write_eval_csv, write_sweep_csv
-from .network import sinr, write_sinr_report
+from .evaluator import SWEEP_AXES, evaluate, run_point, sweep
+from .network import sinr
 from .robust_avg import PenaltyConfig, design_avg_sinr
 from .robust_outage import design_outage
 from .scenario import NetworkConfig, build_scenario, write_channels
@@ -106,11 +107,31 @@ def design_fn(algorithm: str, penalty: PenaltyConfig):
     raise ConfigError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
 
 
-def _uniform_or_join(values):
+# Trailing columns of sweep.csv and compare.csv: the PointResult fields.
+RESULT_COLUMNS = ["status", "total_power_w", "iters", "max_rank_gap", "max_outage"]
+RESULT_COLUMNS += ["min_mean_over_target", "detail"]
+
+
+def _cell(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # round-trip digits; numpy 2 reprs np.float64(...)
+    if isinstance(value, list):
+        return ";".join(_cell(v) for v in value)
+    return value
+
+
+def write_csv(path, header, rows):
+    """Write one CSV artifact.  Floats are written as their shortest
+    round-trip digits and list cells semicolon-joined."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _uniform_or_list(values):
     vals = [float(v) for v in values]
-    if all(v == vals[0] for v in vals):
-        return repr(vals[0])
-    return ";".join(repr(v) for v in vals)
+    return vals[0] if all(v == vals[0] for v in vals) else vals
 
 
 def write_design_csv(design, scenario, report, path):
@@ -121,22 +142,36 @@ def write_design_csv(design, scenario, report, path):
     header = ["gamma_db", "sigma_deg", "p_outage" if outage else "eta"]
     header += ["total_power_w", "iters", "max_rank_gap"]
     row = [
-        _uniform_or_join(10.0 * np.log10(np.asarray([u.gamma_lin for u in users]))),
-        _uniform_or_join([np.rad2deg(u.sigma_rad) for u in users]),
-        _uniform_or_join([u.outage_prob if outage else u.eta for u in users]),
-        repr(design.total_power),
+        _uniform_or_list(10.0 * np.log10(np.asarray([u.gamma_lin for u in users]))),
+        _uniform_or_list([np.rad2deg(u.sigma_rad) for u in users]),
+        _uniform_or_list([u.outage_prob if outage else u.eta for u in users]),
+        design.total_power,
         design.iterations,
-        repr(design.max_rank_gap),
+        design.max_rank_gap,
     ]
     if outage:
         header.append("empirical_outage_max")
-        row.append(repr(report.max_outage) if report is not None else "")
+        row.append(report.max_outage)
     header.append("status")
     row.append(design.status)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(row)
+    write_csv(path, header, [row])
+
+
+def write_eval_csv(report, path):
+    """CSV rows (m, n, mean_sinr_db, outage, se_outage, samples, seed)."""
+    header = ["m", "n", "mean_sinr_db", "outage", "se_outage", "samples", "seed"]
+    cols = (report.regions, report.ranks, report.mean_sinr_db, report.outage, report.se_outage)
+    write_csv(path, header, ([*r, report.samples, report.seed] for r in zip(*cols)))
+
+
+def write_sweep_csv(rows, path):
+    write_csv(path, ["axis", "value", *RESULT_COLUMNS], map(dataclasses.astuple, rows))
+
+
+def write_sinr_report(entries, path):
+    """CSV rows (region, rank, gamma_linear, desired, intra, residual, inter, noise)."""
+    header = ["m", "n", "gamma_linear", "desired", "intra", "residual", "inter", "noise"]
+    write_csv(path, header, map(dataclasses.astuple, entries))
 
 
 def _json_ready(obj):
@@ -167,17 +202,6 @@ def write_manifest(path, command, cfg, extra=None):
         fh.write("\n")
 
 
-def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
-        cfg["eval"]["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        cfg["eval"]["samples"] = args.samples
-    if getattr(args, "algorithm", None) is not None:
-        cfg["design"]["algorithm"] = args.algorithm
-    if getattr(args, "out", None) is not None:
-        cfg["output"]["dir"] = args.out
-
-
 def _prepare(args):
     """Shared command preamble: (cfg, scenario, penalty, outdir, eval_kw).
 
@@ -186,12 +210,22 @@ def _prepare(args):
     ``eval_kw`` holds the Monte-Carlo ``samples`` and ``seed``.
     """
     cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    for value, block, key in (
+        (args.seed, "eval", "seed"),
+        (args.samples, "eval", "samples"),
+        (args.algorithm, "design", "algorithm"),
+        (args.out, "output", "dir"),
+    ):
+        if value is not None:
+            cfg[block][key] = value
     net = scenario_from_config(cfg)
     penalty = penalty_from_config(cfg)
-    outdir = _ensure_outdir(cfg)
-    scenario = build_scenario(net)
     eval_kw = {"samples": int(cfg["eval"]["samples"]), "seed": int(cfg["eval"]["seed"])}
+    if eval_kw["samples"] < 1:
+        raise ConfigError("eval.samples must be at least 1")
+    outdir = Path(cfg["output"]["dir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    scenario = build_scenario(net)
     return cfg, scenario, penalty, outdir, eval_kw
 
 
@@ -227,8 +261,6 @@ def cmd_design(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {args.axis!r}; expected one of {SWEEP_AXES}")
     try:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
     except ValueError:
@@ -255,41 +287,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, scenario, penalty, outdir, eval_kw = _prepare(args)
-    rows = []
-    for algorithm in ALGORITHMS:
-        try:
-            design = design_fn(algorithm, penalty)(scenario)
-            report = evaluate(design, scenario, **eval_kw)
-            rows.append(
-                [
-                    algorithm,
-                    "OPTIMAL",
-                    repr(design.total_power),
-                    design.iterations,
-                    repr(design.max_rank_gap),
-                    repr(report.max_outage),
-                    repr(report.min_mean_over_target),
-                ]
-            )
-        except (InfeasibleDesignError, ConvergenceError) as ex:
-            rows.append([algorithm, "FAILED", "", "", "", "", str(ex)])
-    with open(outdir / "compare.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "algorithm",
-                "status",
-                "total_power_w",
-                "iters",
-                "max_rank_gap",
-                "max_outage",
-                "min_mean_over_target",
-            ]
-        )
-        writer.writerows(rows)
+    results = [(a, run_point(scenario, design_fn(a, penalty), **eval_kw)) for a in ALGORITHMS]
+    write_csv(
+        outdir / "compare.csv",
+        ["algorithm", *RESULT_COLUMNS],
+        ([a, *dataclasses.astuple(r)] for a, r in results),
+    )
     write_manifest(outdir / "manifest.json", "compare", cfg, {"outputs": ["compare.csv"]})
-    for r in rows:
-        print(" ".join(str(v) for v in r[:3]))
+    for a, r in results:
+        print(a, r.status, r.total_power)
     return EXIT_OK
 
 
@@ -355,14 +361,6 @@ def cmd_selftest(args) -> int:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
         ok &= passed
     return EXIT_OK if ok else 1
-
-
-def _ensure_outdir(cfg):
-    from pathlib import Path
-
-    outdir = Path(cfg["output"]["dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
 
 
 def build_parser() -> argparse.ArgumentParser:

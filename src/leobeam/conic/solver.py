@@ -40,6 +40,10 @@ MAX_ITER = "MAX_ITER"
 PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
 # Triangular blocks at or below this order are inverted by one LAPACK solve.
 _TRIL_LEAF = 96
+# Relative residual below which a certificate ray proves infeasibility.
+INF_TOL = 1e-9
+# Share of the distance to the cone boundary that one step takes.
+FRAC_TO_BOUNDARY = 0.99
 
 
 @dataclass
@@ -79,9 +83,7 @@ class ConicProblem:
 class SolveOptions:
     tol: float = 1e-8
     tol_relaxed: float = 1e-7  # accept as OPTIMAL when progress stalls above tol
-    inf_tol: float = 1e-9
     max_iter: int = 100
-    frac_to_boundary: float = 0.99
 
 
 @dataclass
@@ -250,7 +252,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         xu, yu, zu = unscaled(x, y, z)
         by = float(b0 @ yu)
         if by > 0:
-            if np.linalg.norm(A0.T @ (yu / by) + zu / by) <= opts.inf_tol * cnorm:
+            if np.linalg.norm(A0.T @ (yu / by) + zu / by) <= INF_TOL * cnorm:
                 status = PRIMAL_INFEASIBLE
                 best = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
                 cert = yu / by
@@ -260,7 +262,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 return sol
         cx = float(c0 @ xu)
         if cx < 0:
-            if np.linalg.norm(A0 @ (xu / -cx)) <= opts.inf_tol * bnorm:
+            if np.linalg.norm(A0 @ (xu / -cx)) <= INF_TOL * bnorm:
                 status = DUAL_INFEASIBLE
                 cert = xu / -cx
                 sol = ConicSolution(
@@ -392,14 +394,14 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
         with timed("step_search"):
             a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
-        alpha = min(1.0, opts.frac_to_boundary * a_max)
+        alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha < 1e-6:
             # Recenter: a pure centering step is better conditioned and
             # restores interior margin after a degenerate combined step.
             dx, dy, dz, dtau, dkap = directions(1.0, None, 0.0)
             with timed("step_search"):
                 a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
-            alpha = min(1.0, opts.frac_to_boundary * a_max)
+            alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha <= 1e-10:
             break  # stalled; report best iterate
         stall = stall + 1 if alpha < 1e-6 else 0

@@ -6,7 +6,6 @@ robust against.  Every estimate carries a normal-approximation standard error
 and is bit-reproducible from (design, scenario, samples, seed).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,32 +92,14 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     )
 
 
-def write_eval_csv(report: EvalReport, path):
-    """CSV rows (m, n, mean_sinr_db, outage, se_outage, samples, seed)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "n", "mean_sinr_db", "outage", "se_outage", "samples", "seed"])
-        for i in range(len(report.regions)):
-            writer.writerow(
-                [
-                    report.regions[i],
-                    report.ranks[i],
-                    repr(float(report.mean_sinr_db[i])),
-                    repr(float(report.outage[i])),
-                    repr(float(report.se_outage[i])),
-                    report.samples,
-                    report.seed,
-                ]
-            )
-
-
 SWEEP_AXES = ("gamma", "sigma", "eta", "p")
 
 
 @dataclass
-class SweepRow:
-    axis: str
-    value: float
+class PointResult:
+    """Outcome of designing and evaluating one instance; a failed design
+    keeps the nan/0 figures and its message as detail."""
+
     status: str
     total_power: float = float("nan")
     iterations: int = 0
@@ -126,6 +107,18 @@ class SweepRow:
     max_outage: float = float("nan")
     min_mean_over_target: float = float("nan")
     detail: str = ""
+
+
+@dataclass
+class _GridPoint:
+    axis: str
+    value: float
+
+
+@dataclass
+class SweepRow(PointResult, _GridPoint):
+    """A grid point and its result; base fields come in reverse MRO order,
+    so the fields run axis, value, status, ..., detail (sweep.csv's order)."""
 
 
 def apply_axis(scenario, axis: str, value: float):
@@ -140,64 +133,37 @@ def apply_axis(scenario, axis: str, value: float):
     raise LeobeamError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
+def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> PointResult:
+    """Design with ``design_fn`` and evaluate the design on ``scenario``.
+
+    A success carries the design's own status; a ConvergenceError gives
+    NONCONVERGED and any other LeobeamError INFEASIBLE.
+    """
+    try:
+        design = design_fn(scenario)
+        report = evaluate(design, scenario, samples=samples, seed=seed)
+    except LeobeamError as ex:
+        status = "NONCONVERGED" if isinstance(ex, ConvergenceError) else "INFEASIBLE"
+        return PointResult(status, detail=str(ex))
+    return PointResult(
+        design.status,
+        total_power=design.total_power,
+        iterations=design.iterations,
+        max_rank_gap=design.max_rank_gap,
+        max_outage=report.max_outage,
+        min_mean_over_target=report.min_mean_over_target,
+    )
+
+
 def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int = 0):
-    """Re-design and re-evaluate along one axis; failed points are marked
-    NONCONVERGED (ConvergenceError) or INFEASIBLE (any other LeobeamError)
-    and the sweep continues."""
+    """Re-design and re-evaluate along one axis with :func:`run_point`; a
+    failed point keeps its status and the sweep continues."""
     grid = list(grid)  # a generator would be used up by the emptiness check
     if not grid:
         raise LeobeamError("sweep grid must be nonempty")
     rows = []
     for value in grid:
         point = apply_axis(scenario, axis, float(value))
-        try:
-            design = design_fn(point)
-            report = evaluate(design, point, samples=samples, seed=seed)
-            rows.append(
-                SweepRow(
-                    axis=axis,
-                    value=float(value),
-                    status="OPTIMAL",
-                    total_power=design.total_power,
-                    iterations=design.iterations,
-                    max_rank_gap=design.max_rank_gap,
-                    max_outage=report.max_outage,
-                    min_mean_over_target=report.min_mean_over_target,
-                )
-            )
-        except LeobeamError as ex:
-            status = "NONCONVERGED" if isinstance(ex, ConvergenceError) else "INFEASIBLE"
-            rows.append(SweepRow(axis=axis, value=float(value), status=status, detail=str(ex)))
+        result = run_point(point, design_fn, samples=samples, seed=seed)
+        rows.append(SweepRow(axis=axis, value=float(value), **vars(result)))
     return rows
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "axis",
-                "value",
-                "status",
-                "total_power_w",
-                "iters",
-                "max_rank_gap",
-                "max_outage",
-                "min_mean_over_target",
-                "detail",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.axis,
-                    repr(float(r.value)),
-                    r.status,
-                    repr(float(r.total_power)),
-                    r.iterations,
-                    repr(float(r.max_rank_gap)),
-                    repr(float(r.max_outage)),
-                    repr(float(r.min_mean_over_target)),
-                    r.detail,
-                ]
-            )

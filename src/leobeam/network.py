@@ -6,7 +6,6 @@ fraction eta and treats stronger-ordered ones as plain interference, which the
 interference weight below encodes.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,24 +117,3 @@ def sinr_samples(user, h_samples: np.ndarray, design: BeamDesign, scenario) -> n
             denom = denom + scenario.region_alpha_total(j) * powers[:, j]
     return user.alpha * powers[:, m] / denom
 
-
-def write_sinr_report(entries, path):
-    """CSV rows (region, rank, gamma_linear, desired, intra, residual, inter, noise)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["m", "n", "gamma_linear", "desired", "intra", "residual", "inter", "noise"]
-        )
-        for e in entries:
-            writer.writerow(
-                [
-                    e.region,
-                    e.rank,
-                    repr(float(e.gamma)),
-                    repr(float(e.desired)),
-                    repr(float(e.intra)),
-                    repr(float(e.residual)),
-                    repr(float(e.inter)),
-                    repr(float(e.noise)),
-                ]
-            )

@@ -126,6 +126,19 @@ class TestTdma:
         targets = [(1.0 + gamma) ** n - 1.0 for n in (1, 2, 4, 6)]
         assert all(targets[i] < targets[i + 1] for i in range(3))
 
+    def test_per_slot_feed_cap_violation_raises(self):
+        # 30 dB rate-matched slot targets put about 1.25e9 W on one feed
+        cfg = desk_config(feeds=6, beams=2, users_per_region=2, seed=3, gamma_db=30.0)
+        sc = build_scenario(cfg)
+        with pytest.raises(InfeasibleDesignError) as info:
+            design_tdma(sc)
+        assert info.value.family == "per-feed-power"
+
+    def test_desk_slots_meet_feed_caps(self, desk_scenario):
+        d = design_tdma(desk_scenario)
+        # the largest per-slot feed power is about 0.375 W against 10 W caps
+        assert np.all(np.abs(d.beams) ** 2 <= desk_scenario.power_caps[:, None])
+
     def test_duty_cycle_accounting(self, desk_scenario):
         d = design_tdma(desk_scenario)
         n = len(desk_scenario.users)

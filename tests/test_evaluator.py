@@ -4,7 +4,8 @@ import pytest
 from conftest import desk_config
 
 from leobeam.errors import ConvergenceError, LeobeamError
-from leobeam.evaluator import apply_axis, evaluate, sweep, write_eval_csv, write_sweep_csv
+from leobeam.cli import write_eval_csv, write_sweep_csv
+from leobeam.evaluator import apply_axis, evaluate, sweep
 from leobeam.network import sinr
 from leobeam.robust_avg import design_avg_sinr
 from leobeam.scenario import build_scenario

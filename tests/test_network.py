@@ -6,6 +6,7 @@ import pytest
 from conftest import desk_config
 
 from leobeam.channel import assemble_channel
+from leobeam.cli import write_sinr_report
 from leobeam.network import (
     BeamDesign,
     interference_weight,
@@ -13,7 +14,6 @@ from leobeam.network import (
     sic_order,
     sinr,
     sinr_samples,
-    write_sinr_report,
 )
 from leobeam.scenario import build_scenario
 
