@@ -1,9 +1,8 @@
 """Comparison schemes: non-robust design, zero-forcing beamforming, TDMA.
 
 These are reconstructions of the usual textbook baselines (the exact variants
-are not pinned down anywhere), so designs carry a "reconstruction" marker in
-their metadata and absolute powers should only be compared within this
-package's own experiments.
+are not pinned down anywhere), so absolute powers should only be compared
+within this package's own experiments.
 """
 
 import numpy as np
@@ -22,8 +21,6 @@ def design_nonrobust(scenario, config: PenaltyConfig | None = None) -> BeamDesig
     """
     design = design_avg_sinr(scenario.with_sigma_deg(0.0), config)
     design.algorithm = "nonrobust"
-    design.metadata["design_sigma_deg"] = 0.0
-    design.metadata["reconstruction"] = True
     return design
 
 
@@ -91,10 +88,6 @@ def design_zfbf(scenario) -> BeamDesign:
         noise_power=scenario.noise_power,
         algorithm="zfbf",
         status="OPTIMAL",
-        metadata={
-            "gamma_lin": [u.gamma_lin for u in scenario.users],
-            "reconstruction": True,
-        },
     )
 
 
@@ -135,9 +128,5 @@ def design_tdma(scenario) -> BeamDesign:
         algorithm="tdma",
         duty_cycle=1.0 / n_total,
         status="OPTIMAL",
-        metadata={
-            "gamma_lin": [u.gamma_lin for u in users],
-            "slot_gamma_lin": slot_targets,
-            "reconstruction": True,
-        },
+        metadata={"slot_gamma_lin": slot_targets},
     )

@@ -154,14 +154,14 @@ class PhaseErrorModel:
 
 
 def sample_phase_error(
-    model: PhaseErrorModel, feeds: int, rng: np.random.Generator
+    model: PhaseErrorModel, feeds: int, rng: np.random.Generator, draws: int | None = None
 ) -> np.ndarray:
-    """One draw of the phase-error vector (radians)."""
+    """Phase-error vectors (radians): one of length ``feeds``, or ``draws`` rows."""
     model.validate(feeds)
-    nu = rng.standard_normal(feeds)
+    nu = rng.standard_normal(feeds if draws is None else (draws, feeds))
     fac = model.factor(feeds)
     if fac is not None:
-        nu = fac @ nu
+        nu = nu @ fac.T
     return model.sigma_rad * nu
 
 

@@ -235,10 +235,13 @@ def cmd_design(args) -> int:
     report = evaluate(design, scenario, **eval_kw)
     write_design_csv(design, scenario, report, outdir / "design.csv")
     write_eval_csv(report, outdir / "eval.csv")
+    outputs = ["design.csv", "eval.csv"]
     if design.algorithm != "tdma":
         entries = [sinr(u, u.channel.estimated, design, scenario) for u in scenario.users]
         write_sinr_report(entries, outdir / "sinr.csv")
+        outputs.append("sinr.csv")
     write_channels(scenario, outdir / "channels.txt")
+    outputs.append("channels.txt")
     write_manifest(
         outdir / "manifest.json",
         "design",
@@ -249,7 +252,7 @@ def cmd_design(args) -> int:
             "total_power_w": design.total_power,
             "iterations": design.iterations,
             "max_rank_gap": design.max_rank_gap,
-            "outputs": ["design.csv", "eval.csv", "sinr.csv", "channels.txt"],
+            "outputs": outputs,
         },
     )
     print(

@@ -40,6 +40,8 @@ MAX_ITER = "MAX_ITER"
 PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
 # Triangular blocks at or below this order are inverted by one LAPACK solve.
 _TRIL_LEAF = 96
+# Relative residuals and gap at or below which an iterate is OPTIMAL.
+TOL = 1e-8
 # Relative residual below which a certificate ray proves infeasibility.
 INF_TOL = 1e-9
 # Share of the distance to the cone boundary that one step takes.
@@ -81,8 +83,7 @@ class ConicProblem:
 
 @dataclass
 class SolveOptions:
-    tol: float = 1e-8
-    tol_relaxed: float = 1e-7  # accept as OPTIMAL when progress stalls above tol
+    tol_relaxed: float = 1e-7  # accept as OPTIMAL when progress stalls above TOL
     max_iter: int = 100
 
 
@@ -188,7 +189,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     cnorm = 1.0 + np.linalg.norm(c0)
 
     log = []
-    status = MAX_ITER
+    status, cert = MAX_ITER, None
     best = None
     best_score = np.inf
     stall = 0
@@ -227,17 +228,18 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         log.append(
             IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma)
         )
+        current = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
         score = max(pres, dres, relgap)
         if score < 0.9 * best_score:
             best_score = score
-            best = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
+            best = current
             no_progress = 0
         else:
             no_progress += 1
 
-        if pres <= opts.tol and dres <= opts.tol and relgap <= opts.tol:
-            status = OPTIMAL
-            best = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
+        # Three separate tests: a NaN residual fails each, but max() could pass it.
+        if pres <= TOL and dres <= TOL and relgap <= TOL:
+            status, best = OPTIMAL, current
             break
         if stall >= 3:
             break
@@ -251,24 +253,13 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         # Infeasibility certificates (scale-free tests on unscaled data).
         xu, yu, zu = unscaled(x, y, z)
         by = float(b0 @ yu)
-        if by > 0:
-            if np.linalg.norm(A0.T @ (yu / by) + zu / by) <= INF_TOL * cnorm:
-                status = PRIMAL_INFEASIBLE
-                best = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
-                cert = yu / by
-                sol = ConicSolution(
-                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
-                )
-                return sol
+        if by > 0 and np.linalg.norm(A0.T @ (yu / by) + zu / by) <= INF_TOL * cnorm:
+            status, cert, best = PRIMAL_INFEASIBLE, yu / by, current
+            break
         cx = float(c0 @ xu)
-        if cx < 0:
-            if np.linalg.norm(A0 @ (xu / -cx)) <= INF_TOL * bnorm:
-                status = DUAL_INFEASIBLE
-                cert = xu / -cx
-                sol = ConicSolution(
-                    status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
-                )
-                return sol
+        if cx < 0 and np.linalg.norm(A0 @ (xu / -cx)) <= INF_TOL * bnorm:
+            status, cert, best = DUAL_INFEASIBLE, xu / -cx, current
+            break
 
         with timed("nt_scaling"):
             try:
@@ -427,10 +418,10 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
             f"no iterate with finite residuals in {len(log)} iterations"
         )
     xo, yo, zo, pobj, dobj, relgap, pres, dres = best
-    if status != OPTIMAL and max(pres, dres, relgap) <= opts.tol_relaxed:
+    if status == MAX_ITER and max(pres, dres, relgap) <= opts.tol_relaxed:
         status = OPTIMAL
     return ConicSolution(
-        status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, None, timings
+        status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
     )
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import sample_phase_error
 from .errors import ConvergenceError, LeobeamError
 from .network import BeamDesign, sinr_samples
 
@@ -41,14 +42,6 @@ class EvalReport:
         return float((self.mean_sinr / self.gamma_target).min())
 
 
-def _phase_samples(user, feeds, samples, rng):
-    nu = rng.standard_normal((samples, feeds))
-    fac = user.phase_model.factor(feeds)
-    if fac is not None:
-        nu = nu @ fac.T
-    return user.sigma_rad * nu
-
-
 def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     """Empirical per-terminal mean SINR and outage under phase-error sampling."""
     if samples < 1:
@@ -60,7 +53,7 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     tdma = design.algorithm == "tdma"
     for idx, user in enumerate(users):
         rng = np.random.default_rng(streams[idx])
-        errs = _phase_samples(user, k, samples, rng)
+        errs = sample_phase_error(user.phase_model, k, rng, samples)
         h = user.channel.estimated[None, :] * np.exp(1j * errs)
         if tdma:
             # Each terminal is served alone in its slot by its own column.

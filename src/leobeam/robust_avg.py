@@ -187,65 +187,54 @@ def extract_beams(ws, rank_gap_tol: float) -> np.ndarray:
 
 
 def run_penalty_loop(problem, config: PenaltyConfig):
-    """Shared rank-one recovery loop; returns (ws, iterations, gaps, history)."""
+    """Shared rank-one recovery loop; returns (ws, iterations, gaps, history).
+
+    Each solve's rank gaps are computed once, at the head of the round that
+    follows it; rho grows before every penalty step after the first.
+    """
     ws, _ = solve_sdr_init(problem, options=config.solver)
     rho = config.rho0
     history = []
-    iterations = 0
     prev_gap = np.inf
     stagnant = 0
-    for _ in range(config.max_iters):
+    for iterations in range(config.max_iters + 1):
         gaps, pairs = rank_gaps(ws)
+        gap = float(gaps.max())
+        if iterations and gap > config.rank_gap_tol:
+            rho *= config.growth
         obj = float(sum(np.trace(w).real for w in ws))
-        history.append({"power": obj, "max_gap": float(gaps.max()), "rho": rho})
-        if gaps.max() <= config.rank_gap_tol:
+        history.append({"power": obj, "max_gap": gap, "rho": rho})
+        if gap <= config.rank_gap_tol:
             return ws, iterations, gaps, history
         # five rounds of rho growth without halving the gap means the
         # tolerance is unreachable at this solve accuracy
-        stagnant = stagnant + 1 if gaps.max() > 0.5 * prev_gap else 0
-        if stagnant >= 5:
+        stagnant = stagnant + 1 if gap > 0.5 * prev_gap else 0
+        if stagnant >= 5 or iterations == config.max_iters:
             break
-        prev_gap = gaps.max()
+        prev_gap = gap
         ws, _ = penalty_step(problem, [v for _, v in pairs], rho, options=config.solver)
-        iterations += 1
-        gaps, _ = rank_gaps(ws)
-        if gaps.max() > config.rank_gap_tol:
-            rho *= config.growth
-    gaps, _ = rank_gaps(ws)
-    if gaps.max() <= config.rank_gap_tol:
-        return ws, iterations, gaps, history
     raise ConvergenceError(
         f"penalty loop did not reach rank gap {config.rank_gap_tol:.1e} in "
-        f"{iterations} iterations (final gap {gaps.max():.3e})"
+        f"{iterations} iterations (final gap {gap:.3e})"
     )
 
 
 def design_lifted(
-    problem: LiftedProblem, algorithm: str, config: PenaltyConfig | None, **metadata
+    problem: LiftedProblem, algorithm: str, config: PenaltyConfig | None
 ) -> BeamDesign:
-    """Penalty loop and beam extraction on an assembled lifted problem.
-
-    ``metadata`` adds design-specific keys after the per-terminal targets.
-    """
+    """Penalty loop and beam extraction on an assembled lifted problem."""
     config = config or PenaltyConfig()
-    scenario = problem.scenario
     ws, iterations, gaps, history = run_penalty_loop(problem, config)
     beams = extract_beams(ws, config.rank_gap_tol)
     return BeamDesign(
         beams=beams,
-        noise_power=scenario.noise_power,
+        noise_power=problem.scenario.noise_power,
         lifted=ws,
         algorithm=algorithm,
         iterations=iterations,
         max_rank_gap=float(np.max(gaps)),
         status="OPTIMAL",
-        metadata={
-            "gamma_lin": [u.gamma_lin for u in scenario.users],
-            "sigma_deg": [np.rad2deg(u.sigma_rad) for u in scenario.users],
-            "eta": [u.eta for u in scenario.users],
-            **metadata,
-            "history": history,
-        },
+        metadata={"history": history},
     )
 
 

@@ -106,30 +106,22 @@ def margin_matrix(scenario, user, ws) -> np.ndarray:
     return margin_form(user, sum(beta * ws[j] for j, beta in betas.items()))
 
 
-def _cov_sqrt(user, feeds: int) -> np.ndarray | None:
-    """Symmetric PSD square root of the phase covariance; None for identity."""
-    if user.phase_cov is None:
-        return None
-    user.phase_model.validate(feeds)
-    c = np.asarray(user.phase_cov, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (c + c.T))
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def taylor_terms(user, z: np.ndarray, croot: np.ndarray | None):
+def taylor_terms(user, z: np.ndarray, fac: np.ndarray | None):
     """(Q, r) of the Gaussian quadratic form e'Qe + 2 e'r in the standardized
     phase error e, from the second-order expansion of q^H Z q.
 
     Linear in Z, and leading axes of ``z`` batch: the conic rows evaluate it
-    on the stacked svec basis, the numeric checker on one Z.  ``croot`` is
-    the covariance square root from ``_cov_sqrt`` (None for identity).
+    on the stacked svec basis, the numeric checker on one Z.  ``fac`` is the
+    covariance factor L (C = L L') from ``PhaseErrorModel.factor``, None for
+    identity.  Every factor C^1/2 U (U orthogonal) gives the same tr Q,
+    ||Q||_F and ||r||, which is all the bound reads.
     """
     sigma = user.sigma_rad
     f1 = taylor_quad_matrix(z.real)
     f2 = taylor_linear_vector(z.imag)
-    if croot is None:
+    if fac is None:
         return sigma**2 * f1, 0.5 * sigma * f2
-    return sigma**2 * (croot @ f1 @ croot), 0.5 * sigma * (f2 @ croot)
+    return sigma**2 * (fac.T @ f1 @ fac), 0.5 * sigma * (f2 @ fac)
 
 
 class OutageProblem(LiftedProblem):
@@ -155,7 +147,7 @@ class OutageProblem(LiftedProblem):
         # (Q, r, s) are linear in the margin form, which is linear in each
         # W_j: on the svec basis they give one coefficient row per coordinate.
         z = margin_form(user, smat(np.eye(n), k))
-        q, r = taylor_terms(user, z, _cov_sqrt(user, k))
+        q, r = taylor_terms(user, z, user.phase_model.factor(k))
         lin = q.reshape(n, n)[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
         q = svec(q)  # Q is symmetric: K(K+1)/2 coordinates of norm ||Q||_F
         nq = q.shape[1]
@@ -178,17 +170,11 @@ class OutageProblem(LiftedProblem):
 def soc_row_values(scenario, user, ws):
     """(Q, r, s) of one terminal at numeric W matrices, for bound checking."""
     z = margin_matrix(scenario, user, ws)
-    q, r = taylor_terms(user, z, _cov_sqrt(user, scenario.feeds))
+    q, r = taylor_terms(user, z, user.phase_model.factor(scenario.feeds))
     s = float(z.sum().real) - scenario.noise_power
     return q, r, s
 
 
 def design_outage(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
     """Full critical design: SOC relaxation, penalty loop, beam extraction."""
-    return design_lifted(
-        OutageProblem(scenario),
-        "outage",
-        config,
-        outage_prob=[u.outage_prob for u in scenario.users],
-        cov_root="symmetric",
-    )
+    return design_lifted(OutageProblem(scenario), "outage", config)

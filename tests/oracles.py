@@ -270,7 +270,6 @@ def vecq_outage_problem(scenario):
     from leobeam.conic.cones import smat
     from leobeam.robust_outage import (
         OutageProblem,
-        _cov_sqrt,
         margin_form,
         margin_scalars,
         mu_from_outage,
@@ -283,7 +282,7 @@ def vecq_outage_problem(scenario):
             k = scenario.feeds
             n = k * k  # svec length of W_j and length of vec(Q)
             z = margin_form(user, smat(np.eye(n), k))
-            q, r = taylor_terms(user, z, _cov_sqrt(user, k))
+            q, r = taylor_terms(user, z, user.phase_model.factor(k))
             q = q.reshape(n, n)
             lin = q[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
             betas = margin_scalars(scenario, user)

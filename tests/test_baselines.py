@@ -25,7 +25,6 @@ class TestNonRobust:
         b = design_nonrobust(desk_scenario)
         assert np.allclose(a.beams, b.beams, atol=1e-9)
         assert b.algorithm == "nonrobust"
-        assert b.metadata["design_sigma_deg"] == 0.0
 
     def test_cheaper_than_outage_design(self, desk_scenario, alg2_design):
         b = design_nonrobust(desk_scenario)

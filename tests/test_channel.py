@@ -125,6 +125,14 @@ class TestPhaseError:
         assert np.allclose(big.var(axis=0), sigma**2, rtol=0.01)
         assert draws.shape == (200, 4)
 
+    def test_batched_draws_equal_single_draws(self):
+        model = PhaseErrorModel(np.deg2rad(5.0))
+        rng = np.random.default_rng(6)
+        singles = np.array([sample_phase_error(model, 4, rng) for _ in range(50)])
+        batched = sample_phase_error(model, 4, np.random.default_rng(6), 50)
+        assert batched.shape == (50, 4)
+        assert np.array_equal(batched, singles)
+
     def test_cross_covariance_matches_model(self):
         k = 3
         c = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.2], [0.1, 0.2, 1.0]])

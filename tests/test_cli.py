@@ -66,6 +66,15 @@ class TestDesignCommand:
         assert rc == 0
         assert (out / "design.csv").exists()
 
+    def test_tdma_manifest_lists_written_files(self, tmp_path):
+        # a TDMA design writes no sinr.csv, so its manifest must not list one
+        cfg = write_cfg(tmp_path, SMALL)
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out), "--algorithm", "tdma"]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert sorted(outputs) == sorted(written)
+
 
 class TestValidation:
     def test_alpha_sum_rejected(self, tmp_path, capsys):

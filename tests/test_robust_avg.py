@@ -3,6 +3,7 @@ import pytest
 
 from conftest import desk_config
 
+from leobeam import robust_avg
 from leobeam.channel import PhaseErrorModel, expected_phase_matrix
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
 from leobeam.robust_avg import (
@@ -17,6 +18,12 @@ from leobeam.robust_avg import (
     solve_sdr_init,
 )
 from leobeam.scenario import build_scenario
+
+# Many terminals on few feeds: the relaxation is not rank-one, and one
+# penalty round recovers rank one.
+PENALTY_CFG = desk_config(
+    feeds=4, beams=1, users_per_region=10, sic_eta=0.0, gamma_db=-1.0, seed=22
+)
 
 
 class TestExpectedChannelMatrix:
@@ -150,12 +157,7 @@ class TestPenaltyLoop:
             assert np.trace(w).real - lam >= -1e-10 * np.trace(w).real
 
     def test_loop_reduces_rank_gap_when_needed(self):
-        # many terminals on few feeds: the relaxation is not rank-one and the
-        # penalty loop has to do real work
-        cfg = desk_config(
-            feeds=4, beams=1, users_per_region=10, sic_eta=0.0, gamma_db=-1.0, seed=22
-        )
-        sc = build_scenario(cfg)
+        sc = build_scenario(PENALTY_CFG)
         prob = AvgSinrProblem(sc)
         ws, _ = solve_sdr_init(prob)
         gaps, _ = rank_gaps(ws)
@@ -166,6 +168,27 @@ class TestPenaltyLoop:
         # rank-one restriction can only cost power
         relaxed = sum(np.trace(w).real for w in ws)
         assert design.total_power >= relaxed - 1e-6
+
+    def test_one_rank_gap_pass_per_solve(self, monkeypatch):
+        # relaxation, one penalty solve, then extraction: three passes
+        calls = []
+
+        def counting(ws):
+            calls.append(len(ws))
+            return rank_gaps(ws)
+
+        monkeypatch.setattr(robust_avg, "rank_gaps", counting)
+        design = design_avg_sinr(build_scenario(PENALTY_CFG))
+        assert design.iterations == 1
+        assert len(calls) == 3
+
+    def test_iteration_budget(self):
+        sc = build_scenario(PENALTY_CFG)
+        with pytest.raises(ConvergenceError, match="in 0 iterations"):
+            design_avg_sinr(sc, PenaltyConfig(max_iters=0))
+        design = design_avg_sinr(sc, PenaltyConfig(max_iters=1))
+        assert design.iterations == 1
+        assert design.max_rank_gap <= 1e-6
 
 
 class TestExtraction:

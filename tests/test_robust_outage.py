@@ -16,7 +16,6 @@ from leobeam.robust_outage import (
     OutageProblem,
     bernstein_tail_bound,
     design_outage,
-    _cov_sqrt,
     margin_form,
     margin_matrix,
     margin_scalars,
@@ -261,6 +260,20 @@ class TestSocRows:
             assert np.allclose(r2, factor * r1)
             assert s2 == pytest.approx(factor * s1, rel=1e-12)
 
+    def test_cholesky_factor_gives_symmetric_root_invariants(self, desk_scenario):
+        # L = C^1/2 U with U orthogonal: tr Q, ||Q||_F and ||r|| are unchanged
+        sc = with_cov(desk_scenario, "correlated")
+        vals, vecs = np.linalg.eigh(correlated_cov(sc.feeds))
+        croot = (vecs * np.sqrt(vals)) @ vecs.T
+        rng = np.random.default_rng(14)
+        ws = [random_hermitian(rng, sc.feeds) for _ in range(sc.beams)]
+        for u in sc.users:
+            q, r, _ = soc_row_values(sc, u, ws)
+            q_sym, r_sym = taylor_terms(u, margin_matrix(sc, u, ws), croot)
+            assert np.trace(q) == pytest.approx(np.trace(q_sym), rel=1e-12)
+            assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(q_sym), rel=1e-12)
+            assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(r_sym), rel=1e-12)
+
 
 class TestConicRowsMatchNumeric:
     """The assembled outage rows, applied to svec(W_j), give the (Q, r, s)
@@ -301,7 +314,7 @@ class TestSymmetricQ:
         rng = np.random.default_rng(13)
         stack = np.array([random_hermitian(rng, k) for _ in range(8)])
         for user in sc.users:
-            q, _ = taylor_terms(user, margin_form(user, stack), _cov_sqrt(user, k))
+            q, _ = taylor_terms(user, margin_form(user, stack), user.phase_model.factor(k))
             for qi in q:
                 fro = np.linalg.norm(qi)
                 assert np.linalg.norm(qi - qi.T) <= 1e-14 * fro
