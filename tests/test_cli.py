@@ -120,6 +120,28 @@ class TestValidation:
         assert rc == 2
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("samples", "many"), ("samples", 2.7), ("seed", 1.5), ("samples", True)]
+    )
+    def test_non_integral_eval_rejected(self, tmp_path, capsys, key, value):
+        doc = dict(SMALL, eval=dict(SMALL["eval"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert f"eval.{key} must be an integer" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
+
+    def test_integral_float_eval_accepted(self, tmp_path):
+        evals = {"float": {"samples": 500.0, "seed": 11.0}, "int": SMALL["eval"]}
+        for name, block in evals.items():
+            cfg = write_cfg(tmp_path, dict(SMALL, eval=block), f"{name}.json")
+            assert main(["design", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        got, want = (tmp_path / name / "eval.csv" for name in evals)
+        assert got.read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / "float" / "manifest.json").read_text())
+        assert manifest["config"]["eval"] == {"samples": 500, "seed": 11}
+        assert all(type(v) is int for v in manifest["config"]["eval"].values())
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"scenario": {"feedz": 12}})
         rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
