@@ -232,6 +232,8 @@ def _prepare(args):
     eval_kw = {key: _config_int(cfg["eval"][key], f"eval.{key}") for key in ("samples", "seed")}
     if eval_kw["samples"] < 1:
         raise ConfigError("eval.samples must be at least 1")
+    if eval_kw["seed"] < 0:
+        raise ConfigError("eval.seed must be nonnegative")
     cfg["eval"].update(eval_kw)  # the manifest records the values run
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)

@@ -147,7 +147,7 @@ class OutageProblem(LiftedProblem):
         # (Q, r, s) are linear in the margin form, which is linear in each
         # W_j: on the svec basis they give one coefficient row per coordinate.
         z = margin_form(user, smat(np.eye(n), k))
-        q, r = taylor_terms(user, z, scenario.phase_factor(user))
+        q, r = taylor_terms(user, z, user.phase_model.factor(k))
         lin = q.reshape(n, n)[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
         q = svec(q)  # Q is symmetric: K(K+1)/2 coordinates of norm ||Q||_F
         nq = q.shape[1]
@@ -170,7 +170,7 @@ class OutageProblem(LiftedProblem):
 def soc_row_values(scenario, user, ws):
     """(Q, r, s) of one terminal at numeric W matrices, for bound checking."""
     z = margin_matrix(scenario, user, ws)
-    q, r = taylor_terms(user, z, scenario.phase_factor(user))
+    q, r = taylor_terms(user, z, user.phase_model.factor(scenario.feeds))
     s = float(z.sum().real) - scenario.noise_power
     return q, r, s
 

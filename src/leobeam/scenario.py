@@ -10,7 +10,7 @@ All randomness flows from one master seed through named substreams, so a
 scenario (and everything derived from it) is bitwise reproducible.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,8 +184,6 @@ class Scenario:
     users: list  # UserLink, region-major, SIC-rank-minor
     feed_positions: np.ndarray  # (K, 2) ground boresight points
     beam_centers: np.ndarray  # (M, 2)
-    # (covariance, factor) pairs behind phase_factor; a replace() starts empty.
-    _factors: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def feeds(self) -> int:
@@ -202,17 +200,6 @@ class Scenario:
     @property
     def power_caps(self) -> np.ndarray:
         return np.full(self.config.feeds, self.config.feed_power_cap_w)
-
-    def phase_factor(self, user: UserLink) -> np.ndarray | None:
-        """``user.phase_model.factor(K)``, validated and factored once per
-        distinct covariance array of this scenario (the terminals of a built
-        scenario share one)."""
-        for cov, fac in self._factors:
-            if cov is user.phase_cov:
-                return fac
-        fac = user.phase_model.factor(self.feeds)
-        self._factors.append((user.phase_cov, fac))
-        return fac
 
     def region_users(self, m: int):
         return [u for u in self.users if u.region == m]

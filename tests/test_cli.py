@@ -131,6 +131,14 @@ class TestValidation:
         assert f"eval.{key} must be an integer" in capsys.readouterr().err
         assert not (out / "eval.csv").exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_eval_seed_rejected(self, tmp_path, capsys, where):
+        doc = dict(SMALL, eval=dict(SMALL["eval"], seed=-1)) if where == "config" else SMALL
+        argv = ["design", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / "o")]
+        rc = main(argv + (["--seed", "-1"] if where == "flag" else []))
+        assert rc == 2
+        assert "eval.seed must be nonnegative" in capsys.readouterr().err
+
     def test_integral_float_eval_accepted(self, tmp_path):
         evals = {"float": {"samples": 500.0, "seed": 11.0}, "int": SMALL["eval"]}
         for name, block in evals.items():

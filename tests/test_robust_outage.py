@@ -4,10 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import correlated_cov, count_calls, desk_config
+from conftest import correlated_cov, desk_config
 from oracles import vecq_outage_problem
 
-from leobeam.channel import PhaseErrorModel
 from leobeam.conic.cones import svec
 from leobeam.conic.solver import OPTIMAL
 from leobeam.errors import ConfigError
@@ -337,16 +336,6 @@ class TestPhaseCovariance:
         sc = dataclasses.replace(desk_scenario, users=users)
         with pytest.raises(ConfigError, match="phase covariance"):
             design_outage(sc)
-
-    def test_one_factor_per_outage_problem(self, desk_scenario, monkeypatch):
-        sc = with_cov(desk_scenario, "correlated")
-        factors = count_calls(monkeypatch, PhaseErrorModel, "factor")
-        eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
-        OutageProblem(sc)
-        ws = [np.eye(sc.feeds)] * sc.beams
-        for user in sc.users:
-            soc_row_values(sc, user, ws)
-        assert len(factors) == len(eigs) == 1
 
 
 class TestInfeasibilityFamily:
