@@ -49,12 +49,6 @@ class BeamPattern:
     max_gain: float  # linear
     angle_3db: float  # radians
 
-    def validate(self):
-        if self.max_gain <= 0:
-            raise ConfigError("beam max_gain must be positive")
-        if not 0 < self.angle_3db < np.pi / 2:
-            raise ConfigError("beam angle_3db must lie in (0, pi/2)")
-
 
 def beam_gain(pattern: BeamPattern, angle):
     """Beam gain toward an off-boresight angle (radians; scalar or array).
@@ -108,14 +102,15 @@ class RainModel:
         return np.log(mu) - 0.5 * s2, np.sqrt(s2)
 
 
-def sample_rain(model: RainModel, feeds: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-feed amplitude attenuation factors, i.i.d. across feeds."""
+def sample_rain(model: RainModel, shape, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. amplitude attenuation factors: ``shape`` feeds, or (T, K) for T
+    terminals, whose rows are the draws of T successive calls with K."""
     model.validate()
     params = model.lognormal_params()
     if params is None:
-        return np.ones(feeds)
+        return np.ones(shape)
     m, s = params
-    loss_db = np.exp(m + s * rng.standard_normal(feeds))
+    loss_db = np.exp(m + s * rng.standard_normal(shape))
     return 10.0 ** (-loss_db / 20.0)
 
 

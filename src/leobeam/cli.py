@@ -65,20 +65,28 @@ def load_config(path) -> dict:
 
 
 def scenario_from_config(cfg: dict) -> NetworkConfig:
+    """The scenario block as a NetworkConfig, for ``build_scenario`` to validate;
+    integral counts and seed (12.0) become ints in ``cfg``, as the manifest records."""
     fields = {f.name for f in dataclasses.fields(NetworkConfig)}
-    block = dict(cfg["scenario"])
+    block = cfg["scenario"]
     unknown = set(block) - fields
     if unknown:
         raise ConfigError(
             f"unknown scenario field(s) {sorted(unknown)}; valid fields: {sorted(fields)}"
         )
+    for key in ("feeds", "beams", "seed", "users_per_region"):
+        if key in block:
+            name, value = f"scenario.{key}", block[key]
+            if isinstance(value, list):
+                block[key] = [_config_int(v, name) for v in value]
+            else:
+                block[key] = _config_int(value, name)
+    block = dict(block)
     if "phase_cov" in block and block["phase_cov"] is not None:
         block["phase_cov"] = np.asarray(block["phase_cov"], dtype=float)
     if "alpha_explicit" in block and block["alpha_explicit"] is not None:
         block["alpha_policy"] = block.get("alpha_policy", "explicit")
-    net = NetworkConfig(**block)
-    net.validate()
-    return net
+    return NetworkConfig(**block)
 
 
 def penalty_from_config(cfg: dict) -> PenaltyConfig:
@@ -214,9 +222,9 @@ def _config_int(value, name: str) -> int:
 def _prepare(args):
     """Shared command preamble: (cfg, scenario, penalty, outdir, eval_kw).
 
-    Loads the config, applies the command-line overrides, builds the
-    scenario and penalty config and creates the output directory;
-    ``eval_kw`` holds the Monte-Carlo ``samples`` and ``seed``.
+    Loads the config, applies the command-line overrides, builds the scenario
+    and penalty config, then creates the output directory (a config error
+    leaves none); ``eval_kw`` holds the Monte-Carlo ``samples`` and ``seed``.
     """
     cfg = load_config(args.config)
     for value, block, key in (
@@ -227,7 +235,7 @@ def _prepare(args):
     ):
         if value is not None:
             cfg[block][key] = value
-    net = scenario_from_config(cfg)
+    scenario = build_scenario(scenario_from_config(cfg))
     penalty = penalty_from_config(cfg)
     eval_kw = {key: _config_int(cfg["eval"][key], f"eval.{key}") for key in ("samples", "seed")}
     if eval_kw["samples"] < 1:
@@ -237,7 +245,6 @@ def _prepare(args):
     cfg["eval"].update(eval_kw)  # the manifest records the values run
     outdir = Path(cfg["output"]["dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    scenario = build_scenario(net)
     return cfg, scenario, penalty, outdir, eval_kw
 
 

@@ -118,7 +118,11 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     )
 
 
-SWEEP_AXES = ("gamma", "sigma", "eta", "p")
+# Sweep axis -> the Scenario method that sets it on every terminal.
+_AXIS_SETTERS = {
+    "gamma": "with_gamma_db", "sigma": "with_sigma_deg", "eta": "with_eta", "p": "with_outage"
+}
+SWEEP_AXES = tuple(_AXIS_SETTERS)
 
 
 @dataclass
@@ -148,15 +152,9 @@ class SweepRow(PointResult, _GridPoint):
 
 
 def apply_axis(scenario, axis: str, value: float):
-    if axis == "gamma":
-        return scenario.with_gamma_db(value)
-    if axis == "sigma":
-        return scenario.with_sigma_deg(value)
-    if axis == "eta":
-        return scenario.with_eta(value)
-    if axis == "p":
-        return scenario.with_outage(value)
-    raise LeobeamError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis not in _AXIS_SETTERS:
+        raise LeobeamError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    return getattr(scenario, _AXIS_SETTERS[axis])(value)
 
 
 def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> PointResult:

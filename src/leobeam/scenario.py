@@ -6,8 +6,9 @@ hexagonal lattice whose pitch equals the 3 dB footprint diameter
 its center, and terminals are placed uniformly inside the beam footprint.
 Off-boresight angles follow from the planar geometry at orbit altitude.
 
-All randomness flows from one master seed through named substreams, so a
-scenario (and everything derived from it) is bitwise reproducible.
+All randomness flows from one master seed through three substreams
+(positions, rain, phases), each drawn once for all terminals, so a scenario
+(and everything derived from it) is bitwise reproducible.
 """
 
 from dataclasses import dataclass, replace
@@ -26,6 +27,7 @@ from .channel import (
     sample_rain,
 )
 from .errors import ConfigError
+from .network import sic_order
 
 
 def _as_list(value, count, name):
@@ -35,6 +37,11 @@ def _as_list(value, count, name):
     if len(value) != count:
         raise ConfigError(f"{name} must be scalar or length {count}")
     return value
+
+
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is neither a count nor a seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -60,28 +67,26 @@ class NetworkConfig:
     alpha_explicit: list | None = None
     noise_power: float = 1.0
     feed_power_cap_w: float = 10.0
-    light_speed: float = 3.0e8
-    boltzmann: float = 1.38e-23
-    noise_temp_k: float = 300.0
     gamma_db: float | list = 3.0
     outage_prob: float | list = 0.05
     seed: int = 20260810
 
     def users_per_region_list(self):
-        if np.isscalar(self.users_per_region):
-            return [int(self.users_per_region)] * self.beams
-        lst = [int(v) for v in self.users_per_region]
-        if len(lst) != self.beams:
-            raise ConfigError("users_per_region must be scalar or one entry per beam")
-        return lst
+        lst = _as_list(self.users_per_region, self.beams, "users_per_region")
+        if not all(_is_int(n) for n in lst):
+            raise ConfigError(f"users_per_region entries must be integers, got {lst!r}")
+        return [int(n) for n in lst]
 
     def validate(self):
+        for name in ("feeds", "beams", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.feeds <= 0 or self.beams <= 0:
             raise ConfigError("feeds and beams must be positive")
         if self.feeds % self.beams != 0:
             raise ConfigError("feeds must divide evenly among beams")
-        if self.beams > self.feeds:
-            raise ConfigError("cannot form more beams than feeds")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         for n in self.users_per_region_list():
             if n <= 0:
                 raise ConfigError("each region needs at least one terminal")
@@ -91,9 +96,6 @@ class NetworkConfig:
             "bandwidth_hz",
             "noise_power",
             "feed_power_cap_w",
-            "light_speed",
-            "boltzmann",
-            "noise_temp_k",
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -128,15 +130,14 @@ class NetworkConfig:
                     )
 
     def link_budget(self) -> LinkBudget:
-        rx_gain = 10.0 ** (self.g_over_t_db / 10.0) * self.noise_temp_k
+        """The budget at LinkBudget's light speed, Boltzmann constant and noise
+        temperature; G/T fixes rx_gain, so the temperature cancels in the gain."""
+        rx_gain = 10.0 ** (self.g_over_t_db / 10.0) * LinkBudget.noise_temp_k
         return LinkBudget(
-            light_speed=self.light_speed,
             carrier_hz=self.carrier_hz,
             distance_m=self.altitude_m,
             rx_gain=rx_gain,
-            boltzmann=self.boltzmann,
             bandwidth_hz=self.bandwidth_hz,
-            noise_temp_k=self.noise_temp_k,
         )
 
 
@@ -218,31 +219,24 @@ class Scenario:
                 t1 += user.eta * other.alpha
         return t1
 
-    def with_gamma_db(self, gamma_db) -> "Scenario":
-        vals = _as_list(gamma_db, len(self.users), "gamma_db")
-        users = [
-            replace(u, gamma_lin=10.0 ** (float(g) / 10.0))
-            for u, g in zip(self.users, vals)
-        ]
+    def _with_each(self, values, name, field, convert=float) -> "Scenario":
+        """A copy whose terminals set ``field`` to ``convert(float(value))``, for
+        one scalar value or one value per terminal in ``users`` order."""
+        vals = _as_list(values, len(self.users), name)
+        users = [replace(u, **{field: convert(float(v))}) for u, v in zip(self.users, vals)]
         return replace(self, users=users)
+
+    def with_gamma_db(self, gamma_db) -> "Scenario":
+        return self._with_each(gamma_db, "gamma_db", "gamma_lin", lambda g: 10.0 ** (g / 10.0))
 
     def with_sigma_deg(self, sigma_deg) -> "Scenario":
-        vals = _as_list(sigma_deg, len(self.users), "sigma_deg")
-        users = [
-            replace(u, sigma_rad=np.deg2rad(float(s)))
-            for u, s in zip(self.users, vals)
-        ]
-        return replace(self, users=users)
+        return self._with_each(sigma_deg, "sigma_deg", "sigma_rad", np.deg2rad)
 
     def with_eta(self, eta) -> "Scenario":
-        vals = _as_list(eta, len(self.users), "eta")
-        users = [replace(u, eta=float(e)) for u, e in zip(self.users, vals)]
-        return replace(self, users=users)
+        return self._with_each(eta, "eta", "eta")
 
     def with_outage(self, p) -> "Scenario":
-        vals = _as_list(p, len(self.users), "outage_prob")
-        users = [replace(u, outage_prob=float(v)) for u, v in zip(self.users, vals)]
-        return replace(self, users=users)
+        return self._with_each(p, "outage_prob", "outage_prob")
 
 
 def hex_lattice(count: int, pitch: float) -> np.ndarray:
@@ -264,18 +258,38 @@ def hex_lattice(count: int, pitch: float) -> np.ndarray:
     return np.array(pts[:count])
 
 
-def offaxis_angle(ground_a: np.ndarray, ground_b: np.ndarray, altitude: float):
-    """Angle at the satellite between the directions to two ground points."""
-    va = np.concatenate([np.atleast_1d(ground_a).ravel(), [-altitude]])
-    vb = np.concatenate([np.atleast_1d(ground_b).ravel(), [-altitude]])
-    cosang = va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
-    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading axes: each
+    a stacked (1, n) @ (n, 1) product, which numpy runs as the BLAS dot of a
+    single pair (a matrix-vector product can round a row differently)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def offaxis_angle(ground_a, ground_b, altitude: float):
+    """Angle at the satellite between the directions to two ground points.
+
+    The points are (..., 2) arrays that broadcast, so feeds (K, 2) against
+    terminals (T, 1, 2) give (T, K) angles, each with the bits of its own
+    single-pair call; a single pair gives a float.
+    """
+    # Satellite-to-ground vectors, each at the start of a 32-byte row and so
+    # 16-byte aligned like a fresh array: OpenBLAS's Prescott and Core2
+    # kernels round a length-3 dot by the alignment of its operands.
+    va, vb = (np.full(np.shape(g)[:-1] + (4,), -float(altitude)) for g in (ground_a, ground_b))
+    va[..., :2], vb[..., :2] = ground_a, ground_b
+    va, vb = va[..., :3], vb[..., :3]
+    norms = np.sqrt(_rowdot(va, va)) * np.sqrt(_rowdot(vb, vb))
+    angle = np.arccos(np.clip(_rowdot(va, vb) / norms, -1.0, 1.0))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def build_scenario(config: NetworkConfig) -> Scenario:
-    """Draw one reproducible scenario from the configuration."""
-    from .network import sic_order  # local import to avoid a cycle
+    """Draw one reproducible scenario from the configuration.
 
+    Each substream is drawn once for all T terminals (region-major): (T, 2)
+    position uniforms, (T, K) rain normals and (T, K) phases.  A Generator
+    fills an array in stream order, so these are one draw per terminal's values.
+    """
     config.validate()
     k, m = config.feeds, config.beams
     users_per = config.users_per_region_list()
@@ -288,26 +302,28 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     footprint = config.altitude_m * np.tan(angle3)
     centers = hex_lattice(m, 2.0 * footprint)
 
-    feeds_per_beam = k // m
-    feed_pos = []
-    for bm in range(m):
-        if feeds_per_beam == 1:
-            feed_pos.append(centers[bm])
-            continue
-        ring = 0.5 * footprint
-        for i in range(feeds_per_beam):
-            phi = 2.0 * np.pi * i / feeds_per_beam
-            feed_pos.append(centers[bm] + ring * np.array([np.cos(phi), np.sin(phi)]))
-    feed_pos = np.array(feed_pos)
-    feed_beam = np.repeat(np.arange(m), feeds_per_beam)
+    # Each beam's feeds sit on a ring around its center; a lone feed sits on it.
+    per_beam = k // m
+    phi = 2.0 * np.pi * np.arange(per_beam) / per_beam
+    ring = (0.5 * footprint if per_beam > 1 else 0.0) * np.stack([np.cos(phi), np.sin(phi)], 1)
+    feed_pos = (centers[:, None, :] + ring).reshape(k, 2)
+
+    # Uniform positions inside each terminal's beam footprint disc.
+    draws = rng_users.uniform(size=(total_users, 2))
+    radius = footprint * np.sqrt(draws[:, 0])
+    theta = 2.0 * np.pi * draws[:, 1]
+    offsets = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
+    pos = centers.repeat(users_per, axis=0) + offsets
 
     budget = config.link_budget()
     budget.validate()
     c_gain = large_scale_gain(budget)
-    patterns = [
-        BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3) for _ in range(m)
-    ]
+    pattern = BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3)
+    gains = beam_gain(pattern, offaxis_angle(feed_pos, pos[:, None, :], config.altitude_m))
     rain = RainModel(config.rain_mean_db, config.rain_var_db2)
+    rain_amp = sample_rain(rain, (total_users, k), rng_rain)
+    phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=(total_users, k))
+    channels = [assemble_channel(c_gain, *parts) for parts in zip(gains, rain_amp, phases)]
     sigma = np.deg2rad(config.phase_sigma_deg)
 
     gammas = _as_list(config.gamma_db, total_users, "gamma_db")
@@ -316,35 +332,16 @@ def build_scenario(config: NetworkConfig) -> Scenario:
 
     users = []
     flat = 0
-    for bm in range(m):
-        channels = []
-        for _ in range(users_per[bm]):
-            # uniform position inside the beam footprint disc
-            radius = footprint * np.sqrt(rng_users.uniform())
-            theta = rng_users.uniform(0.0, 2.0 * np.pi)
-            pos = centers[bm] + radius * np.array([np.cos(theta), np.sin(theta)])
-            angles = np.array(
-                [offaxis_angle(feed_pos[i], pos, config.altitude_m) for i in range(k)]
-            )
-            gains = np.array(
-                [beam_gain(patterns[feed_beam[i]], angles[i]) for i in range(k)]
-            )
-            rain_amp = sample_rain(rain, k, rng_rain)
-            phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=k)
-            channels.append(assemble_channel(c_gain, gains, rain_amp, phases))
-        order = sic_order(channels)
-        alphas = power_split(
-            config.alpha_policy,
-            users_per[bm],
-            config.alpha_ratio,
-            None if config.alpha_explicit is None else config.alpha_explicit[bm],
-        )
+    for bm, count in enumerate(users_per):
+        order = sic_order(channels[flat : flat + count])
+        explicit = None if config.alpha_explicit is None else config.alpha_explicit[bm]
+        alphas = power_split(config.alpha_policy, count, config.alpha_ratio, explicit)
         for rank, src in enumerate(order):
             users.append(
                 UserLink(
                     region=bm,
                     rank=rank,
-                    channel=channels[src],
+                    channel=channels[flat + src],
                     alpha=float(alphas[rank]),
                     eta=float(etas[flat + rank]),
                     gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
@@ -353,7 +350,7 @@ def build_scenario(config: NetworkConfig) -> Scenario:
                     phase_cov=config.phase_cov,
                 )
             )
-        flat += users_per[bm]
+        flat += count
     return Scenario(config, users, feed_pos, centers)
 
 

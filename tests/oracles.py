@@ -4,9 +4,10 @@ These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
 for eigenpairs, a first-order ADMM method for cone programs, the real
 [[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
-with Q on all K^2 coordinates of vec(Q), and Monte-Carlo evaluation with
-every sample held at once.  Expected values frozen into tests were computed
-with these routines.
+with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
+every sample held at once, and scenario assembly one terminal and one feed
+at a time.  Expected values frozen into tests were computed with these
+routines.
 """
 
 import mpmath
@@ -355,3 +356,120 @@ def whole_array_evaluate(design, scenario, samples, seed):
         total_power=design.total_power,
         per_feed=design.per_feed,
     )
+
+
+# ---------------------------------------------------------------------------
+# Scenario assembly one terminal and one feed at a time: one scalar angle and
+# gain per (terminal, feed) pair, one beam pattern per beam, and one draw per
+# terminal from each substream.  The array assembly must reproduce it bit for
+# bit.
+# ---------------------------------------------------------------------------
+
+
+def scalar_offaxis_angle(ground_a, ground_b, altitude):
+    """Angle at the satellite between the directions to two ground points."""
+    va = np.concatenate([np.atleast_1d(ground_a).ravel(), [-altitude]])
+    vb = np.concatenate([np.atleast_1d(ground_b).ravel(), [-altitude]])
+    cosang = va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb))
+    return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+
+def loop_build_scenario(config):
+    """``build_scenario`` assembling each terminal's channel feed by feed."""
+    from leobeam.channel import (
+        BeamPattern,
+        LinkBudget,
+        RainModel,
+        assemble_channel,
+        beam_gain,
+        large_scale_gain,
+    )
+    from leobeam.network import sic_order
+    from leobeam.scenario import Scenario, UserLink, _as_list, hex_lattice, power_split
+
+    config.validate()
+    k, m = config.feeds, config.beams
+    users_per = config.users_per_region_list()
+    total_users = sum(users_per)
+
+    ss = np.random.SeedSequence(config.seed)
+    rng_users, rng_rain, rng_phase = [np.random.default_rng(s) for s in ss.spawn(3)]
+
+    angle3 = np.deg2rad(config.angle_3db_deg)
+    footprint = config.altitude_m * np.tan(angle3)
+    centers = hex_lattice(m, 2.0 * footprint)
+
+    feeds_per_beam = k // m
+    feed_pos = []
+    for bm in range(m):
+        if feeds_per_beam == 1:
+            feed_pos.append(centers[bm])
+            continue
+        ring = 0.5 * footprint
+        for i in range(feeds_per_beam):
+            phi = 2.0 * np.pi * i / feeds_per_beam
+            feed_pos.append(centers[bm] + ring * np.array([np.cos(phi), np.sin(phi)]))
+    feed_pos = np.array(feed_pos)
+    feed_beam = np.repeat(np.arange(m), feeds_per_beam)
+
+    budget = LinkBudget(
+        light_speed=3.0e8,
+        carrier_hz=config.carrier_hz,
+        distance_m=config.altitude_m,
+        rx_gain=10.0 ** (config.g_over_t_db / 10.0) * 300.0,
+        boltzmann=1.38e-23,
+        bandwidth_hz=config.bandwidth_hz,
+        noise_temp_k=300.0,
+    )
+    c_gain = large_scale_gain(budget)
+    patterns = [BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3) for _ in range(m)]
+    rain = RainModel(config.rain_mean_db, config.rain_var_db2)
+    rain_params = rain.lognormal_params()
+    sigma = np.deg2rad(config.phase_sigma_deg)
+
+    gammas = _as_list(config.gamma_db, total_users, "gamma_db")
+    outages = _as_list(config.outage_prob, total_users, "outage_prob")
+    etas = _as_list(config.sic_eta, total_users, "sic_eta")
+
+    users = []
+    flat = 0
+    for bm in range(m):
+        channels = []
+        for _ in range(users_per[bm]):
+            radius = footprint * np.sqrt(rng_users.uniform())
+            theta = rng_users.uniform(0.0, 2.0 * np.pi)
+            pos = centers[bm] + radius * np.array([np.cos(theta), np.sin(theta)])
+            angles = np.array(
+                [scalar_offaxis_angle(feed_pos[i], pos, config.altitude_m) for i in range(k)]
+            )
+            gains = np.array([beam_gain(patterns[feed_beam[i]], angles[i]) for i in range(k)])
+            if rain_params is None:
+                rain_amp = np.ones(k)
+            else:
+                mu, s = rain_params
+                rain_amp = 10.0 ** (-np.exp(mu + s * rng_rain.standard_normal(k)) / 20.0)
+            phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=k)
+            channels.append(assemble_channel(c_gain, gains, rain_amp, phases))
+        order = sic_order(channels)
+        alphas = power_split(
+            config.alpha_policy,
+            users_per[bm],
+            config.alpha_ratio,
+            None if config.alpha_explicit is None else config.alpha_explicit[bm],
+        )
+        for rank, src in enumerate(order):
+            users.append(
+                UserLink(
+                    region=bm,
+                    rank=rank,
+                    channel=channels[src],
+                    alpha=float(alphas[rank]),
+                    eta=float(etas[flat + rank]),
+                    gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
+                    outage_prob=float(outages[flat + rank]),
+                    sigma_rad=sigma,
+                    phase_cov=config.phase_cov,
+                )
+            )
+        flat += users_per[bm]
+    return Scenario(config, users, feed_pos, centers)

@@ -150,6 +150,47 @@ class TestValidation:
         assert manifest["config"]["eval"] == {"samples": 500, "seed": 11}
         assert all(type(v) is int for v in manifest["config"]["eval"].values())
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", -3, "seed must be nonnegative"),
+            ("seed", 1.5, "scenario.seed must be an integer"),
+            ("feeds", 6.5, "scenario.feeds must be an integer"),
+            ("users_per_region", 1.5, "scenario.users_per_region must be an integer"),
+            ("users_per_region", [2, 1.5], "scenario.users_per_region must be an integer"),
+            ("beams", True, "scenario.beams must be an integer"),
+        ],
+    )
+    def test_bad_counts_and_seed_rejected(self, tmp_path, capsys, key, value, message):
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        floats = {"feeds": 6.0, "beams": 2.0, "users_per_region": [2.0, 2], "seed": 3.0}
+        docs = {"float": dict(SMALL, scenario=floats), "int": SMALL}
+        for name, doc in docs.items():
+            cfg = write_cfg(tmp_path, doc, f"{name}.json")
+            assert main(["design", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        for artifact in ("design.csv", "eval.csv", "channels.txt"):
+            got, want = (tmp_path / name / artifact for name in docs)
+            assert got.read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / "float" / "manifest.json").read_text())
+        scenario = manifest["config"]["scenario"]
+        assert scenario == {"feeds": 6, "beams": 2, "users_per_region": [2, 2], "seed": 3}
+        counts = [scenario[key] for key in ("feeds", "beams", "seed")]
+        assert all(type(v) is int for v in counts + scenario["users_per_region"])
+
+    @pytest.mark.parametrize("name", ["light_speed", "boltzmann", "noise_temp_k"])
+    def test_fixed_constants_are_not_fields(self, tmp_path, capsys, name):
+        cfg = write_cfg(tmp_path, {"scenario": {name: 1.0}})
+        rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"unknown scenario field(s) ['{name}']" in capsys.readouterr().err
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"scenario": {"feedz": 12}})
         rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
+from oracles import loop_build_scenario, scalar_offaxis_angle
 
 from leobeam.errors import ConfigError
 from leobeam.scenario import (
@@ -108,6 +109,62 @@ class TestBuildScenario:
         # originals untouched
         assert sc.users[0].gamma_lin == pytest.approx(10 ** 0.3)
 
+    def test_with_helpers_take_one_value_per_terminal(self):
+        sc = build_scenario(desk_config())
+        vals = [0.01 * (i + 1) for i in range(len(sc.users))]
+        assert [u.eta for u in sc.with_eta(vals).users] == vals
+        with pytest.raises(ConfigError, match="sigma_deg"):
+            sc.with_sigma_deg(vals[:-1])
+
+
+ARRAY_CONFIGS = {
+    "desk": {},
+    "full-scale": dict(feeds=60, beams=10, users_per_region=3, gamma_db=1.5),
+    "one-feed-per-beam": dict(feeds=3, beams=3),
+    "uneven-regions": dict(feeds=24, beams=3, users_per_region=[1, 3, 2], seed=3),
+    "narrow-beams": dict(angle_3db_deg=0.1),
+    "zero-variance-rain": dict(rain_var_db2=0.0),
+}
+
+
+class TestArrayAssembly:
+    """The array assembly reproduces the per-terminal, per-feed loop bit for bit."""
+
+    @pytest.mark.parametrize("overrides", ARRAY_CONFIGS.values(), ids=ARRAY_CONFIGS)
+    def test_matches_loop_oracle(self, overrides):
+        got = build_scenario(desk_config(**overrides))
+        want = loop_build_scenario(desk_config(**overrides))
+        assert np.array_equal(got.feed_positions, want.feed_positions)
+        assert np.array_equal(got.beam_centers, want.beam_centers)
+        assert len(got.users) == len(want.users)
+        for u, v in zip(got.users, want.users):
+            assert (u.region, u.rank) == (v.region, v.rank)
+            assert np.array_equal(u.channel.estimated, v.channel.estimated)
+            assert np.array_equal(u.channel.beam_gains, v.channel.beam_gains)
+            assert np.array_equal(u.channel.rain_power, v.channel.rain_power)
+            assert u.channel.large_scale == v.channel.large_scale
+            assert (u.alpha, u.eta, u.gamma_lin, u.outage_prob, u.sigma_rad) == (
+                v.alpha,
+                v.eta,
+                v.gamma_lin,
+                v.outage_prob,
+                v.sigma_rad,
+            )
+
+    def test_offaxis_angle_batches_scalar_calls(self):
+        sc = build_scenario(desk_config(feeds=60, beams=10, users_per_region=3))
+        feeds = sc.feed_positions
+        alt = sc.config.altitude_m
+        terminals = np.random.default_rng(4).uniform(-3e4, 3e4, size=(30, 2))
+        batched = offaxis_angle(feeds, terminals[:, None, :], alt)
+        assert batched.shape == (30, 60)
+        for row, pos in zip(batched, terminals):
+            assert np.array_equal(offaxis_angle(feeds, pos, alt), row)
+            singles = [offaxis_angle(f, pos, alt) for f in feeds]
+            assert all(type(a) is float for a in singles)
+            assert np.array_equal(row, singles)
+            assert np.array_equal(row, [scalar_offaxis_angle(f, pos, alt) for f in feeds])
+
 
 class TestValidation:
     def test_feeds_must_divide(self):
@@ -134,6 +191,28 @@ class TestValidation:
     def test_angle_range(self):
         with pytest.raises(ConfigError):
             NetworkConfig(angle_3db_deg=95.0).validate()
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"feeds": 12.0}, "feeds must be an integer"),
+            ({"beams": True}, "beams must be an integer"),
+            ({"users_per_region": 1.5}, "users_per_region entries must be integers"),
+            ({"users_per_region": [2, 2.5, 2]}, "users_per_region entries must be integers"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -3}, "seed must be nonnegative"),
+        ],
+        ids=["float-feeds", "bool-beams", "float-users", "float-entry", "float-seed", "neg-seed"],
+    )
+    def test_counts_and_seed_checked(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            build_scenario(NetworkConfig(**overrides))
+
+    def test_numpy_integers_accepted(self):
+        per = np.array([2, 1, 2])
+        cfg = NetworkConfig(feeds=np.int64(12), users_per_region=per, seed=np.int64(7))
+        cfg.validate()
+        assert cfg.users_per_region_list() == [2, 1, 2]
 
     @pytest.mark.parametrize(
         "cov", [np.eye(4), 0.5 * np.eye(12)], ids=["wrong-size", "half-diagonal"]
