@@ -6,6 +6,7 @@ robust against.  Every estimate carries a normal-approximation standard error
 and is bit-reproducible from (design, scenario, samples, seed).
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +44,37 @@ class EvalReport:
 
 
 # Phase entries drawn and scored at once: a chunk is CHUNK_ELEMENTS // K
-# samples, so its buffers stay near 1 MB whatever the feed count K.
-CHUNK_ELEMENTS = 1 << 16
+# samples, so each worker's chunk buffers stay near 0.4 MB whatever the feed
+# count K.
+CHUNK_ELEMENTS = 1 << 14
+
+# Threads scoring terminals at once; why not the core count: see evaluate.
+WORKERS = 2
 
 
 def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     """Empirical per-terminal mean SINR and outage under phase-error sampling.
 
-    Each terminal's samples are drawn and scored in consecutive chunks of
-    about ``CHUNK_ELEMENTS // K`` rows through two reused buffers, so memory
-    is about 1.6 MB of chunk work plus 16 bytes per sample (the SINR vector
-    and a temporary of its statistics), not samples x K complex: 200,000
-    desk samples peak at 4.8 MB under tracemalloc, where holding every
-    sample at once took 136 MB.  The chunks are the rows of one whole
-    draw in order, each row is scored the same way, and the statistics are
-    taken over the whole SINR vector, so reports are bit-identical to
-    drawing and scoring all samples at once, provided the BLAS gives a row
-    of a product the same bits whatever the product's row count.  That was
-    verified with OpenBLAS 0.3.31 (its SkylakeX, Haswell, Sandybridge and
-    Katmai kernels); its Nehalem kernel breaks it for small real products,
-    so there chunked correlated draws may differ in the last bit.
+    Terminals are independent work (each draws from its own spawned
+    stream), so ``WORKERS`` threads score them, one terminal per thread at
+    a time, and the report keeps the terminal order.  Each terminal's
+    samples are drawn and scored in consecutive chunks of about
+    ``CHUNK_ELEMENTS // K`` rows through two buffers of its own, so memory
+    is per worker: about 0.4 MB of chunk work plus 16 bytes per sample (the
+    SINR vector and a temporary of its statistics), not samples x K
+    complex.  With 2 workers, 200,000 desk samples peak at about 5.9 MB
+    under tracemalloc, where holding every sample at once took 136 MB.
+    More workers than two would each add a SINR vector for little speed:
+    the normal draws hold the interpreter lock, so only the exp, the
+    multiply and the scoring overlap.  The chunks are the rows of one whole draw in
+    order, each row is scored the same way, and the statistics are taken
+    over the whole SINR vector, so reports are bit-identical to drawing
+    and scoring all samples at once, at any worker count, provided the
+    BLAS gives a row of a product the same bits whatever the product's row
+    count.  That was verified with OpenBLAS 0.3.31 (its SkylakeX, Haswell,
+    Sandybridge and Katmai kernels); its Nehalem kernel breaks it for small
+    real products, so there chunked correlated draws may differ in the
+    last bit.
     """
     if samples < 1:
         raise LeobeamError("need at least one Monte-Carlo sample")
@@ -73,16 +85,19 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     # so no chunk has one row: the last absorbs a one-row tail.
     rows = max(2, CHUNK_ELEMENTS // k)
     stops = list(range(rows, samples - 1, rows)) + [samples]
-    nu = np.empty((min(samples, rows + 1), k))
-    phasors = np.empty(nu.shape, dtype=complex)
-    gammas = np.empty(samples)
-    means, se_m, outs, se_o, targets = [], [], [], [], []
+    chunks = list(zip([0] + stops[:-1], stops))
     tdma = design.algorithm == "tdma"
-    for idx, user in enumerate(users):
+
+    def score(idx):
+        """(mean, se_mean, outage, se_outage, target) of terminal ``idx``."""
+        user = users[idx]
         rng = np.random.default_rng(streams[idx])
         model = user.phase_model
         fac = model.factor(k)
-        for start, stop in zip([0] + stops[:-1], stops):
+        nu = np.empty((min(samples, rows + 1), k))
+        phasors = np.empty(nu.shape, dtype=complex)
+        gammas = np.empty(samples)
+        for start, stop in chunks:
             h = phasors[: stop - start]
             h.real = 0.0
             h.imag = sample_phase_error(model, k, rng, len(h), out=nu[: len(h)], fac=fac)
@@ -98,19 +113,42 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
         target = design.metadata["slot_gamma_lin"][idx] if tdma else user.gamma_lin
         mean = float(gammas.mean())
         out = float(np.mean(gammas < target))
-        means.append(mean)
-        se_m.append(float(gammas.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0)
-        outs.append(out)
-        se_o.append(float(np.sqrt(out * (1.0 - out) / samples)))
-        targets.append(target)
+        se_m = float(gammas.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+        se_o = float(np.sqrt(out * (1.0 - out) / samples))
+        return mean, se_m, out, se_o, target
+
+    # Worker w scores terminals w, w + workers, ...  Plain threads, not
+    # concurrent.futures: its logging import alone adds 0.5 MB of RSS.
+    workers = min(WORKERS, len(users))
+    stats = [None] * len(users)
+    errors = []
+
+    def work(first):
+        for idx in range(first, len(users), workers):
+            if errors:
+                return  # another terminal failed, so the call raises anyway
+            try:
+                stats[idx] = score(idx)
+            except BaseException as ex:  # re-raised in the calling thread
+                errors.append(ex)
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    means, se_m, outs, se_o, targets = (np.array(col) for col in zip(*stats))
     return EvalReport(
         regions=[u.region for u in users],
         ranks=[u.rank for u in users],
-        mean_sinr=np.array(means),
-        se_mean=np.array(se_m),
-        outage=np.array(outs),
-        se_outage=np.array(se_o),
-        gamma_target=np.array(targets),
+        mean_sinr=means,
+        se_mean=se_m,
+        outage=outs,
+        se_outage=se_o,
+        gamma_target=targets,
         samples=samples,
         seed=seed,
         total_power=design.total_power,

@@ -65,18 +65,17 @@ def bessel_j(order: int, x):
     if order not in (1, 3):
         raise ValueError("only orders 1 and 3 are supported")
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    out = np.empty_like(xs)
     # J1 and J3 are odd functions.
-    ax = np.abs(xs)
+    ax = np.abs(xs).ravel()
+    out = np.empty_like(ax)
     for i, xi in enumerate(ax):
         if xi < _SERIES_CUTOFF:
             out[i] = _bessel_series_scalar(order, xi)
         else:
             out[i] = _bessel_asymptotic_scalar(order, xi)
+    out = out.reshape(xs.shape)
     out = np.where(xs < 0, -out, out)
-    return float(out[0]) if scalar else out
+    return float(out) if xs.ndim == 0 else out
 
 
 def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_iter: int = 50000):

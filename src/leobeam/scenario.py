@@ -44,6 +44,30 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy real number; a bool, a string or None is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+# Real-valued NetworkConfig fields, and those that also take one value per
+# terminal.
+_REAL_FIELDS = (
+    "altitude_m",
+    "carrier_hz",
+    "bandwidth_hz",
+    "sat_gain_dbi",
+    "g_over_t_db",
+    "angle_3db_deg",
+    "rain_mean_db",
+    "rain_var_db2",
+    "phase_sigma_deg",
+    "alpha_ratio",
+    "noise_power",
+    "feed_power_cap_w",
+)
+_PER_TERMINAL_FIELDS = ("sic_eta", "gamma_db", "outage_prob")
+
+
 @dataclass
 class NetworkConfig:
     """All scenario parameters; defaults give the small reference instance."""
@@ -90,6 +114,16 @@ class NetworkConfig:
         for n in self.users_per_region_list():
             if n <= 0:
                 raise ConfigError("each region needs at least one terminal")
+        for name in _REAL_FIELDS + _PER_TERMINAL_FIELDS:
+            value = getattr(self, name)
+            entries = [value]
+            if name in _PER_TERMINAL_FIELDS:
+                if isinstance(value, np.ndarray):
+                    entries = value.ravel().tolist()
+                elif isinstance(value, (list, tuple)):
+                    entries = value
+            if not all(_is_real(v) for v in entries):
+                raise ConfigError(f"{name} must be numeric, got {value!r}")
         for name in (
             "altitude_m",
             "carrier_hz",

@@ -169,6 +169,26 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sat_gain_dbi", "17"),
+            ("altitude_m", "1e6"),
+            ("altitude_m", [1e6]),
+            ("rain_var_db2", True),
+            ("phase_sigma_deg", None),
+            ("gamma_db", "3"),
+            ("sic_eta", [0.05, "0.05", 0.05, 0.05]),
+        ],
+    )
+    def test_non_numeric_real_field_rejected(self, tmp_path, capsys, key, value):
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} must be numeric" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_counts_accepted(self, tmp_path):
         floats = {"feeds": 6.0, "beams": 2.0, "users_per_region": [2.0, 2], "seed": 3.0}
         docs = {"float": dict(SMALL, scenario=floats), "int": SMALL}

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,9 @@ from leobeam.baselines import design_tdma
 from leobeam.channel import PhaseErrorModel
 from leobeam.errors import ConvergenceError, LeobeamError
 from leobeam.cli import write_eval_csv, write_sweep_csv
+from leobeam import evaluator
 from leobeam.evaluator import CHUNK_ELEMENTS, apply_axis, evaluate, sweep
-from leobeam.network import sinr
+from leobeam.network import sinr, sinr_samples
 from leobeam.robust_avg import design_avg_sinr
 from leobeam.scenario import build_scenario
 
@@ -107,9 +110,56 @@ class TestChunking:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Per sample: the SINR vector and its statistics' temporaries; the
-        # chunk buffers are fixed.  Holding every sample at once took 136 MB.
+        # Per sample and per worker: the SINR vector and its statistics'
+        # temporaries; each worker's chunk buffers are fixed.  Holding every
+        # sample at once took 136 MB.
         assert peak < 4 * 8 * samples + 2 * 2**20
+
+
+class TestWorkers:
+    """Terminals scored on worker threads: the report does not depend on how many."""
+
+    @pytest.mark.parametrize("cov", [None, "correlated"])
+    @pytest.mark.parametrize("algorithm", ["avg", "tdma"])
+    def test_reports_equal_at_any_worker_count(
+        self, monkeypatch, desk_scenario, correlated_scenario, alg1_design, cov, algorithm
+    ):
+        sc = desk_scenario if cov is None else correlated_scenario
+        design = alg1_design if algorithm == "avg" else design_tdma(desk_scenario)
+        n = 2 * (CHUNK_ELEMENTS // sc.feeds) + 3
+        reports = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            # 7 workers is more than the 6 desk terminals.
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr(evaluator, "WORKERS", workers)
+                reports[workers] = evaluate(design, sc, samples=n, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        for workers in (2, 3, 7):
+            for name in REPORT_ARRAYS:
+                got, want = getattr(reports[workers], name), getattr(reports[1], name)
+                assert np.array_equal(got, want), (workers, name)
+
+    def test_scoring_error_surfaces_and_threads_end(
+        self, monkeypatch, desk_scenario, alg1_design
+    ):
+        class ScoringError(Exception):
+            pass
+
+        failing_user = desk_scenario.users[3]
+
+        def scoring(user, h, design, scenario):
+            if user is failing_user:
+                raise ScoringError("terminal 3")
+            return sinr_samples(user, h, design, scenario)
+
+        monkeypatch.setattr(evaluator, "sinr_samples", scoring)
+        before = threading.active_count()
+        with pytest.raises(ScoringError, match="terminal 3"):
+            evaluate(alg1_design, desk_scenario, samples=3 * CHUNK_ELEMENTS, seed=1)
+        assert threading.active_count() == before
 
 
 class TestSweep:

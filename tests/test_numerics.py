@@ -54,6 +54,14 @@ class TestBessel:
         assert got.shape == xs.shape
         assert got[1] == pytest.approx(-got[2])
 
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_2d_input_matches_scalar_calls(self, order):
+        xs = np.array([[0.0, 1.5, -7.3], [12.0, -31.4, 49.0]])
+        got = bessel_j(order, xs)
+        assert got.shape == xs.shape
+        want = [[bessel_j(order, float(x)) for x in row] for row in xs]
+        assert np.array_equal(got, want)
+
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError):
             bessel_j(2, 1.0)
