@@ -10,7 +10,6 @@ from .baselines import design_nonrobust, design_tdma, design_zfbf
 from .channel import (
     BeamPattern,
     ChannelVector,
-    LinkBudget,
     PhaseErrorModel,
     RainModel,
     assemble_channel,
@@ -39,7 +38,6 @@ __all__ = [
     "EvalReport",
     "InfeasibleDesignError",
     "LeobeamError",
-    "LinkBudget",
     "NetworkConfig",
     "PenaltyConfig",
     "PhaseErrorModel",

@@ -19,7 +19,7 @@ def design_nonrobust(scenario, config: PenaltyConfig | None = None) -> BeamDesig
     Evaluating the result under the true phase uncertainty exposes the
     mismatch between designed beams and actual channels.
     """
-    design = design_avg_sinr(scenario.with_sigma_deg(0.0), config)
+    design = design_avg_sinr(scenario.with_config(phase_sigma_deg=0.0), config)
     design.algorithm = "nonrobust"
     return design
 

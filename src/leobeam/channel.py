@@ -18,28 +18,16 @@ from .numerics import bessel_j
 _HALF_POWER_U = 2.07123
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Inputs of the large-scale link gain (all linear units)."""
-
-    light_speed: float = 3.0e8  # m/s
-    carrier_hz: float = 20.0e9
-    distance_m: float = 1.0e6
-    rx_gain: float = 7.5356e5  # together with noise_temp_k gives G/T = 34 dB/K
-    boltzmann: float = 1.38e-23  # J/K
-    bandwidth_hz: float = 25.0e6
-    noise_temp_k: float = 300.0
-
-    def validate(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"link budget field {name} must be positive")
+LIGHT_SPEED = 3.0e8  # m/s
+BOLTZMANN = 1.38e-23  # J/K
+NOISE_TEMP_K = 300.0  # G/T fixes the rx gain, so the temperature cancels
 
 
-def large_scale_gain(budget: LinkBudget) -> float:
+def large_scale_gain(carrier_hz, distance_m, g_over_t_db, bandwidth_hz) -> float:
     """Free-space loss times rx gain over noise normalization kappa*B*T."""
-    fsl = (budget.light_speed / (4.0 * np.pi * budget.carrier_hz * budget.distance_m)) ** 2
-    return fsl * budget.rx_gain / (budget.boltzmann * budget.bandwidth_hz * budget.noise_temp_k)
+    rx_gain = 10.0 ** (g_over_t_db / 10.0) * NOISE_TEMP_K
+    fsl = (LIGHT_SPEED / (4.0 * np.pi * carrier_hz * distance_m)) ** 2
+    return fsl * rx_gain / (BOLTZMANN * bandwidth_hz * NOISE_TEMP_K)
 
 
 @dataclass(frozen=True)

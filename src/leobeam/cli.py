@@ -22,7 +22,7 @@ from .evaluator import SWEEP_AXES, evaluate, run_point, sweep
 from .network import sinr
 from .robust_avg import PenaltyConfig, design_avg_sinr
 from .robust_outage import design_outage
-from .scenario import NetworkConfig, build_scenario, write_channels
+from .scenario import NetworkConfig, _is_real, build_scenario, write_channels
 
 ALGORITHMS = ("avg", "outage", "nonrobust", "zfbf", "tdma")
 
@@ -60,6 +60,13 @@ def load_config(path) -> dict:
                 )
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}: block {block!r} must be an object")
+            # scenario fields are checked against NetworkConfig's own
+            unknown = set(value) - set(cfg[block]) if block != "scenario" else set()
+            if unknown:
+                raise ConfigError(
+                    f"{path}: unknown {block} key(s) {sorted(unknown)}; "
+                    f"valid keys: {sorted(cfg[block])}"
+                )
             cfg[block].update(value)
     return cfg
 
@@ -90,11 +97,20 @@ def scenario_from_config(cfg: dict) -> NetworkConfig:
 
 
 def penalty_from_config(cfg: dict) -> PenaltyConfig:
-    block = dict(cfg["design"].get("penalty", {}))
+    """The design.penalty block as a PenaltyConfig; an integral max_iters
+    (30.0) becomes an int in ``cfg``, as the manifest records."""
+    block = cfg["design"].get("penalty", {})
+    if not isinstance(block, dict):
+        raise ConfigError("design.penalty must be an object")
     fields = {f.name for f in dataclasses.fields(PenaltyConfig)} - {"solver"}
     unknown = set(block) - fields
     if unknown:
         raise ConfigError(f"unknown penalty field(s) {sorted(unknown)}")
+    if "max_iters" in block:
+        block["max_iters"] = _config_int(block["max_iters"], "penalty.max_iters")
+    for key in ("rho0", "growth", "rank_gap_tol"):
+        if key in block and not _is_real(block[key]):
+            raise ConfigError(f"penalty.{key} must be numeric and finite, got {block[key]!r}")
     pc = PenaltyConfig(**block)
     if pc.rho0 <= 0 or pc.growth <= 1 or pc.rank_gap_tol <= 0 or pc.max_iters <= 0:
         raise ConfigError("penalty config must satisfy rho0>0, growth>1, tol>0, iters>0")
@@ -129,8 +145,9 @@ def _cell(value):
 
 
 def write_csv(path, header, rows):
-    """Write one CSV artifact.  Floats are written as their shortest
-    round-trip digits and list cells semicolon-joined."""
+    """Write one CSV artifact, creating its directory.  Floats are written as
+    their shortest round-trip digits and list cells semicolon-joined."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -223,8 +240,9 @@ def _prepare(args):
     """Shared command preamble: (cfg, scenario, penalty, outdir, eval_kw).
 
     Loads the config, applies the command-line overrides, builds the scenario
-    and penalty config, then creates the output directory (a config error
-    leaves none); ``eval_kw`` holds the Monte-Carlo ``samples`` and ``seed``.
+    and penalty config; ``eval_kw`` holds the Monte-Carlo ``samples`` and
+    ``seed``.  The first CSV written creates ``outdir``, so a config error,
+    a bad sweep grid value included, leaves none.
     """
     cfg = load_config(args.config)
     for value, block, key in (
@@ -243,9 +261,7 @@ def _prepare(args):
     if eval_kw["seed"] < 0:
         raise ConfigError("eval.seed must be nonnegative")
     cfg["eval"].update(eval_kw)  # the manifest records the values run
-    outdir = Path(cfg["output"]["dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return cfg, scenario, penalty, outdir, eval_kw
+    return cfg, scenario, penalty, Path(cfg["output"]["dir"]), eval_kw
 
 
 def cmd_design(args) -> int:

@@ -156,11 +156,11 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     )
 
 
-# Sweep axis -> the Scenario method that sets it on every terminal.
-_AXIS_SETTERS = {
-    "gamma": "with_gamma_db", "sigma": "with_sigma_deg", "eta": "with_eta", "p": "with_outage"
+# Sweep axis -> the NetworkConfig field it sets.
+_AXIS_FIELDS = {
+    "gamma": "gamma_db", "sigma": "phase_sigma_deg", "eta": "sic_eta", "p": "outage_prob"
 }
-SWEEP_AXES = tuple(_AXIS_SETTERS)
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 
 @dataclass
@@ -190,9 +190,10 @@ class SweepRow(PointResult, _GridPoint):
 
 
 def apply_axis(scenario, axis: str, value: float):
-    if axis not in _AXIS_SETTERS:
+    """The scenario rebuilt with ``axis`` set to ``value`` for every terminal."""
+    if axis not in _AXIS_FIELDS:
         raise LeobeamError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    return getattr(scenario, _AXIS_SETTERS[axis])(value)
+    return scenario.with_config(**{_AXIS_FIELDS[axis]: value})
 
 
 def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> PointResult:
@@ -219,13 +220,13 @@ def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> Point
 
 def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int = 0):
     """Re-design and re-evaluate along one axis with :func:`run_point`; a
-    failed point keeps its status and the sweep continues."""
-    grid = list(grid)  # a generator would be used up by the emptiness check
+    failed point keeps its status and the sweep continues.  Every point is
+    built first, so a bad grid value is a ConfigError before any design."""
+    grid = [float(value) for value in grid]
     if not grid:
         raise LeobeamError("sweep grid must be nonempty")
-    rows = []
-    for value in grid:
-        point = apply_axis(scenario, axis, float(value))
-        result = run_point(point, design_fn, samples=samples, seed=seed)
-        rows.append(SweepRow(axis=axis, value=float(value), **vars(result)))
-    return rows
+    points = [apply_axis(scenario, axis, value) for value in grid]
+    return [
+        SweepRow(axis=axis, value=value, **vars(run_point(point, design_fn, samples, seed)))
+        for value, point in zip(grid, points)
+    ]

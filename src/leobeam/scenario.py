@@ -11,6 +11,7 @@ All randomness flows from one master seed through three substreams
 (and everything derived from it) is bitwise reproducible.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from .channel import (
     BeamPattern,
     ChannelVector,
-    LinkBudget,
     PhaseErrorModel,
     RainModel,
     assemble_channel,
@@ -45,8 +45,14 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    """A Python or numpy real number; a bool, a string or None is not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    """A finite Python or numpy real number; a bool, a string, None, NaN, an
+    infinity or an int beyond float range is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # Real-valued NetworkConfig fields, and those that also take one value per
@@ -123,7 +129,7 @@ class NetworkConfig:
                 elif isinstance(value, (list, tuple)):
                     entries = value
             if not all(_is_real(v) for v in entries):
-                raise ConfigError(f"{name} must be numeric, got {value!r}")
+                raise ConfigError(f"{name} must be numeric and finite, got {value!r}")
         for name in (
             "altitude_m",
             "carrier_hz",
@@ -133,6 +139,11 @@ class NetworkConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("sat_gain_dbi", "g_over_t_db"):
+            with np.errstate(over="ignore"):
+                linear = np.power(10.0, getattr(self, name) / 10.0)
+            if not 0 < linear < np.inf:
+                raise ConfigError(f"{name} must give a finite, positive linear gain")
         if not 0 < self.angle_3db_deg < 90:
             raise ConfigError("angle_3db_deg must lie in (0, 90)")
         if self.phase_sigma_deg < 0:
@@ -142,8 +153,6 @@ class NetworkConfig:
         for eta in np.ravel(etas):
             if not 0 <= eta <= 1:
                 raise ConfigError("SIC residual coefficient must lie in [0, 1]")
-        if not np.all(np.isfinite(np.atleast_1d(self.gamma_db).astype(float))):
-            raise ConfigError("gamma_db must be finite")
         for p in np.atleast_1d(self.outage_prob).astype(float):
             if not 0 < p < 1:
                 raise ConfigError("outage probability must lie in the open interval (0, 1)")
@@ -162,17 +171,6 @@ class NetworkConfig:
                     raise ConfigError(
                         f"region {m}: power split factors sum to {arr.sum():.6f} > 1"
                     )
-
-    def link_budget(self) -> LinkBudget:
-        """The budget at LinkBudget's light speed, Boltzmann constant and noise
-        temperature; G/T fixes rx_gain, so the temperature cancels in the gain."""
-        rx_gain = 10.0 ** (self.g_over_t_db / 10.0) * LinkBudget.noise_temp_k
-        return LinkBudget(
-            carrier_hz=self.carrier_hz,
-            distance_m=self.altitude_m,
-            rx_gain=rx_gain,
-            bandwidth_hz=self.bandwidth_hz,
-        )
 
 
 def power_split(policy: str, count: int, ratio: float = 3.0, explicit=None):
@@ -253,24 +251,10 @@ class Scenario:
                 t1 += user.eta * other.alpha
         return t1
 
-    def _with_each(self, values, name, field, convert=float) -> "Scenario":
-        """A copy whose terminals set ``field`` to ``convert(float(value))``, for
-        one scalar value or one value per terminal in ``users`` order."""
-        vals = _as_list(values, len(self.users), name)
-        users = [replace(u, **{field: convert(float(v))}) for u, v in zip(self.users, vals)]
-        return replace(self, users=users)
-
-    def with_gamma_db(self, gamma_db) -> "Scenario":
-        return self._with_each(gamma_db, "gamma_db", "gamma_lin", lambda g: 10.0 ** (g / 10.0))
-
-    def with_sigma_deg(self, sigma_deg) -> "Scenario":
-        return self._with_each(sigma_deg, "sigma_deg", "sigma_rad", np.deg2rad)
-
-    def with_eta(self, eta) -> "Scenario":
-        return self._with_each(eta, "eta", "eta")
-
-    def with_outage(self, p) -> "Scenario":
-        return self._with_each(p, "outage_prob", "outage_prob")
+    def with_config(self, **fields) -> "Scenario":
+        """Rebuilt, and so validated, with ``fields`` replaced; the same seed gives
+        the same draws, so targets, sigma, eta and p leave the channels as they are."""
+        return build_scenario(replace(self.config, **fields))
 
 
 def hex_lattice(count: int, pitch: float) -> np.ndarray:
@@ -349,9 +333,9 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     offsets = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
     pos = centers.repeat(users_per, axis=0) + offsets
 
-    budget = config.link_budget()
-    budget.validate()
-    c_gain = large_scale_gain(budget)
+    c_gain = large_scale_gain(
+        config.carrier_hz, config.altitude_m, config.g_over_t_db, config.bandwidth_hz
+    )
     pattern = BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3)
     gains = beam_gain(pattern, offaxis_angle(feed_pos, pos[:, None, :], config.altitude_m))
     rain = RainModel(config.rain_mean_db, config.rain_var_db2)

@@ -25,7 +25,7 @@ def alg1_design(desk_scenario):
 def alg2_design(desk_scenario):
     from leobeam.robust_outage import design_outage
 
-    return design_outage(desk_scenario.with_outage(0.05))
+    return design_outage(desk_scenario.with_config(outage_prob=0.05))
 
 
 def rng(seed: int) -> np.random.Generator:

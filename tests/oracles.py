@@ -378,7 +378,6 @@ def loop_build_scenario(config):
     """``build_scenario`` assembling each terminal's channel feed by feed."""
     from leobeam.channel import (
         BeamPattern,
-        LinkBudget,
         RainModel,
         assemble_channel,
         beam_gain,
@@ -412,16 +411,9 @@ def loop_build_scenario(config):
     feed_pos = np.array(feed_pos)
     feed_beam = np.repeat(np.arange(m), feeds_per_beam)
 
-    budget = LinkBudget(
-        light_speed=3.0e8,
-        carrier_hz=config.carrier_hz,
-        distance_m=config.altitude_m,
-        rx_gain=10.0 ** (config.g_over_t_db / 10.0) * 300.0,
-        boltzmann=1.38e-23,
-        bandwidth_hz=config.bandwidth_hz,
-        noise_temp_k=300.0,
+    c_gain = large_scale_gain(
+        config.carrier_hz, config.altitude_m, config.g_over_t_db, config.bandwidth_hz
     )
-    c_gain = large_scale_gain(budget)
     patterns = [BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3) for _ in range(m)]
     rain = RainModel(config.rain_mean_db, config.rain_var_db2)
     rain_params = rain.lognormal_params()

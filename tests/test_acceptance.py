@@ -33,7 +33,7 @@ def alg1(desk):
 
 @pytest.fixture(scope="module")
 def alg2_05(desk):
-    return design_outage(desk.with_outage(0.05))
+    return design_outage(desk.with_config(outage_prob=0.05))
 
 
 def test_a1_boresight_and_half_power():
@@ -84,8 +84,8 @@ def test_a4_algorithm1_average_service(desk, alg1):
 
 def test_a5_algorithm2_conservative(desk, alg2_05):
     worst = -np.inf
-    for p, design in ((0.05, alg2_05), (0.2, design_outage(desk.with_outage(0.2)))):
-        sc = desk.with_outage(p)
+    for p, design in ((0.05, alg2_05), (0.2, design_outage(desk.with_config(outage_prob=0.2)))):
+        sc = desk.with_config(outage_prob=p)
         report = evaluate(design, sc, samples=100_000, seed=20260810)
         excess = report.outage - (p + 3.0 * report.se_outage)
         worst = max(worst, excess.max())
@@ -96,16 +96,16 @@ def test_a5_algorithm2_conservative(desk, alg2_05):
 
 def test_a6_trend_suite(desk):
     gamma_grid = [0.0, 0.8, 1.5, 2.0, 2.5, 2.8]
-    powers = [design_avg_sinr(desk.with_gamma_db(g)).total_power for g in gamma_grid]
+    powers = [design_avg_sinr(desk.with_config(gamma_db=g)).total_power for g in gamma_grid]
     assert all(powers[i] <= powers[i + 1] * (1 + 1e-9) for i in range(5))
 
     sig_powers = [
-        design_avg_sinr(desk.with_sigma_deg(s)).total_power for s in (0.0, 5.0, 10.0)
+        design_avg_sinr(desk.with_config(phase_sigma_deg=s)).total_power for s in (0.0, 5.0, 10.0)
     ]
     assert sig_powers[0] <= sig_powers[1] <= sig_powers[2]
 
     p_powers = {
-        p: design_outage(desk.with_outage(p)).total_power for p in (0.01, 0.05, 0.2)
+        p: design_outage(desk.with_config(outage_prob=p)).total_power for p in (0.01, 0.05, 0.2)
     }
     assert p_powers[0.01] >= p_powers[0.05] >= p_powers[0.2]
     assert (p_powers[0.01] - p_powers[0.05]) > (p_powers[0.05] - p_powers[0.2])
@@ -114,7 +114,7 @@ def test_a6_trend_suite(desk):
     for eta in (0.01, 0.1):
         for g in (gamma_grid[-2], gamma_grid[-1]):
             eta_power[(eta, g)] = design_avg_sinr(
-                desk.with_eta(eta).with_gamma_db(g)
+                desk.with_config(sic_eta=eta, gamma_db=g)
             ).total_power
     growth_small = eta_power[(0.01, 2.8)] - eta_power[(0.01, 2.5)]
     growth_large = eta_power[(0.1, 2.8)] - eta_power[(0.1, 2.5)]
@@ -132,7 +132,7 @@ def test_a6_trend_suite(desk):
 def test_a7_robust_vs_nonrobust_outage(desk, alg2_05):
     nonrobust = design_nonrobust(desk)
     r_nr = evaluate(nonrobust, desk, samples=100_000, seed=20260810)
-    r_rob = evaluate(alg2_05, desk.with_outage(0.05), samples=100_000, seed=20260810)
+    r_rob = evaluate(alg2_05, desk.with_config(outage_prob=0.05), samples=100_000, seed=20260810)
     assert r_nr.max_outage >= 2.0 * max(r_rob.max_outage, 1e-12)
     print(
         f"[A7] non-robust vs robust outage: PASS "

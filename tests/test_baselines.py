@@ -20,7 +20,7 @@ from leobeam.scenario import build_scenario
 
 class TestNonRobust:
     def test_equals_avg_design_at_zero_sigma(self, desk_scenario):
-        sigma0 = desk_scenario.with_sigma_deg(0.0)
+        sigma0 = desk_scenario.with_config(phase_sigma_deg=0.0)
         a = design_avg_sinr(sigma0)
         b = design_nonrobust(desk_scenario)
         assert np.allclose(a.beams, b.beams, atol=1e-9)
@@ -33,7 +33,8 @@ class TestNonRobust:
     def test_higher_outage_than_robust(self, desk_scenario, alg2_design):
         b = design_nonrobust(desk_scenario)
         rb = evaluate(b, desk_scenario, samples=20_000, seed=5)
-        r2 = evaluate(alg2_design, desk_scenario.with_outage(0.05), samples=20_000, seed=5)
+        sc = desk_scenario.with_config(outage_prob=0.05)
+        r2 = evaluate(alg2_design, sc, samples=20_000, seed=5)
         assert rb.max_outage > 2.0 * max(r2.max_outage, 1e-3)
 
 
@@ -76,7 +77,7 @@ class TestZfbf:
 
     def test_infeasible_target_raises(self, desk_scenario):
         with pytest.raises(InfeasibleDesignError):
-            design_zfbf(desk_scenario.with_gamma_db(20.0))
+            design_zfbf(desk_scenario.with_config(gamma_db=20.0))
 
     def test_rank_deficient_representatives_raise(self, desk_scenario):
         # duplicate one representative channel into another region

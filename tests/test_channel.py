@@ -6,7 +6,6 @@ from oracles import beam_pattern_oracle, bessel_series_oracle
 
 from leobeam.channel import (
     BeamPattern,
-    LinkBudget,
     PhaseErrorModel,
     RainModel,
     assemble_channel,
@@ -18,6 +17,7 @@ from leobeam.channel import (
     sample_rain,
 )
 from leobeam.errors import ConfigError
+from leobeam.scenario import NetworkConfig
 
 
 class TestBeamGain:
@@ -51,34 +51,29 @@ class TestBeamGain:
 
 
 class TestLargeScale:
-    budget = LinkBudget()
+    # 20 GHz carrier at 1000 km, G/T = 34 dB/K, 25 MHz
+    budget = dict(carrier_hz=20.0e9, distance_m=1.0e6, g_over_t_db=34.0, bandwidth_hz=25.0e6)
 
     def test_inverse_square_in_distance(self):
-        import dataclasses
-
-        doubled = dataclasses.replace(self.budget, distance_m=2 * self.budget.distance_m)
-        assert large_scale_gain(doubled) == pytest.approx(large_scale_gain(self.budget) / 4)
+        doubled = dict(self.budget, distance_m=2 * self.budget["distance_m"])
+        assert large_scale_gain(**doubled) == pytest.approx(large_scale_gain(**self.budget) / 4)
 
     def test_inverse_in_bandwidth(self):
-        import dataclasses
-
-        doubled = dataclasses.replace(self.budget, bandwidth_hz=2 * self.budget.bandwidth_hz)
-        assert large_scale_gain(doubled) == pytest.approx(large_scale_gain(self.budget) / 2)
+        doubled = dict(self.budget, bandwidth_hz=2 * self.budget["bandwidth_hz"])
+        assert large_scale_gain(**doubled) == pytest.approx(large_scale_gain(**self.budget) / 2)
 
     def test_free_space_term_plugin_arithmetic(self):
-        # 20 GHz carrier at 1000 km: independent plug-in evaluation.
-        b = self.budget
-        fsl = (b.light_speed / (4.0 * np.pi * b.carrier_hz * b.distance_m)) ** 2
+        # independent plug-in evaluation: c = 3e8 m/s, k = 1.38e-23 J/K
+        fsl = (3.0e8 / (4.0 * np.pi * 20.0e9 * 1.0e6)) ** 2
         assert fsl == pytest.approx(1.42483e-18, rel=1e-4)
         assert 10 * np.log10(fsl) == pytest.approx(-178.46, abs=0.01)
-        want = fsl * b.rx_gain / (b.boltzmann * b.bandwidth_hz * b.noise_temp_k)
-        assert large_scale_gain(b) == pytest.approx(want, rel=1e-12)
+        want = fsl * 10.0 ** 3.4 / (1.38e-23 * 25.0e6)
+        assert large_scale_gain(**self.budget) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        import dataclasses
-
-        with pytest.raises(ConfigError):
-            dataclasses.replace(self.budget, bandwidth_hz=0.0).validate()
+        for name in ("carrier_hz", "bandwidth_hz", "altitude_m"):
+            with pytest.raises(ConfigError, match=f"{name} must be positive"):
+                NetworkConfig(**{name: 0.0}).validate()
 
 
 class TestRain:

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_calls
+
 from leobeam import cli
 from leobeam.cli import main
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
@@ -231,6 +233,99 @@ class TestValidation:
         rc = main(["design", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("altitude_m", float("nan")),
+            ("noise_power", float("inf")),
+            ("phase_sigma_deg", float("nan")),
+            ("gamma_db", [3.0, 3.0, float("-inf"), 3.0]),
+        ],
+    )
+    def test_non_finite_real_field_rejected(self, tmp_path, capsys, key, value):
+        # json writes NaN and Infinity, and reads them back as floats
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} must be numeric and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sat_gain_dbi", "g_over_t_db"])
+    @pytest.mark.parametrize("value", [4000, -4000])
+    def test_db_gain_out_of_float_range_rejected(self, tmp_path, capsys, key, value):
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} must give a finite, positive linear gain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "penalty, message",
+        [
+            ({"rho0": "1"}, "penalty.rho0 must be numeric and finite"),
+            ({"growth": True}, "penalty.growth must be numeric and finite"),
+            ({"rank_gap_tol": float("nan")}, "penalty.rank_gap_tol must be numeric and finite"),
+            ({"max_iters": 2.5}, "penalty.max_iters must be an integer"),
+            (5, "design.penalty must be an object"),
+        ],
+    )
+    def test_bad_penalty_rejected(self, tmp_path, capsys, penalty, message):
+        doc = dict(SMALL, design={"penalty": penalty})
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_max_iters_accepted(self, tmp_path):
+        doc = dict(SMALL, design={"penalty": {"max_iters": 30.0}})
+        out = tmp_path / "o"
+        assert main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert type(manifest["config"]["design"]["penalty"]["max_iters"]) is int
+
+    @pytest.mark.parametrize(
+        "block, key, valid",
+        [
+            ("eval", "sample", "['samples', 'seed']"),
+            ("design", "algoritm", "['algorithm', 'penalty']"),
+            ("output", "dri", "['dir']"),
+        ],
+    )
+    def test_unknown_nested_key_rejected(self, tmp_path, capsys, block, key, valid):
+        doc = dict(SMALL, **{block: {key: "x"}})
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"unknown {block} key(s) ['{key}']" in err and f"valid keys: {valid}" in err
+        assert not out.exists()
+
+    def test_unknown_algorithm_leaves_no_directory(self, tmp_path, capsys):
+        doc = dict(SMALL, design={"algorithm": "bogus"})
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert "unknown algorithm 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, grid, algorithm",
+        [("p", "0,0.05", "outage"), ("sigma", "-5", "avg"), ("eta", "1.5", "avg")]
+        + [("gamma", "nan", "avg")],
+    )
+    def test_bad_sweep_grid_rejected(self, tmp_path, capsys, monkeypatch, axis, grid, algorithm):
+        designs = [count_calls(monkeypatch, cli, f"design_{a}") for a in ("avg_sinr", "outage")]
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", write_cfg(tmp_path, SMALL), "--out", str(out)]
+        rc = main(argv + ["--axis", axis, "--grid", grid, "--algorithm", algorithm])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert designs == [[], []]
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -10,7 +10,7 @@ from oracles import whole_array_evaluate
 
 from leobeam.baselines import design_tdma
 from leobeam.channel import PhaseErrorModel
-from leobeam.errors import ConvergenceError, LeobeamError
+from leobeam.errors import ConfigError, ConvergenceError, LeobeamError
 from leobeam.cli import write_eval_csv, write_sweep_csv
 from leobeam import evaluator
 from leobeam.evaluator import CHUNK_ELEMENTS, apply_axis, evaluate, sweep
@@ -21,7 +21,7 @@ from leobeam.scenario import build_scenario
 
 class TestEvaluate:
     def test_zero_sigma_is_deterministic(self, desk_scenario, alg1_design):
-        sc = desk_scenario.with_sigma_deg(0.0)
+        sc = desk_scenario.with_config(phase_sigma_deg=0.0)
         report = evaluate(alg1_design, sc, samples=500, seed=3)
         assert np.all(report.se_mean <= 1e-12 * report.mean_sinr)  # zero up to rounding
         for i, u in enumerate(sc.users):
@@ -188,6 +188,24 @@ class TestSweep:
         grid = (g for g in [0.0, 1.0])
         rows = sweep(desk_scenario, "gamma", grid, design_avg_sinr, samples=100, seed=3)
         assert [(r.value, r.status) for r in rows] == [(0.0, "OPTIMAL"), (1.0, "OPTIMAL")]
+
+    @pytest.mark.parametrize(
+        "axis, grid",
+        [("gamma", [0.0, float("nan")]), ("sigma", [0.0, -5.0]), ("eta", [0.0, 1.5])]
+        + [("p", [0.05, 0.0])],
+    )
+    def test_bad_grid_value_rejected_before_any_design(self, desk_scenario, axis, grid):
+        calls = []
+        with pytest.raises(ConfigError):
+            sweep(desk_scenario, axis, grid, calls.append, samples=10, seed=1)
+        assert calls == []
+
+    def test_points_rebuilt_from_config(self, desk_scenario):
+        seen = []
+        sweep(desk_scenario, "p", [0.1, 0.2], lambda sc: seen.append(sc) or design_tdma(sc), 10, 1)
+        for p, point in zip([0.1, 0.2], seen):
+            assert point.config.outage_prob == p
+            assert [u.outage_prob for u in point.users] == [p] * len(point.users)
 
     def test_apply_axis_unknown(self, desk_scenario):
         with pytest.raises(LeobeamError):

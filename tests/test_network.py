@@ -82,7 +82,7 @@ class TestSinr:
         assert entry.intra == entry.residual == entry.inter == 0.0
 
     def test_perfect_sic_removes_weaker_terms(self):
-        sc = build_scenario(desk_config()).with_eta(0.0)
+        sc = build_scenario(desk_config()).with_config(sic_eta=0.0)
         strong = next(u for u in sc.users if u.rank == 0)
         design = BeamDesign(
             beams=np.ones((sc.feeds, sc.beams), dtype=complex), noise_power=1.0

@@ -94,7 +94,7 @@ class TestAvgConstraintRow:
             assert row_value == pytest.approx(direct, rel=1e-12, abs=1e-9)
 
     def test_zero_gamma_limit_accepts_zero(self, desk_scenario):
-        sc = desk_scenario.with_gamma_db(-300.0)  # gamma ~ 1e-30
+        sc = desk_scenario.with_config(gamma_db=-300.0)  # gamma ~ 1e-30
         for u in sc.users:
             coeffs, rhs = avg_constraint_coeffs(sc, u)
             zero_val = 0.0 - rhs
@@ -241,13 +241,13 @@ class TestDesign:
         assert np.all(alg1_design.per_feed <= desk_scenario.power_caps + 1e-8)
 
     def test_power_monotone_in_gamma(self, desk_scenario):
-        lo = design_avg_sinr(desk_scenario.with_gamma_db(1.0)).total_power
-        hi = design_avg_sinr(desk_scenario.with_gamma_db(2.5)).total_power
+        lo = design_avg_sinr(desk_scenario.with_config(gamma_db=1.0)).total_power
+        hi = design_avg_sinr(desk_scenario.with_config(gamma_db=2.5)).total_power
         assert hi > lo
 
     def test_power_monotone_in_sigma(self, desk_scenario):
-        p0 = design_avg_sinr(desk_scenario.with_sigma_deg(0.0)).total_power
-        p5 = design_avg_sinr(desk_scenario.with_sigma_deg(5.0)).total_power
+        p0 = design_avg_sinr(desk_scenario.with_config(phase_sigma_deg=0.0)).total_power
+        p5 = design_avg_sinr(desk_scenario.with_config(phase_sigma_deg=5.0)).total_power
         assert p5 >= p0 * (1.0 - 1e-9)
         # robustness: the sigma = 5 degradation is a small fraction
         assert p5 <= 1.1 * p0

@@ -180,7 +180,7 @@ class TestMarginMatrix:
         h = u.channel.estimated
         w = h / np.linalg.norm(h)
         boundary_gamma = u.alpha * abs(h.conj() @ w) ** 2 / sc.noise_power
-        sc2 = sc.with_gamma_db(10.0 * np.log10(boundary_gamma))
+        sc2 = sc.with_config(gamma_db=10.0 * np.log10(boundary_gamma))
         u2 = sc2.users[0]
         z = margin_matrix(sc2, u2, [np.outer(w, w.conj())])
         q = np.ones(4)
@@ -219,7 +219,7 @@ class TestBernsteinBound:
 
 class TestSocRows:
     def test_sigma_zero_collapses_to_deterministic(self, desk_scenario):
-        sc = desk_scenario.with_sigma_deg(0.0)
+        sc = desk_scenario.with_config(phase_sigma_deg=0.0)
         d = design_outage(sc)
         # with no uncertainty Q = 0, r = 0, and the rows force the zero-error
         # margin: the all-ones phasor meets every target exactly or better
@@ -229,7 +229,7 @@ class TestSocRows:
             assert np.real(ones @ z @ ones) >= sc.noise_power * (1 - 1e-5)
 
     def test_feasible_point_satisfies_tail_bound(self, desk_scenario, alg2_design):
-        sc = desk_scenario.with_outage(0.05)
+        sc = desk_scenario.with_config(outage_prob=0.05)
         for u in sc.users:
             q, r, s = soc_row_values(sc, u, alg2_design.lifted)
             mu = mu_from_outage(u.outage_prob)
@@ -366,7 +366,7 @@ class TestDesignOutage:
         assert np.all(alg2_design.per_feed <= desk_scenario.power_caps + 1e-8)
 
     def test_empirical_outage_below_target(self, desk_scenario, alg2_design):
-        sc = desk_scenario.with_outage(0.05)
+        sc = desk_scenario.with_config(outage_prob=0.05)
         report = evaluate(alg2_design, sc, samples=10_000, seed=17)
         assert report.max_outage <= 0.05
 
@@ -374,10 +374,10 @@ class TestDesignOutage:
         assert alg2_design.total_power >= alg1_design.total_power
 
     def test_power_decreases_with_looser_outage(self, desk_scenario):
-        tight = design_outage(desk_scenario.with_outage(0.05))
-        loose = design_outage(desk_scenario.with_outage(0.2))
+        tight = design_outage(desk_scenario.with_config(outage_prob=0.05))
+        loose = design_outage(desk_scenario.with_config(outage_prob=0.2))
         assert tight.total_power >= loose.total_power
 
     def test_large_sigma_warns(self, desk_scenario):
         with pytest.warns(UserWarning, match="15 deg"):
-            OutageProblem(desk_scenario.with_sigma_deg(20.0))
+            OutageProblem(desk_scenario.with_config(phase_sigma_deg=20.0))

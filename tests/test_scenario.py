@@ -102,19 +102,28 @@ class TestBuildScenario:
 
     def test_with_helpers(self):
         sc = build_scenario(desk_config())
-        assert sc.with_gamma_db(0.0).users[0].gamma_lin == pytest.approx(1.0)
-        assert sc.with_sigma_deg(0.0).users[0].sigma_rad == 0.0
-        assert sc.with_eta(0.2).users[0].eta == 0.2
-        assert sc.with_outage(0.1).users[0].outage_prob == 0.1
+        fields = dict(gamma_db=0.0, phase_sigma_deg=0.0, sic_eta=0.2, outage_prob=0.1)
+        for name, value in fields.items():
+            point = sc.with_config(**{name: value})
+            assert getattr(point.config, name) == value
+            # the same draws: only the changed field differs
+            for u, v in zip(sc.users, point.users):
+                assert np.array_equal(u.channel.estimated, v.channel.estimated)
+                assert (u.region, u.rank, u.alpha) == (v.region, v.rank, v.alpha)
+        assert sc.with_config(gamma_db=0.0).users[0].gamma_lin == pytest.approx(1.0)
+        assert sc.with_config(phase_sigma_deg=0.0).users[0].sigma_rad == 0.0
+        assert sc.with_config(sic_eta=0.2).users[0].eta == 0.2
+        assert sc.with_config(outage_prob=0.1).users[0].outage_prob == 0.1
         # originals untouched
         assert sc.users[0].gamma_lin == pytest.approx(10 ** 0.3)
+        assert sc.config.gamma_db == 3.0
 
     def test_with_helpers_take_one_value_per_terminal(self):
         sc = build_scenario(desk_config())
         vals = [0.01 * (i + 1) for i in range(len(sc.users))]
-        assert [u.eta for u in sc.with_eta(vals).users] == vals
-        with pytest.raises(ConfigError, match="sigma_deg"):
-            sc.with_sigma_deg(vals[:-1])
+        assert [u.eta for u in sc.with_config(sic_eta=vals).users] == vals
+        with pytest.raises(ConfigError, match="sic_eta"):
+            sc.with_config(sic_eta=vals[:-1])
 
 
 ARRAY_CONFIGS = {
