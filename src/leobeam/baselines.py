@@ -7,7 +7,6 @@ within this package's own experiments.
 
 import numpy as np
 
-from .channel import expected_phase_matrix
 from .errors import InfeasibleDesignError
 from .network import BeamDesign
 from .robust_avg import PenaltyConfig, design_avg_sinr, expected_channel_matrix
@@ -24,18 +23,10 @@ def design_nonrobust(scenario, config: PenaltyConfig | None = None) -> BeamDesig
     return design
 
 
-def _representatives(scenario):
-    """Strongest terminal per region (SIC rank zero)."""
-    reps = []
-    for m in range(scenario.beams):
-        reps.append(next(u for u in scenario.region_users(m) if u.rank == 0))
-    return reps
-
-
 def zfbf_directions(scenario) -> np.ndarray:
-    """Unit-norm pseudo-inverse directions of the representative channels."""
-    reps = _representatives(scenario)
-    h = np.column_stack([u.channel.estimated for u in reps])  # (K, M)
+    """Unit-norm pseudo-inverse directions of the representative channels,
+    each region's strongest terminal (SIC rank zero)."""
+    h = np.column_stack([u.channel.estimated for u in scenario.users if u.rank == 0])  # (K, M)
     gram = h.conj().T @ h
     if np.linalg.cond(gram) > 1e12:
         raise InfeasibleDesignError(
@@ -57,25 +48,18 @@ def design_zfbf(scenario) -> BeamDesign:
     if scenario.beams > scenario.feeds:
         raise InfeasibleDesignError("need at least as many feeds as beams", family="zfbf-rank")
     f = zfbf_directions(scenario)
-    k = scenario.feeds
     powers = np.zeros(scenario.beams)
-    for m in range(scenario.beams):
-        direction = np.outer(f[:, m], f[:, m].conj())
-        need = 0.0
-        for user in scenario.region_users(m):
-            d = expected_channel_matrix(
-                user.channel, expected_phase_matrix(user.phase_model, k)
+    for user in scenario.users:
+        m = user.region
+        margin = user.alpha - user.gamma_lin * user.weights[m]
+        gain = np.trace(expected_channel_matrix(user) @ np.outer(f[:, m], f[:, m].conj())).real
+        if margin <= 0 or gain <= 0:
+            raise InfeasibleDesignError(
+                f"region {m}: SINR target exceeds the intra-region NOMA bound "
+                "under fixed zero-forcing directions",
+                family="zfbf-power",
             )
-            margin = user.alpha - user.gamma_lin * scenario.intra_weight(user)
-            gain = np.trace(d @ direction).real
-            if margin <= 0 or gain <= 0:
-                raise InfeasibleDesignError(
-                    f"region {m}: SINR target exceeds the intra-region NOMA bound "
-                    "under fixed zero-forcing directions",
-                    family="zfbf-power",
-                )
-            need = max(need, user.gamma_lin * scenario.noise_power / (margin * gain))
-        powers[m] = need
+        powers[m] = max(powers[m], user.gamma_lin * scenario.noise_power / (margin * gain))
     beams = f * np.sqrt(powers)[None, :]
     per_feed = np.sum(np.abs(beams) ** 2, axis=1)
     if np.any(per_feed > scenario.power_caps + 1e-12):
@@ -85,7 +69,6 @@ def design_zfbf(scenario) -> BeamDesign:
         )
     return BeamDesign(
         beams=beams,
-        noise_power=scenario.noise_power,
         algorithm="zfbf",
         status="OPTIMAL",
     )
@@ -101,14 +84,10 @@ def design_tdma(scenario) -> BeamDesign:
     """
     users = scenario.users
     n_total = len(users)
-    k = scenario.feeds
     cols = []
     slot_targets = []
     for user in users:
-        d = expected_channel_matrix(
-            user.channel, expected_phase_matrix(user.phase_model, k)
-        )
-        vals, vecs = np.linalg.eigh(d)
+        vals, vecs = np.linalg.eigh(expected_channel_matrix(user))
         lam, v = vals[-1], vecs[:, -1]
         slot = (1.0 + user.gamma_lin) ** n_total - 1.0
         power = slot * scenario.noise_power / lam
@@ -124,7 +103,6 @@ def design_tdma(scenario) -> BeamDesign:
         )
     return BeamDesign(
         beams=beams,
-        noise_power=scenario.noise_power,
         algorithm="tdma",
         duty_cycle=1.0 / n_total,
         status="OPTIMAL",

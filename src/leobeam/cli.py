@@ -89,8 +89,6 @@ def scenario_from_config(cfg: dict) -> NetworkConfig:
             else:
                 block[key] = _config_int(value, name)
     block = dict(block)
-    if "phase_cov" in block and block["phase_cov"] is not None:
-        block["phase_cov"] = np.asarray(block["phase_cov"], dtype=float)
     if "alpha_explicit" in block and block["alpha_explicit"] is not None:
         block["alpha_policy"] = block.get("alpha_policy", "explicit")
     return NetworkConfig(**block)

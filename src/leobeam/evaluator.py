@@ -107,7 +107,7 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
             if tdma:
                 # Each terminal is served alone in its slot by its own column.
                 w = design.beams[:, idx]
-                gammas[start:stop] = np.abs(h.conj() @ w) ** 2 / design.noise_power
+                gammas[start:stop] = np.abs(h.conj() @ w) ** 2 / scenario.noise_power
             else:
                 gammas[start:stop] = sinr_samples(user, h, design, scenario)
         target = design.metadata["slot_gamma_lin"][idx] if tdma else user.gamma_lin

@@ -37,7 +37,6 @@ class BeamDesign:
     """Per-region beam vectors with achieved-power metadata."""
 
     beams: np.ndarray  # (K, M) complex, column m serves region m
-    noise_power: float
     lifted: list | None = None  # optional PSD matrices W_m backing the beams
     algorithm: str = ""
     iterations: int = 0
@@ -95,7 +94,7 @@ def sinr(user, h_true: np.ndarray, design: BeamDesign, scenario) -> SinrEntry:
             residual += term
         else:
             intra += term
-    noise = design.noise_power
+    noise = scenario.noise_power
     gamma = desired / (intra + residual + inter + noise)
     return SinrEntry(m, n, gamma, desired, intra, residual, inter, noise)
 
@@ -103,17 +102,14 @@ def sinr(user, h_true: np.ndarray, design: BeamDesign, scenario) -> SinrEntry:
 def sinr_samples(user, h_samples: np.ndarray, design: BeamDesign, scenario) -> np.ndarray:
     """Vectorized SINR over sampled true channels, shape (S, K) -> (S,).
 
-    Same weights as :func:`sinr`, collapsed per region: the own region
-    contributes t1 = sum of stronger splits plus eta-weighted weaker splits,
-    every other region its total split t2.
+    Same weights as :func:`sinr`, collapsed per region into the terminal's
+    weight row: the own region's t1 term first, then every other region's.
     """
-    beams = design.beams
-    m = user.region
-    powers = np.abs(h_samples.conj() @ beams) ** 2  # (S, M)
-    t1 = scenario.intra_weight(user)
-    denom = t1 * powers[:, m] + design.noise_power
-    for j in range(scenario.beams):
+    m, weights = user.region, user.weights
+    powers = np.abs(h_samples.conj() @ design.beams) ** 2  # (S, M)
+    denom = weights[m] * powers[:, m] + scenario.noise_power
+    for j in range(len(weights)):
         if j != m:
-            denom = denom + scenario.region_alpha_total(j) * powers[:, j]
+            denom = denom + weights[j] * powers[:, j]
     return user.alpha * powers[:, m] / denom
 

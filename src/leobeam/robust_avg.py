@@ -28,32 +28,24 @@ class PenaltyConfig:
     solver: SolveOptions = field(default_factory=SolveOptions)
 
 
-def expected_channel_matrix(channel, phasor_matrix: np.ndarray) -> np.ndarray:
-    """E[h h^H] = diag(h_est) E[q q^H] diag(h_est)^H, elementwise form."""
-    h = channel.estimated
-    return np.outer(h, h.conj()) * phasor_matrix
+def expected_channel_matrix(user) -> np.ndarray:
+    """The terminal's Gram E[h h^H] = diag(h_est) E[q q^H] diag(h_est)^H,
+    elementwise form."""
+    h = user.channel.estimated
+    return np.outer(h, h.conj()) * expected_phase_matrix(user.phase_model, len(h))
 
 
 def avg_constraint_coeffs(scenario, user):
-    """Per-region Hermitian coefficients G_j and rhs of the average-SINR row.
+    """(M, K, K) Hermitian coefficients G_j and rhs of the average-SINR row.
 
     The emitted row reads sum_j tr(G_j W_j) >= rhs and is linear in all W:
-    own region enters at weight alpha - gamma*t1, every other region at
-    -gamma*t2_j, all through the user's expected channel matrix.
+    region j enters at weight alpha * [j own] - gamma * weights[j] (own
+    region alpha - gamma*t1, every other -gamma*t2_j), all through the
+    user's expected channel matrix.
     """
-    k = scenario.feeds
-    d = expected_channel_matrix(
-        user.channel, expected_phase_matrix(user.phase_model, k)
-    )
     gamma = user.gamma_lin
-    t1 = scenario.intra_weight(user)
-    coeffs = {}
-    for j in range(scenario.beams):
-        if j == user.region:
-            coeffs[j] = (user.alpha - gamma * t1) * d
-        else:
-            coeffs[j] = -gamma * scenario.region_alpha_total(j) * d
-    return coeffs, gamma * scenario.noise_power
+    scale = user.alpha * (np.arange(len(user.weights)) == user.region) - gamma * user.weights
+    return scale[:, None, None] * expected_channel_matrix(user), gamma * scenario.noise_power
 
 
 class LiftedProblem:
@@ -127,7 +119,7 @@ class AvgSinrProblem(LiftedProblem):
 
     def add_terminal_rows(self, idx, user):
         coeffs, rhs = avg_constraint_coeffs(self.scenario, user)
-        terms = [(self.w_refs[j], g) for j, g in coeffs.items()]
+        terms = list(zip(self.w_refs, coeffs))
         terms.append((self.row_slack, {idx: -1.0}))
         self.builder.add_eq(terms, rhs)
 
@@ -228,7 +220,6 @@ def design_lifted(
     beams = extract_beams(ws, config.rank_gap_tol)
     return BeamDesign(
         beams=beams,
-        noise_power=problem.scenario.noise_power,
         lifted=ws,
         algorithm=algorithm,
         iterations=iterations,

@@ -80,17 +80,11 @@ def bernstein_tail_bound(q_mat: np.ndarray, r_vec: np.ndarray, s: float, mu: flo
     return float(np.exp(-tau * lam_mu / t_scale + lam_mu**2))
 
 
-def margin_scalars(scenario, user) -> dict:
-    """Per-region scalars of the SINR margin form Z(W) = sum_j beta_j * zeta(W_j)."""
-    gamma = user.gamma_lin
-    t1 = scenario.intra_weight(user)
-    out = {}
-    for j in range(scenario.beams):
-        if j == user.region:
-            out[j] = user.alpha / gamma - t1
-        else:
-            out[j] = -scenario.region_alpha_total(j)
-    return out
+def margin_scalars(scenario, user) -> np.ndarray:
+    """Per-region scalars of the SINR margin form Z(W) = sum_j beta_j * zeta(W_j):
+    alpha/gamma at the own region, less the terminal's weight row."""
+    own = np.arange(len(user.weights)) == user.region
+    return np.where(own, user.alpha / user.gamma_lin, 0.0) - user.weights
 
 
 def margin_form(user, t: np.ndarray) -> np.ndarray:
@@ -103,7 +97,7 @@ def margin_matrix(scenario, user, ws) -> np.ndarray:
     """Numeric Z for given W matrices: q^H Z q >= sigma0^2 iff SINR >= gamma
     (under the fixed-weight interference accounting)."""
     betas = margin_scalars(scenario, user)
-    return margin_form(user, sum(beta * ws[j] for j, beta in betas.items()))
+    return margin_form(user, sum(beta * w for beta, w in zip(betas, ws)))
 
 
 def taylor_terms(user, z: np.ndarray, fac: np.ndarray | None):
@@ -157,13 +151,13 @@ class OutageProblem(LiftedProblem):
         r_soc = bld.add_soc(k + 1)  # head x bounds ||r||/sqrt(2)
         q_soc = bld.add_soc(nq + 1)  # head y bounds mu * ||Q||_F
         # Linear row: tr(Q) + sum Z - 2g(x + y) >= sigma0^2.
-        terms = [(self.w_refs[j], beta * lin) for j, beta in betas.items()]
+        terms = [(ref, beta * lin) for ref, beta in zip(self.w_refs, betas)]
         terms += [(r_soc, {0: -g2}), (q_soc, {0: -g2}), (self.row_slack, {idx: -1.0})]
         bld.add_eq(terms, scenario.noise_power)
         # SOC coupling rows: tail coordinates equal the linear forms.
-        terms = [(self.w_refs[j], -beta * r.T / np.sqrt(2.0)) for j, beta in betas.items()]
+        terms = [(ref, -beta * r.T / np.sqrt(2.0)) for ref, beta in zip(self.w_refs, betas)]
         bld.add_eq(terms + [(r_soc, np.eye(k, k + 1, 1))], np.zeros(k))
-        terms = [(self.w_refs[j], -beta * mu * q.T) for j, beta in betas.items()]
+        terms = [(ref, -beta * mu * q.T) for ref, beta in zip(self.w_refs, betas)]
         bld.add_eq(terms + [(q_soc, np.eye(nq, nq + 1, 1))], np.zeros(nq))
 
 

@@ -27,7 +27,7 @@ from .channel import (
     sample_rain,
 )
 from .errors import ConfigError
-from .network import sic_order
+from .network import interference_weight, sic_order
 
 
 def _as_list(value, count, name):
@@ -53,6 +53,12 @@ def _is_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _check_reals(value, name):
+    """ConfigError unless every entry of a nested list or array is real (_is_real)."""
+    if not all(_is_real(v) for v in np.asarray(value, dtype=object).ravel().tolist()):
+        raise ConfigError(f"{name} entries must be numeric and finite, got {value!r}")
 
 
 # Real-valued NetworkConfig fields, and those that also take one value per
@@ -144,10 +150,26 @@ class NetworkConfig:
                 linear = np.power(10.0, getattr(self, name) / 10.0)
             if not 0 < linear < np.inf:
                 raise ConfigError(f"{name} must give a finite, positive linear gain")
+        # The linear satellite gain is finite and positive, so this product
+        # is only if the link gain is too.
+        try:
+            with np.errstate(over="ignore", under="ignore"):
+                peak = 10.0 ** (self.sat_gain_dbi / 10.0) * large_scale_gain(
+                    self.carrier_hz, self.altitude_m, self.g_over_t_db, self.bandwidth_hz
+                )
+        except OverflowError:
+            peak = np.inf
+        if not 0 < peak < np.inf:
+            raise ConfigError(
+                "carrier_hz, altitude_m, g_over_t_db, bandwidth_hz and sat_gain_dbi "
+                "must give a finite, positive link gain"
+            )
         if not 0 < self.angle_3db_deg < 90:
             raise ConfigError("angle_3db_deg must lie in (0, 90)")
         if self.phase_sigma_deg < 0:
             raise ConfigError("phase_sigma_deg must be nonnegative")
+        if self.phase_cov is not None:
+            _check_reals(self.phase_cov, "phase_cov")
         PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov).validate(self.feeds)
         etas = self.sic_eta if not np.isscalar(self.sic_eta) else [self.sic_eta]
         for eta in np.ravel(etas):
@@ -163,7 +185,11 @@ class NetworkConfig:
         if self.alpha_policy == "explicit":
             if self.alpha_explicit is None:
                 raise ConfigError("explicit alpha policy needs alpha_explicit")
-            for m, alphas in enumerate(self.alpha_explicit):
+            explicit = self.alpha_explicit
+            if not isinstance(explicit, (list, tuple, np.ndarray)) or len(explicit) != self.beams:
+                raise ConfigError(f"alpha_explicit needs one list per region ({self.beams})")
+            for m, alphas in enumerate(explicit):
+                _check_reals(alphas, "alpha_explicit")
                 arr = np.asarray(alphas, dtype=float)
                 if (arr < 0).any():
                     raise ConfigError("power split factors must be nonnegative")
@@ -194,7 +220,14 @@ def power_split(policy: str, count: int, ratio: float = 3.0, explicit=None):
 
 @dataclass
 class UserLink:
-    """One terminal after SIC ordering, with everything a design needs."""
+    """One terminal after SIC ordering, with everything a design needs.
+
+    ``weights`` is the terminal's NOMA interference row: entry j weights
+    region j's beam power in its SINR denominator (the own region's entry is
+    t1, every other region's its total split t2).  Like ``rank`` and
+    ``alpha`` it is fixed at build, so a changed eta or alpha takes a rebuild
+    through ``Scenario.with_config``.
+    """
 
     region: int
     rank: int  # position in the SIC order, 0 = strongest
@@ -204,6 +237,7 @@ class UserLink:
     gamma_lin: float
     outage_prob: float
     sigma_rad: float
+    weights: np.ndarray  # (M,)
     phase_cov: np.ndarray | None = None
 
     @property
@@ -242,14 +276,7 @@ class Scenario:
 
     def intra_weight(self, user: UserLink) -> float:
         """t1: stronger-rank splits at weight one plus eta-weighted weaker ranks."""
-        same = self.region_users(user.region)
-        t1 = 0.0
-        for other in same:
-            if other.rank < user.rank:
-                t1 += other.alpha
-            elif other.rank > user.rank:
-                t1 += user.eta * other.alpha
-        return t1
+        return float(user.weights[user.region])
 
     def with_config(self, **fields) -> "Scenario":
         """Rebuilt, and so validated, with ``fields`` replaced; the same seed gives
@@ -348,23 +375,36 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     outages = _as_list(config.outage_prob, total_users, "outage_prob")
     etas = _as_list(config.sic_eta, total_users, "sic_eta")
 
+    # (region, rank, alpha) of every terminal in user order.
+    explicit = [None] * m if config.alpha_explicit is None else config.alpha_explicit
+    splits = [
+        (bm, rank, float(alpha))
+        for bm, count in enumerate(users_per)
+        for rank, alpha in enumerate(
+            power_split(config.alpha_policy, count, config.alpha_ratio, explicit[bm])
+        )
+    ]
     users = []
     flat = 0
     for bm, count in enumerate(users_per):
         order = sic_order(channels[flat : flat + count])
-        explicit = None if config.alpha_explicit is None else config.alpha_explicit[bm]
-        alphas = power_split(config.alpha_policy, count, config.alpha_ratio, explicit)
         for rank, src in enumerate(order):
+            eta = float(etas[flat + rank])
+            # Every split weighted by the one SIC rule, summed in user order.
+            weights = np.zeros(m)
+            for j, i, alpha in splits:
+                weights[j] += interference_weight(j, i, bm, rank, eta) * alpha
             users.append(
                 UserLink(
                     region=bm,
                     rank=rank,
                     channel=channels[flat + src],
-                    alpha=float(alphas[rank]),
-                    eta=float(etas[flat + rank]),
+                    alpha=splits[flat + rank][2],
+                    eta=eta,
                     gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
                     outage_prob=float(outages[flat + rank]),
                     sigma_rad=sigma,
+                    weights=weights,
                     phase_cov=config.phase_cov,
                 )
             )

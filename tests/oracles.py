@@ -5,9 +5,9 @@ precision series for the Bessel functions, a dense LAPACK eigendecomposition
 for eigenpairs, a first-order ADMM method for cone programs, the real
 [[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
 with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
-every sample held at once, and scenario assembly one terminal and one feed
-at a time.  Expected values frozen into tests were computed with these
-routines.
+every sample held at once, scenario assembly one terminal and one feed at a
+time, and the SINR forms region by region with their own SIC rank loop.
+Expected values frozen into tests were computed with these routines.
 """
 
 import mpmath
@@ -292,12 +292,12 @@ def vecq_outage_problem(scenario):
             g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
             r_soc = bld.add_soc(k + 1)
             q_soc = bld.add_soc(n + 1)
-            terms = [(self.w_refs[j], beta * lin) for j, beta in betas.items()]
+            terms = [(ref, beta * lin) for ref, beta in zip(self.w_refs, betas)]
             terms += [(r_soc, {0: -g2}), (q_soc, {0: -g2}), (self.row_slack, {idx: -1.0})]
             bld.add_eq(terms, scenario.noise_power)
-            terms = [(self.w_refs[j], -beta * r.T / np.sqrt(2.0)) for j, beta in betas.items()]
+            terms = [(ref, -beta * r.T / np.sqrt(2.0)) for ref, beta in zip(self.w_refs, betas)]
             bld.add_eq(terms + [(r_soc, np.eye(k, k + 1, 1))], np.zeros(k))
-            terms = [(self.w_refs[j], -beta * mu * q.T) for j, beta in betas.items()]
+            terms = [(ref, -beta * mu * q.T) for ref, beta in zip(self.w_refs, betas)]
             bld.add_eq(terms + [(q_soc, np.eye(n, n + 1, 1))], np.zeros(n))
 
     return VecQOutageProblem(scenario)
@@ -331,7 +331,7 @@ def whole_array_evaluate(design, scenario, samples, seed):
         h = user.channel.estimated[None, :] * np.exp(1j * errs)
         if tdma:
             w = design.beams[:, idx]
-            gammas = np.abs(h.conj() @ w) ** 2 / design.noise_power
+            gammas = np.abs(h.conj() @ w) ** 2 / scenario.noise_power
             target = design.metadata["slot_gamma_lin"][idx]
         else:
             gammas = sinr_samples(user, h, design, scenario)
@@ -423,7 +423,7 @@ def loop_build_scenario(config):
     outages = _as_list(config.outage_prob, total_users, "outage_prob")
     etas = _as_list(config.sic_eta, total_users, "sic_eta")
 
-    users = []
+    links = []  # UserLink fields of every terminal but its weight row
     flat = 0
     for bm in range(m):
         channels = []
@@ -450,8 +450,8 @@ def loop_build_scenario(config):
             None if config.alpha_explicit is None else config.alpha_explicit[bm],
         )
         for rank, src in enumerate(order):
-            users.append(
-                UserLink(
+            links.append(
+                dict(
                     region=bm,
                     rank=rank,
                     channel=channels[src],
@@ -464,4 +464,80 @@ def loop_build_scenario(config):
                 )
             )
         flat += users_per[bm]
+    # Weight rows split by split: other regions and stronger ranks at one,
+    # weaker ranks at eta, the terminal itself left out.
+    users = []
+    for link in links:
+        row = np.zeros(m)
+        for other in links:
+            if other["region"] != link["region"] or other["rank"] < link["rank"]:
+                row[other["region"]] += other["alpha"]
+            elif other["rank"] > link["rank"]:
+                row[other["region"]] += link["eta"] * other["alpha"]
+        users.append(UserLink(**link, weights=row))
     return Scenario(config, users, feed_pos, centers)
+
+
+# ---------------------------------------------------------------------------
+# The SINR forms written region by region with their own SIC rank loop, as
+# they were before the weight row: t1 from the terminal's region, t2 from
+# every other.  The weight-row forms must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def loop_intra_weight(scenario, user):
+    """t1: stronger-rank splits at weight one plus eta-weighted weaker ranks."""
+    t1 = 0.0
+    for other in scenario.users:
+        if other.region != user.region:
+            continue
+        if other.rank < user.rank:
+            t1 += other.alpha
+        elif other.rank > user.rank:
+            t1 += user.eta * other.alpha
+    return t1
+
+
+def loop_region_alpha_total(scenario, m):
+    """t2: the total split of region ``m``."""
+    return float(sum(u.alpha for u in scenario.users if u.region == m))
+
+
+def loop_avg_constraint_coeffs(scenario, user):
+    """{region: G_j} and rhs of the average-SINR row."""
+    from leobeam.channel import expected_phase_matrix
+
+    h = user.channel.estimated
+    d = np.outer(h, h.conj()) * expected_phase_matrix(user.phase_model, scenario.feeds)
+    gamma = user.gamma_lin
+    t1 = loop_intra_weight(scenario, user)
+    coeffs = {}
+    for j in range(scenario.beams):
+        if j == user.region:
+            coeffs[j] = (user.alpha - gamma * t1) * d
+        else:
+            coeffs[j] = -gamma * loop_region_alpha_total(scenario, j) * d
+    return coeffs, gamma * scenario.noise_power
+
+
+def loop_margin_scalars(scenario, user):
+    """{region: beta_j} of the outage design's SINR margin form."""
+    t1 = loop_intra_weight(scenario, user)
+    out = {}
+    for j in range(scenario.beams):
+        if j == user.region:
+            out[j] = user.alpha / user.gamma_lin - t1
+        else:
+            out[j] = -loop_region_alpha_total(scenario, j)
+    return out
+
+
+def loop_sinr_samples(user, h_samples, design, scenario):
+    """SINR over sampled channels, own region's t1 first, then each t2."""
+    m = user.region
+    powers = np.abs(h_samples.conj() @ design.beams) ** 2
+    denom = loop_intra_weight(scenario, user) * powers[:, m] + scenario.noise_power
+    for j in range(scenario.beams):
+        if j != m:
+            denom = denom + loop_region_alpha_total(scenario, j) * powers[:, j]
+    return user.alpha * powers[:, m] / denom

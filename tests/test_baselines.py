@@ -11,7 +11,7 @@ from leobeam.baselines import (
     design_zfbf,
     zfbf_directions,
 )
-from leobeam.channel import assemble_channel, expected_phase_matrix
+from leobeam.channel import assemble_channel
 from leobeam.errors import InfeasibleDesignError
 from leobeam.evaluator import evaluate
 from leobeam.robust_avg import design_avg_sinr, expected_channel_matrix
@@ -106,9 +106,7 @@ class TestTdma:
         sc = build_scenario(desk_config(feeds=4, beams=1, users_per_region=1, seed=5))
         d = design_tdma(sc)
         u = sc.users[0]
-        dm = expected_channel_matrix(
-            u.channel, expected_phase_matrix(u.phase_model, 4)
-        )
+        dm = expected_channel_matrix(u)
         lam = np.linalg.eigvalsh(dm)[-1]
         # one terminal: slot target (1+gamma)^1 - 1 = gamma, full duty cycle
         want = u.gamma_lin * sc.noise_power / lam

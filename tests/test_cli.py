@@ -115,6 +115,23 @@ class TestValidation:
         assert rc == 2
         assert "phase covariance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "a", None])
+    @pytest.mark.parametrize("key", ["alpha_explicit", "phase_cov"])
+    def test_bad_matrix_entry_rejected(self, tmp_path, capsys, key, bad):
+        # json writes NaN and Infinity, and reads null as None
+        if key == "alpha_explicit":
+            fields = {"alpha_policy": "explicit", key: [[bad, 0.3], [0.3, 0.6]]}
+        else:
+            cov = np.eye(6).tolist()
+            cov[0][1] = cov[1][0] = bad
+            fields = {key: cov}
+        doc = {"scenario": dict(SMALL["scenario"], **fields), "design": {"algorithm": "outage"}}
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} entries must be numeric and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["design", "compare"])
     def test_zero_samples_rejected(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, SMALL)
@@ -260,6 +277,19 @@ class TestValidation:
         rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
         assert rc == 2
         assert f"{key} must give a finite, positive linear gain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("g_over_t_db", 3080), ("sat_gain_dbi", 3080), ("altitude_m", 1e-300), ("altitude_m", 1e300)],
+    )
+    def test_link_gain_out_of_float_range_rejected(self, tmp_path, capsys, key, value):
+        # each field is finite, but the link gain built from them is not
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], **{key: value}))
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert "must give a finite, positive link gain" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

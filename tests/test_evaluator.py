@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from leobeam.baselines import design_tdma
 from leobeam.channel import PhaseErrorModel
 from leobeam.errors import ConfigError, ConvergenceError, LeobeamError
 from leobeam.cli import write_eval_csv, write_sweep_csv
+import leobeam
 from leobeam import evaluator
 from leobeam.evaluator import CHUNK_ELEMENTS, apply_axis, evaluate, sweep
 from leobeam.network import sinr, sinr_samples
@@ -225,3 +229,21 @@ class TestSweep:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("axis,value,status,total_power_w")
         assert len(lines) == 3
+
+
+def test_design_and_evaluate_import_numpy_only():
+    """A fresh interpreter that designs and evaluates a desk scenario loads
+    neither scipy nor logging; concurrent.futures, which imports logging,
+    would alone add 0.5 MB of RSS."""
+    code = (
+        "import sys, leobeam\n"
+        "sc = leobeam.build_scenario(leobeam.NetworkConfig())\n"
+        "leobeam.evaluate(leobeam.design_avg_sinr(sc), sc, samples=1000)\n"
+        "print(sorted(m for m in ('scipy', 'logging', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(leobeam.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import desk_config
+from oracles import (
+    loop_avg_constraint_coeffs,
+    loop_build_scenario,
+    loop_intra_weight,
+    loop_margin_scalars,
+    loop_region_alpha_total,
+    loop_sinr_samples,
+)
 
 from leobeam.channel import assemble_channel
 from leobeam.cli import write_sinr_report
@@ -15,6 +23,8 @@ from leobeam.network import (
     sinr,
     sinr_samples,
 )
+from leobeam.robust_avg import avg_constraint_coeffs
+from leobeam.robust_outage import margin_scalars
 from leobeam.scenario import build_scenario
 
 
@@ -76,7 +86,7 @@ class TestSinr:
         sc = dataclasses.replace(sc, users=[user])
         h = user.channel.estimated
         w = 2.0 * h / np.linalg.norm(h)  # |h^H w|^2 = 4 ||h||^2
-        design = BeamDesign(beams=w[:, None], noise_power=1.0)
+        design = BeamDesign(beams=w[:, None])
         entry = sinr(user, h, design, sc)
         assert entry.gamma == pytest.approx(4.0 * np.linalg.norm(h) ** 2)
         assert entry.intra == entry.residual == entry.inter == 0.0
@@ -84,9 +94,7 @@ class TestSinr:
     def test_perfect_sic_removes_weaker_terms(self):
         sc = build_scenario(desk_config()).with_config(sic_eta=0.0)
         strong = next(u for u in sc.users if u.rank == 0)
-        design = BeamDesign(
-            beams=np.ones((sc.feeds, sc.beams), dtype=complex), noise_power=1.0
-        )
+        design = BeamDesign(beams=np.ones((sc.feeds, sc.beams), dtype=complex))
         entry = sinr(strong, strong.channel.estimated, design, sc)
         assert entry.residual == 0.0
         assert entry.intra == 0.0  # no stronger user exists for rank 0
@@ -97,7 +105,7 @@ class TestSinr:
         beams = rng.normal(size=(sc.feeds, sc.beams)) + 1j * rng.normal(
             size=(sc.feeds, sc.beams)
         )
-        design = BeamDesign(beams=beams, noise_power=sc.noise_power)
+        design = BeamDesign(beams=beams)
         for user in sc.users:
             e = rng.normal(0, 0.1, sc.feeds)
             h = user.channel.estimated * np.exp(1j * e)
@@ -112,7 +120,7 @@ class TestSinr:
         beams = rng.normal(size=(sc.feeds, sc.beams)) + 1j * rng.normal(
             size=(sc.feeds, sc.beams)
         )
-        design = BeamDesign(beams=beams, noise_power=sc.noise_power)
+        design = BeamDesign(beams=beams)
         for user in sc.users:
             entry = sinr(user, user.channel.estimated, design, sc)
             ratio = entry.desired / (entry.intra + entry.residual + entry.inter + entry.noise)
@@ -131,7 +139,7 @@ class TestSinr:
         )
         h = strong.channel.estimated
         own_power = abs(h.conj() @ beams[:, strong.region]) ** 2
-        d1 = BeamDesign(beams=beams, noise_power=sc.noise_power)
+        d1 = BeamDesign(beams=beams)
         e0 = sinr(dataclasses.replace(strong, eta=0.0), h, d1, sc)
         e1 = sinr(dataclasses.replace(strong, eta=1.0), h, d1, sc)
         assert e0.residual == 0.0
@@ -143,13 +151,80 @@ class TestSinr:
         beams = rng.normal(size=(sc.feeds, sc.beams)) + 1j * rng.normal(
             size=(sc.feeds, sc.beams)
         )
-        design = BeamDesign(beams=beams, noise_power=sc.noise_power)
+        design = BeamDesign(beams=beams)
         user = sc.users[3]
         errs = rng.normal(0, 0.1, (5, sc.feeds))
         h = user.channel.estimated[None, :] * np.exp(1j * errs)
         vec = sinr_samples(user, h, design, sc)
         for s in range(5):
             assert vec[s] == pytest.approx(sinr(user, h[s], design, sc).gamma, rel=1e-12)
+
+
+WEIGHT_CONFIGS = {
+    "desk": {},
+    "uneven-regions": dict(users_per_region=[1, 3, 2]),
+    "explicit-alpha": dict(
+        alpha_policy="explicit", alpha_explicit=[[0.3, 0.6], [0.25, 0.75], [0.1, 0.5]]
+    ),
+    "perfect-sic": dict(sic_eta=0.0),
+    "no-sic": dict(sic_eta=1.0),
+}
+
+
+class TestWeightRow:
+    """Every SINR form read from the weight row equals its region-by-region
+    form with its own SIC rank loop, bit for bit."""
+
+    @pytest.fixture(params=WEIGHT_CONFIGS.values(), ids=WEIGHT_CONFIGS)
+    def scenario(self, request):
+        return build_scenario(desk_config(**request.param))
+
+    def test_row_entries(self, scenario):
+        for u in scenario.users:
+            assert u.weights.shape == (scenario.beams,)
+            t1 = loop_intra_weight(scenario, u)
+            assert u.weights[u.region] == t1 == scenario.intra_weight(u)
+            for j in range(scenario.beams):
+                t2 = loop_region_alpha_total(scenario, j)
+                assert t2 == scenario.region_alpha_total(j)
+                if j != u.region:
+                    assert u.weights[j] == t2
+
+    def test_avg_coefficients(self, scenario):
+        for u in scenario.users:
+            coeffs, rhs = avg_constraint_coeffs(scenario, u)
+            want, want_rhs = loop_avg_constraint_coeffs(scenario, u)
+            assert rhs == want_rhs
+            assert len(coeffs) == len(want)
+            for j, g in want.items():
+                assert np.array_equal(coeffs[j], g)
+
+    def test_margin_scalars(self, scenario):
+        for u in scenario.users:
+            want = loop_margin_scalars(scenario, u)
+            assert np.array_equal(margin_scalars(scenario, u), [want[j] for j in sorted(want)])
+
+    def test_sinr_samples(self, scenario):
+        rng = np.random.default_rng(8)
+        k, m = scenario.feeds, scenario.beams
+        design = BeamDesign(beams=rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)))
+        for u in scenario.users:
+            h = u.channel.estimated * np.exp(1j * rng.normal(0, 0.1, (7, k)))
+            got = sinr_samples(u, h, design, scenario)
+            assert np.array_equal(got, loop_sinr_samples(u, h, design, scenario))
+
+    def test_rebuilt_scenario_carries_new_row(self):
+        sc = build_scenario(desk_config())
+        for eta in (0.0, 0.3, 1.0):
+            point = sc.with_config(sic_eta=eta)
+            want = loop_build_scenario(desk_config(sic_eta=eta))
+            for u, v in zip(point.users, want.users):
+                assert np.array_equal(u.weights, v.weights)
+                assert u.weights[u.region] == loop_intra_weight(point, u)
+        strong = next(u for u in sc.users if u.rank == 0)
+        weak = next(u for u in sc.users if u.region == strong.region and u.rank == 1)
+        assert sc.with_config(sic_eta=0.3).users[0].weights[0] == 0.3 * weak.alpha
+        assert strong.weights[strong.region] == 0.05 * weak.alpha
 
 
 class TestPerFeedPower:
@@ -177,7 +252,7 @@ def test_sinr_report_csv_round_trip(tmp_path):
     sc = build_scenario(desk_config())
     rng = np.random.default_rng(7)
     beams = rng.normal(size=(sc.feeds, sc.beams)) + 1j * rng.normal(size=(sc.feeds, sc.beams))
-    design = BeamDesign(beams=beams, noise_power=sc.noise_power)
+    design = BeamDesign(beams=beams)
     entries = [sinr(u, u.channel.estimated, design, sc) for u in sc.users]
     path = tmp_path / "sinr.csv"
     write_sinr_report(entries, path)

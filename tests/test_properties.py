@@ -40,7 +40,7 @@ def test_avg_design_meets_own_rows_or_raises(cfg):
     ws = design.lifted
     for user in sc.users:
         coeffs, rhs = avg_constraint_coeffs(sc, user)
-        lhs = sum(np.trace(g @ ws[j]).real for j, g in coeffs.items())
+        lhs = sum(np.trace(g @ ws[j]).real for j, g in enumerate(coeffs))
         assert lhs >= rhs - tol
     feed_power = np.real(sum(np.diag(w) for w in ws))
     assert np.all(feed_power <= sc.power_caps + tol)

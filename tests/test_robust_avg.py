@@ -4,7 +4,6 @@ import pytest
 from conftest import desk_config
 
 from leobeam import robust_avg
-from leobeam.channel import PhaseErrorModel, expected_phase_matrix
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
 from leobeam.robust_avg import (
     AvgSinrProblem,
@@ -28,17 +27,15 @@ PENALTY_CFG = desk_config(
 
 class TestExpectedChannelMatrix:
     def test_zero_sigma_rank_one(self, desk_scenario):
-        u = desk_scenario.users[0]
-        q = expected_phase_matrix(PhaseErrorModel(0.0), desk_scenario.feeds)
-        d = expected_channel_matrix(u.channel, q)
+        u = desk_scenario.with_config(phase_sigma_deg=0.0).users[0]
+        d = expected_channel_matrix(u)
         h = u.channel.estimated
         assert np.allclose(d, np.outer(h, h.conj()))
 
     def test_monte_carlo_mean(self, desk_scenario):
         u = desk_scenario.users[1]
         k = desk_scenario.feeds
-        q = expected_phase_matrix(u.phase_model, k)
-        d = expected_channel_matrix(u.channel, q)
+        d = expected_channel_matrix(u)
         rng = np.random.default_rng(42)
         s = 100_000
         e = u.sigma_rad * rng.standard_normal((s, k))
@@ -51,9 +48,7 @@ class TestExpectedChannelMatrix:
 
     def test_psd_and_hermitian(self, desk_scenario):
         for u in desk_scenario.users:
-            d = expected_channel_matrix(
-                u.channel, expected_phase_matrix(u.phase_model, desk_scenario.feeds)
-            )
+            d = expected_channel_matrix(u)
             assert np.allclose(d, d.conj().T)
             assert np.linalg.eigvalsh(d).min() >= -1e-9 * np.linalg.norm(d)
 
@@ -63,8 +58,8 @@ class TestAvgConstraintRow:
         sc = build_scenario(desk_config(feeds=4, beams=1, users_per_region=1))
         u = sc.users[0]
         coeffs, rhs = avg_constraint_coeffs(sc, u)
-        d = expected_channel_matrix(u.channel, expected_phase_matrix(u.phase_model, 4))
-        assert set(coeffs) == {0}
+        d = expected_channel_matrix(u)
+        assert len(coeffs) == 1
         assert np.allclose(coeffs[0], u.alpha * d)
         assert rhs == pytest.approx(u.gamma_lin * sc.noise_power)
 
@@ -81,10 +76,8 @@ class TestAvgConstraintRow:
             ws.append(g @ g.conj().T / sc.feeds)
         for u in sc.users:
             coeffs, rhs = avg_constraint_coeffs(sc, u)
-            row_value = sum(np.trace(g @ ws[j]).real for j, g in coeffs.items()) - rhs
-            d = expected_channel_matrix(
-                u.channel, expected_phase_matrix(u.phase_model, sc.feeds)
-            )
+            row_value = sum(np.trace(g @ ws[j]).real for j, g in enumerate(coeffs)) - rhs
+            d = expected_channel_matrix(u)
             num = u.alpha * np.trace(d @ ws[u.region]).real
             den = sc.intra_weight(u) * np.trace(d @ ws[u.region]).real
             for j in range(sc.beams):
@@ -107,7 +100,7 @@ class TestSdrInit:
         prob = AvgSinrProblem(sc)
         ws, sol = solve_sdr_init(prob)
         u = sc.users[0]
-        d = expected_channel_matrix(u.channel, expected_phase_matrix(u.phase_model, 4))
+        d = expected_channel_matrix(u)
         lam = np.linalg.eigvalsh(d)[-1]
         want = u.gamma_lin * sc.noise_power / (u.alpha * lam)
         got = sum(np.trace(w).real for w in ws)
@@ -121,7 +114,7 @@ class TestSdrInit:
         assert np.all(per_feed <= desk_scenario.power_caps + 1e-8)
         for u in desk_scenario.users:
             coeffs, rhs = avg_constraint_coeffs(desk_scenario, u)
-            val = sum(np.trace(g @ ws[j]).real for j, g in coeffs.items())
+            val = sum(np.trace(g @ ws[j]).real for j, g in enumerate(coeffs))
             assert val >= rhs - 1e-6 * max(1.0, abs(rhs))
 
     def test_infeasible_targets_raise(self):
@@ -222,13 +215,13 @@ class TestExtraction:
         for u in desk_scenario.users:
             coeffs, rhs = avg_constraint_coeffs(desk_scenario, u)
             lifted = sum(
-                np.trace(g @ alg1_design.lifted[j]).real for j, g in coeffs.items()
+                np.trace(g @ alg1_design.lifted[j]).real for j, g in enumerate(coeffs)
             )
             w_cols = {
                 j: np.outer(alg1_design.beams[:, j], alg1_design.beams[:, j].conj())
-                for j in coeffs
+                for j in range(len(coeffs))
             }
-            rank_one = sum(np.trace(g @ w_cols[j]).real for j, g in coeffs.items())
+            rank_one = sum(np.trace(g @ w_cols[j]).real for j, g in enumerate(coeffs))
             scale = max(abs(lifted), abs(rhs), 1e-9)
             assert abs(rank_one - lifted) <= 1e-3 * scale
 

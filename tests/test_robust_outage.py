@@ -190,7 +190,7 @@ class TestMarginMatrix:
         for u in desk_scenario.users:
             betas = margin_scalars(desk_scenario, u)
             assert betas[u.region] > 0  # feasible targets keep the own-term positive
-            for j, b in betas.items():
+            for j, b in enumerate(betas):
                 if j != u.region:
                     assert b < 0
 

@@ -152,6 +152,7 @@ class TestArrayAssembly:
             assert np.array_equal(u.channel.beam_gains, v.channel.beam_gains)
             assert np.array_equal(u.channel.rain_power, v.channel.rain_power)
             assert u.channel.large_scale == v.channel.large_scale
+            assert np.array_equal(u.weights, v.weights)
             assert (u.alpha, u.eta, u.gamma_lin, u.outage_prob, u.sigma_rad) == (
                 v.alpha,
                 v.eta,
@@ -191,6 +192,12 @@ class TestValidation:
             alpha_explicit=[[0.5, 0.6], [0.2, 0.8], [0.2, 0.8]],
         )
         with pytest.raises(ConfigError, match="sum"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("explicit", [[[0.5, 0.5]], 0.5], ids=["one-region", "scalar"])
+    def test_alpha_explicit_needs_one_list_per_region(self, explicit):
+        cfg = NetworkConfig(alpha_policy="explicit", alpha_explicit=explicit)
+        with pytest.raises(ConfigError, match="one list per region"):
             cfg.validate()
 
     def test_eta_range(self):
