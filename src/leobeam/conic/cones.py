@@ -92,13 +92,69 @@ def identity_element(block: ConeBlock) -> np.ndarray:
     return svec(np.eye(block.size, dtype=complex if block.hermitian else float))
 
 
-def row_operand(block: ConeBlock, cols: np.ndarray) -> np.ndarray:
-    """One block's columns of A in the form its ``apply_W_cols`` takes.
+@dataclass(frozen=True)
+class PsdRows:
+    """One PSD block's rows of A, held in two forms.
 
-    PSD rows become (rows, d, d) matrices, other blocks keep their columns.
-    A does not change within a solve, so the solver builds these once.
+    A row whose block part has a single upper-triangle entry (k, l), such as
+    a feed cap's diagonal entry or an off-diagonal Q row of the outage
+    program, is held as (row, k, l, coefficient).  Every other row is a
+    (d, d) matrix in ``stack``.
     """
-    return smat(cols, block.size) if block.kind == PSD else cols
+
+    stacked: np.ndarray  # row indices of ``stack``
+    stack: np.ndarray  # (len(stacked), d, d)
+    single: np.ndarray  # row indices held as one entry
+    k: np.ndarray
+    l: np.ndarray
+    coef: np.ndarray  # entry (k, l); (l, k) holds its conjugate
+
+    def write_W_cols(self, scaling, out, spare):
+        """out[i] = row i through ``scaling.apply_W_cols``, for every row.
+
+        The one-entry rows are expanded into ``spare``, a zero stack of at
+        least ``len(single)`` (d, d) matrices of the block's field, which
+        is zero again on return.  Each stacked matmul is one gemm per
+        matrix, so both forms give the bits of the whole (rows, d, d) stack.
+        """
+        out[self.stacked] = scaling.apply_W_cols(self.stack)
+        if self.single.size:
+            mats = spare[: self.single.size]
+            at = np.arange(self.single.size), self.k, self.l
+            conj = at[0], self.l, self.k
+            # smat's order: the conjugate first, so a diagonal entry keeps coef.
+            mats[conj] = self.coef.conj()
+            mats[at] = self.coef
+            out[self.single] = scaling.apply_W_cols(mats)
+            mats[conj] = 0.0
+            mats[at] = 0.0
+
+
+def row_operand(block: ConeBlock, cols: np.ndarray):
+    """One block's columns of A in the form its scaling's W is applied to.
+
+    PSD rows become a ``PsdRows``, other blocks keep their columns.  A does
+    not change within a solve, so the solver builds these once.
+    """
+    if block.kind != PSD:
+        return cols
+    iu, sc, strict = _layout(block.size)
+    nre = sc.size
+    touched = cols[:, :nre] != 0
+    if cols.shape[1] > nre:
+        touched[:, strict] |= cols[:, nre:] != 0
+    one = touched.sum(axis=1) == 1
+    single = np.flatnonzero(one)
+    pos = touched[single].argmax(axis=1)
+    coef = cols[single, pos] / sc[pos]
+    if cols.shape[1] > nre:
+        imag = np.zeros((single.size, nre))
+        imag[:, strict] = cols[single, nre:] / _SQRT2
+        coef = coef + 1j * imag[np.arange(single.size), pos]  # smat's arithmetic
+    stacked = np.flatnonzero(~one)
+    return PsdRows(
+        stacked, smat(cols[stacked], block.size), single, iu[0][pos], iu[1][pos], coef
+    )
 
 
 def interior_margin(block: ConeBlock, v: np.ndarray) -> float:

@@ -22,6 +22,8 @@ import numpy as np
 from ..errors import ConvergenceError
 from .cones import (
     PSD as PSD_KIND,
+    SOC as SOC_KIND,
+    PsdRows,
     identity_element,
     interior_margin,
     jordan_mul,
@@ -138,6 +140,58 @@ class _ConeVec:
         return [v[sl] for sl in self.slices]
 
 
+class _SchurPlan:
+    """How each cone block of the equilibrated A enters S = A H A'.
+
+    Nonnegative and PSD blocks fill the columns of one dense G = A W' (in
+    cone order), and S starts as G G', so numpy takes its symmetric syrk
+    path.  A PSD block's one-entry rows are held compact (``PsdRows``) and
+    expanded per block into one zero stack sized here.  A second-order
+    block's columns are nonzero only on its own rows r_b (an outage SOC
+    touches its terminal's 13 or 79 rows of 558 at desk scale), so it adds
+    G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
+    """
+
+    def __init__(self, cones, slices, As):
+        self.m = As.shape[0]
+        self.dense = []  # (block index, G column slice, row_operand)
+        self.soc = []  # (block index, S index of r_b x r_b, As[r_b, b])
+        spare = {}  # (d, dtype) -> most one-entry rows of one block
+        width = 0
+        for i, (blk, sl) in enumerate(zip(cones, slices)):
+            cols = As[:, sl]
+            if blk.kind == SOC_KIND:
+                rows = np.flatnonzero((cols != 0).any(axis=1))
+                self.soc.append((i, np.ix_(rows, rows), cols[rows]))
+                continue
+            op = row_operand(blk, cols)
+            self.dense.append((i, slice(width, width + blk.veclen), op))
+            width += blk.veclen
+            if isinstance(op, PsdRows):
+                key = op.stack.shape[1:], op.stack.dtype
+                spare[key] = max(spare.get(key, 0), op.single.size)
+        self.width = width
+        self.spare = {
+            key: np.zeros((count,) + key[0], key[1]) for key, count in spare.items()
+        }
+
+    def assemble(self, scalings):
+        """S = A H A' at the iterate whose per-block NT scalings are given."""
+        G = np.empty((self.m, self.width))
+        for i, gsl, op in self.dense:
+            if isinstance(op, PsdRows):
+                spare = self.spare[op.stack.shape[1:], op.stack.dtype]
+                op.write_W_cols(scalings[i], G[:, gsl], spare)
+            else:
+                G[:, gsl] = scalings[i].apply_W_cols(op)
+        S = G @ G.T
+        del G
+        for i, at, cols in self.soc:
+            Gb = scalings[i].apply_W_cols(cols)
+            S[at] += Gb @ Gb.T
+        return S
+
+
 def _equilibrate(problem):
     """Ruiz-style scaling: per-row and uniform per-cone-block column scaling."""
     A = problem.A.copy()
@@ -173,9 +227,9 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     layout = _ConeVec(problem.cones)
     As, bs, cs, dr, dc, cscale = _equilibrate(problem)
     A0, b0, c0 = problem.A, problem.b, problem.c
-    m, n = As.shape
+    m = As.shape[0]
     cones = problem.cones
-    rows = [row_operand(blk, As[:, sl]) for blk, sl in zip(cones, layout.slices)]
+    schur = _SchurPlan(cones, layout.slices, As)
 
     e = np.concatenate([identity_element(blk) for blk in cones])
     nu = sum(blk.degree for blk in cones)
@@ -278,14 +332,12 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 out[sl] = getattr(sc, op)(v[sl])
             return out
 
-        # Schur complement S = A H A' = G G' with G = A W' (H = W'W), so the
-        # product takes the symmetric (syrk) path; a tiny ridge if needed.
+        # Schur complement S = A H A' (H = W'W), assembled from each block's
+        # own rows: G G' over the nonnegative and PSD columns (G = A W', its
+        # one-entry PSD rows expanded from their compact form), plus each
+        # SOC block's G_b G_b' on the rows it touches.  A tiny ridge if needed.
         with timed("schur_assembly"):
-            G = np.empty((m, n))
-            for sc, sl, rows_blk in zip(scalings, layout.slices, rows):
-                G[:, sl] = sc.apply_W_cols(rows_blk)
-            S = G @ G.T
-            del G
+            S = schur.assemble(scalings)
             AHc = As @ per_block("apply_H", cs)
 
         # One factor per iteration, S^-1 = Linv' Linv, reused by every solve below.

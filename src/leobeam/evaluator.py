@@ -65,7 +65,7 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     complex.  With 2 workers, 200,000 desk samples peak at about 5.9 MB
     under tracemalloc, where holding every sample at once took 136 MB.
     More workers than two would each add a SINR vector for little speed:
-    the normal draws hold the interpreter lock, so only the exp, the
+    the normal draws hold the interpreter lock, so only the cos/sin, the
     multiply and the scoring overlap.  The chunks are the rows of one whole draw in
     order, each row is scored the same way, and the statistics are taken
     over the whole SINR vector, so reports are bit-identical to drawing
@@ -99,9 +99,10 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
         gammas = np.empty(samples)
         for start, stop in chunks:
             h = phasors[: stop - start]
-            h.real = 0.0
-            h.imag = sample_phase_error(model, k, rng, len(h), out=nu[: len(h)], fac=fac)
-            np.exp(h, out=h)
+            theta = sample_phase_error(model, k, rng, len(h), out=nu[: len(h)], fac=fac)
+            # exp(j theta) without the complex exp: the same bits, less work.
+            np.cos(theta, out=h.real)
+            np.sin(theta, out=h.imag)
             # Estimate first: the operand order of the unchunked product.
             np.multiply(user.channel.estimated, h, out=h)
             if tdma:

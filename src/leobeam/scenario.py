@@ -150,6 +150,10 @@ class NetworkConfig:
                 linear = np.power(10.0, getattr(self, name) / 10.0)
             if not 0 < linear < np.inf:
                 raise ConfigError(f"{name} must give a finite, positive linear gain")
+        with np.errstate(over="ignore", under="ignore"):
+            targets = np.power(10.0, np.asarray(self.gamma_db, dtype=float) / 10.0)
+        if not np.all((targets > 0) & (targets < np.inf)):
+            raise ConfigError("gamma_db must give a finite, positive linear target")
         # The linear satellite gain is finite and positive, so this product
         # is only if the link gain is too.
         try:

@@ -2,7 +2,8 @@
 
 These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
-for eigenpairs, a first-order ADMM method for cone programs, the real
+for eigenpairs, a first-order ADMM method for cone programs, the Schur
+complement from one dense G = A W' over every column, the real
 [[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
 with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
 every sample held at once, scenario assembly one terminal and one feed at a
@@ -258,6 +259,26 @@ def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7):
         z = project_cone(xh + u, cones)
         u = u + xh - z
     return z, float(c @ z)
+
+
+# ---------------------------------------------------------------------------
+# Schur complement S = A H A' the direct way: every block's rows as dense
+# operands, one G = A W' over all columns in cone order, then S = G G'.
+# ---------------------------------------------------------------------------
+
+
+def dense_schur(cones, A, scalings):
+    """S = G G' with G = A W' on every column (H = W'W per block)."""
+    from leobeam.conic.cones import PSD, smat
+
+    G = np.empty(A.shape)
+    pos = 0
+    for blk, sc in zip(cones, scalings):
+        sl = slice(pos, pos + blk.veclen)
+        cols = A[:, sl]
+        G[:, sl] = sc.apply_W_cols(smat(cols, blk.size) if blk.kind == PSD else cols)
+        pos += blk.veclen
+    return G @ G.T
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,18 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "gamma_db, algorithm", [(4000, "avg"), (-4000, "outage"), ([3, 3, -4000, 3], "avg")]
+    )
+    def test_gamma_out_of_float_range_rejected(self, tmp_path, capsys, gamma_db, algorithm):
+        # finite in dB, but the linear target overflows or underflows to 0
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], gamma_db=gamma_db))
+        out = tmp_path / "o"
+        argv = ["design", "--config", write_cfg(tmp_path, doc), "--algorithm", algorithm]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "gamma_db must give a finite, positive linear target" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("g_over_t_db", 3080), ("sat_gain_dbi", 3080), ("altitude_m", 1e-300), ("altitude_m", 1e300)],
     )

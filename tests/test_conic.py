@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
+from conftest import correlated_cov, desk_config
 from oracles import (
+    dense_schur,
     embed_hermitian,
     hermitian_from_embedding,
     random_feasible_problem,
@@ -27,6 +29,7 @@ from leobeam.conic import (
     solve,
 )
 from leobeam.conic.cones import (
+    PsdRows,
     identity_element,
     jordan_mul,
     max_step,
@@ -35,7 +38,18 @@ from leobeam.conic.cones import (
     smat,
     svec,
 )
-from leobeam.conic.solver import _TRIL_LEAF, PHASES, _tril_inv
+from leobeam.conic import solver as solver_module
+from leobeam.conic.solver import (
+    _TRIL_LEAF,
+    PHASES,
+    _ConeVec,
+    _equilibrate,
+    _SchurPlan,
+    _tril_inv,
+)
+from leobeam.robust_avg import AvgSinrProblem
+from leobeam.robust_outage import OutageProblem
+from leobeam.scenario import build_scenario
 
 
 def kkt_residuals(p, s):
@@ -470,11 +484,49 @@ class TestSchurKernels:
         rng = np.random.default_rng(block.veclen)
         sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
         A = rng.normal(size=(7, block.veclen))
-        G = sc.apply_W_cols(row_operand(block, A))
+        G = sc.apply_W_cols(smat(A, block.size) if block.kind == "psd" else A)
         AHAt = A @ np.column_stack([sc.apply_H(row) for row in A])
         assert G.shape == A.shape
         assert np.allclose(G, np.array([sc.apply_W(row) for row in A]), rtol=1e-12, atol=1e-12)
         assert np.allclose(G @ G.T, AHAt, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+    @pytest.mark.parametrize("d", [1, 2, 12, 60])
+    def test_compact_rows_give_dense_bits(self, d, hermitian):
+        # G from one-entry rows expanded into the spare stack is bit for bit
+        # G from the whole (rows, d, d) stack, and the spare ends zero.
+        block = ConeBlock("psd", d, hermitian=hermitian)
+        rng = np.random.default_rng(d + hermitian)
+        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        coef = complex(rng.normal(), rng.normal()) if hermitian and d > 1 else rng.normal()
+
+        def entry(k, l, c):
+            mat = np.zeros((d, d), dtype=complex if hermitian else float)
+            mat[l, k] = np.conj(c)
+            mat[k, l] = c
+            return svec(mat)
+
+        rows = [
+            interior_point(block, rng),  # every entry
+            entry(d - 1, d - 1, rng.normal()),  # a feed cap's diagonal entry
+            np.zeros(block.veclen),  # a row the block does not enter
+            entry(0, d - 1, coef),  # an off-diagonal Q row
+            entry(0, 0, 1.0) + entry(d - 1, d - 1, 1.0),  # two entries when d > 1
+        ]
+        if hermitian and d > 1:
+            rows.append(entry(0, d - 1, 1j * abs(coef)))  # imaginary part only
+        A = np.array(rows)
+        op = row_operand(block, A)
+        if d == 1:
+            assert op.single.tolist() == [0, 1, 3, 4]
+        else:
+            assert op.single.tolist() == [1, 3] + [5] * hermitian
+        assert sorted(op.single.tolist() + op.stacked.tolist()) == list(range(len(A)))
+        spare = np.zeros((op.single.size + 2, d, d), dtype=op.stack.dtype)
+        G = np.full(A.shape, np.nan)
+        op.write_W_cols(sc, G, spare)
+        assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
+        assert not spare.any()
 
     def test_no_equality_rows_mixed_cones(self):
         # m = 0: minimize sum(x) + s0 + tr(X) over nonneg x SOC x PSD -> 0.
@@ -485,6 +537,57 @@ class TestSchurKernels:
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(0.0, abs=1e-7)
         assert np.linalg.eigvalsh(smat(s.x[5:], 2)).min() >= -1e-9
+
+
+def ipm_scalings(problem, monkeypatch, iterations):
+    """Per-block NT scalings at the given iterations of a solve of ``problem``."""
+    seen = []
+
+    def recorded(blk, x, z):
+        seen.append((blk, x.copy(), z.copy()))
+        return nt_scaling(blk, x, z)
+
+    monkeypatch.setattr(solver_module, "nt_scaling", recorded)
+    solve(problem)
+    nb = len(problem.cones)
+    return [
+        [nt_scaling(*args) for args in seen[nb * it : nb * (it + 1)]]
+        for it in iterations
+        if nb * (it + 1) <= len(seen)
+    ]
+
+
+class TestStructuredSchur:
+    @pytest.mark.parametrize(
+        "design, overrides",
+        [
+            (OutageProblem, {}),
+            (OutageProblem, {"feeds": 18}),
+            (OutageProblem, {"phase_cov": correlated_cov(12)}),
+            (AvgSinrProblem, {}),
+        ],
+        ids=["outage-desk", "outage-k18", "outage-cov", "avg-desk"],
+    )
+    def test_equals_dense_oracle_at_ipm_iterates(self, design, overrides, monkeypatch):
+        scenario = build_scenario(desk_config(**overrides))
+        problem = design(scenario).builder.build()
+        As = _equilibrate(problem)[0]
+        plan = _SchurPlan(problem.cones, _ConeVec(problem.cones).slices, As)
+        iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4, 6))
+        assert len(iterates) == 4
+        for scalings in iterates:
+            S = plan.assemble(scalings)
+            ref = dense_schur(problem.cones, As, scalings)
+            assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert all(not spare.any() for spare in plan.spare.values())
+        # The one-entry rows the plan holds compact: feed caps, and for the
+        # outage program with identity covariance the off-diagonal Q rows.
+        k = scenario.feeds
+        singles = {op.single.size for _, _, op in plan.dense if isinstance(op, PsdRows)}
+        if design is AvgSinrProblem or "phase_cov" in overrides:
+            assert singles == {k}
+        else:
+            assert singles == {k + len(scenario.users) * k * (k - 1) // 2}
 
 
 class TestTimings:
