@@ -50,36 +50,72 @@ class ConeBlock:
         return self.size
 
 
+class _Layout:
+    """Index tables of one PSD order d, built once per order (``_layout``).
+
+    ``k``, ``l``: the upper triangle row by row; ``sc``: its svec scales;
+    ``strict``: the strict-upper positions among them.  The gathers read
+    (..., d, d) as flat real values, entry (i, j) at i*d + j, or for complex
+    input (i*d + j, re/im) interleaved, and write smat's output the same way.
+    """
+
+    def __init__(self, d):
+        k, l = np.triu_indices(d)
+        on = k == l
+        self.k, self.l = k, l
+        self.sc = np.where(on, 1.0, _SQRT2)
+        self.strict = np.flatnonzero(~on)
+        nre, ns = k.size, self.strict.size
+        flat = k * d + l
+        self.svec_real = flat
+        self.svec_herm = np.concatenate([2 * flat, 2 * flat[self.strict] + 1])
+        self.svec_herm_sc = np.concatenate([self.sc, np.full(ns, _SQRT2)])
+        # smat's real source is Re upper / sc, entry (i, j) reads its (min, max);
+        # the Hermitian source appends Im upper / sqrt2, its negation and a zero.
+        pos = np.empty((d, d), dtype=np.intp)
+        pos[k, l] = pos[l, k] = np.arange(nre)
+        imag = np.full((d, d), nre + 2 * ns)
+        imag[k[~on], l[~on]] = nre + np.arange(ns)
+        imag[l[~on], k[~on]] = nre + ns + np.arange(ns)
+        self.smat_real = pos.ravel()
+        self.smat_herm = np.stack([pos.ravel(), imag.ravel()], axis=-1).ravel()
+
+
 def _layout(d, _cache={}):
-    """(upper-triangle indices, their svec scales, strict-upper positions in them)."""
     if d not in _cache:
-        iu = np.triu_indices(d)
-        strict = iu[0] != iu[1]
-        _cache[d] = (iu, np.where(strict, _SQRT2, 1.0), np.flatnonzero(strict))
+        _cache[d] = _Layout(d)
     return _cache[d]
 
 
 def svec(mat: np.ndarray) -> np.ndarray:
     """(..., d, d) -> (..., veclen); complex input takes the Hermitian layout."""
-    iu, sc, strict = _layout(mat.shape[-1])
-    up = mat[..., iu[0], iu[1]]
-    if np.iscomplexobj(up):
-        return np.concatenate([up.real * sc, up.imag[..., strict] * _SQRT2], axis=-1)
-    return up * sc
+    d = mat.shape[-1]
+    lay = _layout(d)
+    if np.iscomplexobj(mat):
+        flat = np.ascontiguousarray(mat).view(mat.real.dtype)
+        flat = flat.reshape(mat.shape[:-2] + (2 * d * d,))
+        return np.take(flat, lay.svec_herm, axis=-1) * lay.svec_herm_sc
+    flat = mat.reshape(mat.shape[:-2] + (d * d,))
+    return np.take(flat, lay.svec_real, axis=-1) * lay.sc
 
 
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """(..., veclen) -> (..., d, d), complex when v has d^2 > d(d+1)/2 entries."""
-    iu, sc, strict = _layout(d)
-    nre = sc.size
-    up = v[..., :nre] / sc
-    if v.shape[-1] > nre:
-        up = up.astype(complex)
-        up[..., strict] += 1j * (v[..., nre:] / _SQRT2)
-    out = np.empty(v.shape[:-1] + (d, d), dtype=up.dtype)
-    out[..., iu[1], iu[0]] = up.conj()
-    out[..., iu[0], iu[1]] = up
-    return out
+    lay = _layout(d)
+    nre = lay.sc.size
+    shape = v.shape[:-1] + (d, d)
+    if v.shape[-1] == nre:
+        return np.take(v / lay.sc, lay.smat_real, axis=-1).reshape(shape)
+    # The source [Re / sc, Im / sqrt2, -Im / sqrt2, 0] is written in place:
+    # on a stack, temporaries and a concatenate cost more than the gather.
+    ns = v.shape[-1] - nre
+    src = np.empty(v.shape[:-1] + (nre + 2 * ns + 1,))
+    im = src[..., nre : nre + ns]
+    np.divide(v[..., :nre], lay.sc, out=src[..., :nre])
+    np.divide(v[..., nre:], _SQRT2, out=im)
+    np.negative(im, out=src[..., nre + ns : -1])
+    src[..., -1] = 0.0
+    return np.take(src, lay.smat_herm, axis=-1).view(np.complex128).reshape(shape)
 
 
 def identity_element(block: ConeBlock) -> np.ndarray:
@@ -98,8 +134,8 @@ class PsdRows:
 
     A row whose block part has a single upper-triangle entry (k, l), such as
     a feed cap's diagonal entry or an off-diagonal Q row of the outage
-    program, is held as (row, k, l, coefficient).  Every other row is a
-    (d, d) matrix in ``stack``.
+    program, is held as (row, k, l, coefficient), the ``ndiag`` diagonal
+    rows (k == l) first.  Every other row is a (d, d) matrix in ``stack``.
     """
 
     stacked: np.ndarray  # row indices of ``stack``
@@ -108,24 +144,38 @@ class PsdRows:
     k: np.ndarray
     l: np.ndarray
     coef: np.ndarray  # entry (k, l); (l, k) holds its conjugate
+    ndiag: int  # single[:ndiag] are diagonal entries, real-valued coef
 
     def write_W_cols(self, scaling, out, spare):
         """out[i] = row i through ``scaling.apply_W_cols``, for every row.
 
-        The one-entry rows are expanded into ``spare``, a zero stack of at
-        least ``len(single)`` (d, d) matrices of the block's field, which
-        is zero again on return.  Each stacked matmul is one gemm per
-        matrix, so both forms give the bits of the whole (rows, d, d) stack.
+        ``spare`` is a zero stack of at least ``len(single)`` (d, d)
+        matrices of the block's field, zero again on return.  A diagonal row
+        c E_kk skips the first product: Rh (c E_kk) is column k, Rh[:, k] c,
+        one term per entry and so exact on any BLAS kernel; it is written
+        into ``spare`` and only the product with R is a gemm.  An
+        off-diagonal row is expanded in full and takes both gemms, because a
+        complex coefficient makes each entry a complex product that zgemm
+        kernels round differently (fused or not).  Each stacked matmul is
+        one gemm per matrix, so every form gives the bits of the whole
+        (rows, d, d) stack.
         """
         out[self.stacked] = scaling.apply_W_cols(self.stack)
-        if self.single.size:
-            mats = spare[: self.single.size]
-            at = np.arange(self.single.size), self.k, self.l
-            conj = at[0], self.l, self.k
-            # smat's order: the conjugate first, so a diagonal entry keeps coef.
-            mats[conj] = self.coef.conj()
-            mats[at] = self.coef
-            out[self.single] = scaling.apply_W_cols(mats)
+        n = self.ndiag
+        if n:
+            mats = spare[:n]
+            col = np.arange(n), slice(None), self.k[:n]
+            mats[col] = (scaling.Rh[:, self.k[:n]] * self.coef[:n]).T
+            out[self.single[:n]] = svec(mats @ scaling.R)
+            mats[col] = 0.0
+        if self.single.size > n:
+            k, l, coef = self.k[n:], self.l[n:], self.coef[n:]
+            mats = spare[: coef.size]
+            at = np.arange(coef.size), k, l
+            conj = at[0], l, k
+            mats[conj] = coef.conj()
+            mats[at] = coef
+            out[self.single[n:]] = scaling.apply_W_cols(mats)
             mats[conj] = 0.0
             mats[at] = 0.0
 
@@ -138,22 +188,30 @@ def row_operand(block: ConeBlock, cols: np.ndarray):
     """
     if block.kind != PSD:
         return cols
-    iu, sc, strict = _layout(block.size)
-    nre = sc.size
+    lay = _layout(block.size)
+    nre = lay.sc.size
     touched = cols[:, :nre] != 0
     if cols.shape[1] > nre:
-        touched[:, strict] |= cols[:, nre:] != 0
+        touched[:, lay.strict] |= cols[:, nre:] != 0
     one = touched.sum(axis=1) == 1
-    single = np.flatnonzero(one)
-    pos = touched[single].argmax(axis=1)
-    coef = cols[single, pos] / sc[pos]
+    pos = touched.argmax(axis=1)
+    diag = one & (lay.k[pos] == lay.l[pos])
+    single = np.concatenate([np.flatnonzero(diag), np.flatnonzero(one & ~diag)])
+    pos = pos[single]
+    coef = cols[single, pos] / lay.sc[pos]
     if cols.shape[1] > nre:
         imag = np.zeros((single.size, nre))
-        imag[:, strict] = cols[single, nre:] / _SQRT2
+        imag[:, lay.strict] = cols[single, nre:] / _SQRT2
         coef = coef + 1j * imag[np.arange(single.size), pos]  # smat's arithmetic
     stacked = np.flatnonzero(~one)
     return PsdRows(
-        stacked, smat(cols[stacked], block.size), single, iu[0][pos], iu[1][pos], coef
+        stacked,
+        smat(cols[stacked], block.size),
+        single,
+        lay.k[pos],
+        lay.l[pos],
+        coef,
+        int(diag.sum()),
     )
 
 

@@ -146,7 +146,9 @@ class _SchurPlan:
     Nonnegative and PSD blocks fill the columns of one dense G = A W' (in
     cone order), and S starts as G G', so numpy takes its symmetric syrk
     path.  A PSD block's one-entry rows are held compact (``PsdRows``) and
-    expanded per block into one zero stack sized here.  A second-order
+    written per block into one zero stack sized here: a diagonal row (the
+    feed caps) as the one column of its first product Rh (c E_kk), an
+    off-diagonal row as its full expansion.  A second-order
     block's columns are nonzero only on its own rows r_b (an outage SOC
     touches its terminal's 13 or 79 rows of 558 at desk scale), so it adds
     G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.

@@ -64,17 +64,20 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     SINR vector and a temporary of its statistics), not samples x K
     complex.  With 2 workers, 200,000 desk samples peak at about 5.9 MB
     under tracemalloc, where holding every sample at once took 136 MB.
-    More workers than two would each add a SINR vector for little speed:
-    the normal draws hold the interpreter lock, so only the cos/sin, the
-    multiply and the scoring overlap.  The chunks are the rows of one whole draw in
-    order, each row is scored the same way, and the statistics are taken
-    over the whole SINR vector, so reports are bit-identical to drawing
-    and scoring all samples at once, at any worker count, provided the
-    BLAS gives a row of a product the same bits whatever the product's row
-    count.  That was verified with OpenBLAS 0.3.31 (its SkylakeX, Haswell,
-    Sandybridge and Katmai kernels); its Nehalem kernel breaks it for small
-    real products, so there chunked correlated draws may differ in the
-    last bit.
+    The normal draws release the interpreter lock, as the cos/sin, the
+    multiply and the scoring kernels do (two threads drawing (270, 60)
+    normals from their own Generators took 0.73 s where one thread took
+    1.36 s for both shares, on 2 vCPUs), so only the Python between numpy
+    calls runs serially.  Each worker beyond two adds its buffers and a
+    SINR vector, and gains speed only where a core is free for it.  The
+    chunks are the rows of one whole draw in order, each row is scored the
+    same way, and the statistics are taken over the whole SINR vector, so
+    reports are bit-identical to drawing and scoring all samples at once,
+    at any worker count, provided the BLAS gives a row of a product the
+    same bits whatever the product's row count.  That was verified with
+    OpenBLAS 0.3.31 (its SkylakeX, Haswell, Sandybridge and Katmai
+    kernels); its Nehalem kernel breaks it for small real products, so
+    there chunked correlated draws may differ in the last bit.
     """
     if samples < 1:
         raise LeobeamError("need at least one Monte-Carlo sample")

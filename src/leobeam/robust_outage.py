@@ -145,9 +145,20 @@ class OutageProblem(LiftedProblem):
         lin = q.reshape(n, n)[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
         q = svec(q)  # Q is symmetric: K(K+1)/2 coordinates of norm ||Q||_F
         nq = q.shape[1]
-        betas = margin_scalars(scenario, user)
         mu = mu_from_outage(user.outage_prob)
         g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
+        # A target far below 0 dB makes alpha/gamma huge.  The largest |beta|
+        # times the largest entry of lin, r and mu q is, rounded as below,
+        # the largest coefficient of the rows, so these say if any overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            betas = margin_scalars(scenario, user)
+            big = np.abs(betas).max()
+            peaks = big * np.abs(lin).max(), big * np.abs(r).max(), big * mu * np.abs(q).max()
+        if not np.isfinite(peaks).all():
+            raise ConfigError(
+                f"gamma_db of terminal {idx} makes its outage constraint "
+                "coefficients overflow"
+            )
         r_soc = bld.add_soc(k + 1)  # head x bounds ||r||/sqrt(2)
         q_soc = bld.add_soc(nq + 1)  # head y bounds mu * ||Q||_F
         # Linear row: tr(Q) + sum Z - 2g(x + y) >= sigma0^2.

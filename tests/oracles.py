@@ -7,7 +7,8 @@ complement from one dense G = A W' over every column, the real
 [[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
 with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
 every sample held at once, scenario assembly one terminal and one feed at a
-time, and the SINR forms region by region with their own SIC rank loop.
+time, the SINR forms region by region with their own SIC rank loop, and
+svec/smat by fancy indexing on the upper triangle.
 Expected values frozen into tests were computed with these routines.
 """
 
@@ -562,3 +563,38 @@ def loop_sinr_samples(user, h_samples, design, scenario):
         if j != m:
             denom = denom + loop_region_alpha_total(scenario, j) * powers[:, j]
     return user.alpha * powers[:, m] / denom
+
+
+# ---------------------------------------------------------------------------
+# svec / smat by fancy indexing on the upper triangle: the production pair
+# gathers through cached flat indices and must match these byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def _fancy_layout(d):
+    iu = np.triu_indices(d)
+    strict = iu[0] != iu[1]
+    return iu, np.where(strict, np.sqrt(2.0), 1.0), np.flatnonzero(strict)
+
+
+def fancy_svec(mat):
+    """(..., d, d) -> (..., veclen); complex input takes the Hermitian layout."""
+    iu, sc, strict = _fancy_layout(mat.shape[-1])
+    up = mat[..., iu[0], iu[1]]
+    if np.iscomplexobj(up):
+        return np.concatenate([up.real * sc, up.imag[..., strict] * np.sqrt(2.0)], axis=-1)
+    return up * sc
+
+
+def fancy_smat(v, d):
+    """(..., veclen) -> (..., d, d), complex when v has d^2 > d(d+1)/2 entries."""
+    iu, sc, strict = _fancy_layout(d)
+    nre = sc.size
+    up = v[..., :nre] / sc
+    if v.shape[-1] > nre:
+        up = up.astype(complex)
+        up[..., strict] += 1j * (v[..., nre:] / np.sqrt(2.0))
+    out = np.empty(v.shape[:-1] + (d, d), dtype=up.dtype)
+    out[..., iu[1], iu[0]] = up.conj()
+    out[..., iu[0], iu[1]] = up
+    return out

@@ -292,6 +292,23 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "gamma_db, terminal", [(-3080, 0), (-3200, 0), ([3, 3, -3150, 3], 2)]
+    )
+    def test_outage_rows_out_of_float_range_rejected(
+        self, tmp_path, capsys, recwarn, gamma_db, terminal
+    ):
+        # the linear target is positive, but alpha/gamma times the channel
+        # terms overflows in the outage rows
+        doc = dict(SMALL, scenario=dict(SMALL["scenario"], gamma_db=gamma_db))
+        out = tmp_path / "o"
+        argv = ["design", "--config", write_cfg(tmp_path, doc), "--algorithm", "outage"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"gamma_db of terminal {terminal} makes its outage constraint" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("g_over_t_db", 3080), ("sat_gain_dbi", 3080), ("altitude_m", 1e-300), ("altitude_m", 1e300)],
     )

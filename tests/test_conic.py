@@ -7,6 +7,8 @@ from conftest import correlated_cov, desk_config
 from oracles import (
     dense_schur,
     embed_hermitian,
+    fancy_smat,
+    fancy_svec,
     hermitian_from_embedding,
     random_feasible_problem,
     random_hermitian,
@@ -318,6 +320,48 @@ class TestHermitianCone:
         assert np.linalg.eigvalsh(smat(x + 0.99 * alpha * dx, 4)).min() > 0
 
 
+class TestSvecGather:
+    """svec and smat gather through cached flat indices; the fancy-index
+    oracles give every byte, signed zeros included."""
+
+    @staticmethod
+    def same_bytes(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+    @pytest.mark.parametrize("d", [1, 2, 12, 60])
+    def test_svec_matches_fancy_index(self, d, hermitian):
+        rng = np.random.default_rng(100 + d + hermitian)
+        mats = rng.normal(size=(2, 3, d, d))
+        if hermitian:
+            mats = mats + 1j * rng.normal(size=mats.shape)
+        mats[..., 0, :] = 0.0
+        mats[..., :, -1] *= -0.0  # zeros of both signs
+        views = [
+            mats,  # batch axes
+            mats[1, 2],  # one matrix
+            mats.swapaxes(-1, -2),  # transposed
+            mats[:, ::2],  # sliced
+            mats[:, :0],  # empty batch
+        ]
+        for mat in views:
+            self.same_bytes(svec(mat), fancy_svec(mat))
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+    @pytest.mark.parametrize("d", [1, 2, 12, 60])
+    def test_smat_matches_fancy_index(self, d, hermitian):
+        # Zeros as A's rows hold them (+0): the output's zero imaginary
+        # parts below the diagonal are -0 in both.
+        rng = np.random.default_rng(200 + d + hermitian)
+        n = ConeBlock("psd", d, hermitian=hermitian).veclen
+        v = rng.normal(size=(2, 3, n))
+        v[rng.random(v.shape) < 0.3] = 0.0
+        wide = np.repeat(v, 2, axis=-1)
+        for vec in (v, v[1, 2], np.asfortranarray(v), wide[..., ::2], v[:, :0]):
+            self.same_bytes(smat(vec, d), fancy_smat(vec, d))
+
+
 class TestComplexEmbeddingOracle:
     def test_native_matches_embedding(self):
         rng = np.random.default_rng(17)
@@ -523,6 +567,26 @@ class TestSchurKernels:
             assert op.single.tolist() == [1, 3] + [5] * hermitian
         assert sorted(op.single.tolist() + op.stacked.tolist()) == list(range(len(A)))
         spare = np.zeros((op.single.size + 2, d, d), dtype=op.stack.dtype)
+        G = np.full(A.shape, np.nan)
+        op.write_W_cols(sc, G, spare)
+        assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
+        assert not spare.any()
+        if not hermitian or d not in (12, 60):
+            return
+        # Production shapes: avg-full's 60 feed caps per W block are diagonal
+        # rows; the desk outage program's off-diagonal Q rows are complex.
+        if d == 60:
+            caps = zip(rng.permutation(d), rng.uniform(0.1, 2.0, d))
+            A = np.array([entry(k, k, c) for k, c in caps])
+        else:
+            pairs = [(k, l) for k in range(d) for l in range(k + 1, d)]
+            picks = rng.integers(len(pairs), size=300)
+            coefs = rng.normal(size=300) + 1j * rng.normal(size=300)
+            A = np.array([entry(*pairs[i], c) for i, c in zip(picks, coefs)])
+        op = row_operand(block, A)
+        assert op.stacked.size == 0 and op.single.size == len(A)
+        assert op.ndiag == (len(A) if d == 60 else 0)
+        spare = np.zeros((len(A), d, d), dtype=complex)
         G = np.full(A.shape, np.nan)
         op.write_W_cols(sc, G, spare)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
