@@ -16,7 +16,6 @@ from .channel import (
     beam_gain,
     expected_phase_matrix,
     large_scale_gain,
-    perturb_channel,
     sample_phase_error,
     sample_rain,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "large_scale_gain",
     "mu_from_outage",
     "per_feed_power",
-    "perturb_channel",
     "sample_phase_error",
     "sample_rain",
     "sic_order",

@@ -218,10 +218,3 @@ def assemble_channel(
     est = amp * np.exp(1j * phases)
     return ChannelVector(est, float(large_scale), beam_gains, rain_amplitude**2)
 
-
-def perturb_channel(ch: ChannelVector, phase_error: np.ndarray) -> np.ndarray:
-    """True channel under a phase-error realization: diag(h_est) exp(j e)."""
-    e = np.asarray(phase_error, dtype=float)
-    if e.shape != ch.estimated.shape:
-        raise ConfigError("phase error length must match the channel")
-    return ch.estimated * np.exp(1j * e)

@@ -197,29 +197,15 @@ def write_sinr_report(entries, path):
     write_csv(path, header, map(dataclasses.astuple, entries))
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def write_manifest(path, command, cfg, extra=None):
     doc = {
         "tool": "leobeam",
         "version": __version__,
         "command": command,
-        "config": _json_ready(cfg),
+        "config": cfg,
     }
     if extra:
-        doc.update(_json_ready(extra))
+        doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -335,70 +321,6 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as ex:  # report, do not abort the suite
-            checks.append((name, False, f"{type(ex).__name__}: {ex}"))
-
-    def bessel_spots():
-        from .numerics import bessel_j
-
-        assert abs(bessel_j(1, 2.07123) - 0.5711226260848378) < 1e-10
-        assert bessel_j(3, 0.0) == 0.0
-
-    def beam_limits():
-        from .channel import BeamPattern, beam_gain
-
-        pat = BeamPattern(50.0, np.deg2rad(0.4))
-        assert abs(beam_gain(pat, 0.0) - 50.0) < 1e-9 * 50.0
-        half = beam_gain(pat, np.deg2rad(0.4)) / 50.0
-        assert abs(half - 0.5) < 0.05 * 0.5
-
-    def solver_trio():
-        from .conic import ConeProgramBuilder, solve
-
-        bld = ConeProgramBuilder()
-        v = bld.add_soc(3)
-        bld.add_eq([(v, {1: 1.0})], 3.0)
-        bld.add_eq([(v, {2: 1.0})], 4.0)
-        bld.set_objective([(v, {0: 1.0})])
-        s = solve(bld.build())
-        assert s.status == "OPTIMAL" and abs(s.obj_primal - 5.0) < 1e-6
-
-    def tiny_design():
-        from .robust_avg import design_avg_sinr
-        from .scenario import NetworkConfig, build_scenario
-
-        cfg = NetworkConfig(feeds=4, beams=1, users_per_region=1, seed=5)
-        sc = build_scenario(cfg)
-        d = design_avg_sinr(sc)
-        assert d.status == "OPTIMAL" and d.total_power > 0
-
-    def phasor_matrix():
-        from .channel import PhaseErrorModel, expected_phase_matrix
-
-        q = expected_phase_matrix(PhaseErrorModel(np.deg2rad(5.0)), 6)
-        assert abs(q[0, 1] - np.exp(-np.deg2rad(5.0) ** 2)) < 1e-12
-        assert np.linalg.eigvalsh(q).min() > 0
-
-    check("bessel spot values", bessel_spots)
-    check("beam pattern limits", beam_limits)
-    check("cone solver canned problems", solver_trio)
-    check("single-terminal design", tiny_design)
-    check("expected phasor matrix", phasor_matrix)
-
-    ok = True
-    for name, passed, detail in checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
-        ok &= passed
-    return EXIT_OK if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leobeam",
@@ -428,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="robust designs vs baselines on one instance")
     common(p)
     p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant checks")
-    p.set_defaults(fn=cmd_selftest)
     return parser
 
 

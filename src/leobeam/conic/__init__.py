@@ -1,7 +1,7 @@
 """Self-contained conic solver: PSD + second-order + nonnegative cones."""
 
 from .cones import NONNEG, PSD, SOC, ConeBlock, smat, svec
-from .model import ConeProgramBuilder, dump_problem, load_problem
+from .model import ConeProgramBuilder
 from .solver import (
     DUAL_INFEASIBLE,
     MAX_ITER,
@@ -26,8 +26,6 @@ __all__ = [
     "PRIMAL_INFEASIBLE",
     "DUAL_INFEASIBLE",
     "MAX_ITER",
-    "dump_problem",
-    "load_problem",
     "smat",
     "solve",
     "svec",

@@ -13,8 +13,6 @@ import numpy as np
 from .cones import NONNEG, PSD, SOC, ConeBlock, smat, svec
 from .solver import ConicProblem
 
-HERMITIAN = "hermitian"  # cone token of a complex PSD block in the text format
-
 
 @dataclass(frozen=True)
 class VarRef:
@@ -133,54 +131,3 @@ class ConeProgramBuilder:
         w = smat(seg, ref.cone.size)
         return w.astype(complex, copy=False) if ref.cone.hermitian else w  # real at order 1
 
-
-# -- plain-text interchange ---------------------------------------------------
-
-
-def dump_problem(problem: ConicProblem, path):
-    """Write the standard form to a plain-text file for cross-checking."""
-    with open(path, "w") as fh:
-        fh.write("conic-problem v1\n")
-        fh.write(f"dims {problem.n} {problem.m}\n")
-        fh.write(f"cones {len(problem.cones)}\n")
-        for blk in problem.cones:
-            fh.write(f"{HERMITIAN if blk.hermitian else blk.kind} {blk.size}\n")
-        fh.write("objective\n")
-        fh.write(" ".join(repr(float(v)) for v in problem.c) + "\n")
-        fh.write("rhs\n")
-        fh.write(" ".join(repr(float(v)) for v in problem.b) + "\n")
-        fh.write("rows\n")
-        for i in range(problem.m):
-            fh.write(" ".join(repr(float(v)) for v in problem.A[i]) + "\n")
-        fh.write("end\n")
-
-
-def load_problem(path) -> ConicProblem:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]  # a blank line is an empty vector
-    if lines[0] != "conic-problem v1":
-        raise ValueError("unrecognized problem file header")
-    _, n, m = lines[1].split()
-    n, m = int(n), int(m)
-    ncones = int(lines[2].split()[1])
-    cones = []
-    for i in range(ncones):
-        kind, size = lines[3 + i].split()
-        if kind == HERMITIAN:
-            cones.append(ConeBlock(PSD, int(size), hermitian=True))
-        elif kind in (NONNEG, SOC, PSD):
-            cones.append(ConeBlock(kind, int(size)))
-        else:
-            raise ValueError(f"unknown cone kind {kind!r}")
-    pos = 3 + ncones
-    if lines[pos] != "objective":
-        raise ValueError("expected objective section")
-    c = np.array([float(v) for v in lines[pos + 1].split()])
-    if lines[pos + 2] != "rhs":
-        raise ValueError("expected rhs section")
-    b = np.array([float(v) for v in lines[pos + 3].split()])
-    if lines[pos + 4] != "rows":
-        raise ValueError("expected rows section")
-    rows = [[float(v) for v in ln.split()] for ln in lines[pos + 5 : pos + 5 + m]]
-    A = np.array(rows).reshape(m, n)
-    return ConicProblem(c, A, b, cones)

@@ -6,13 +6,14 @@ robust against.  Every estimate carries a normal-approximation standard error
 and is bit-reproducible from (design, scenario, samples, seed).
 """
 
+import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import sample_phase_error
-from .errors import ConvergenceError, LeobeamError
+from .errors import ConfigError, ConvergenceError, LeobeamError
 from .network import BeamDesign, sinr_samples
 
 
@@ -27,8 +28,6 @@ class EvalReport:
     gamma_target: np.ndarray
     samples: int
     seed: int
-    total_power: float
-    per_feed: np.ndarray
 
     @property
     def mean_sinr_db(self) -> np.ndarray:
@@ -79,8 +78,9 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     kernels); its Nehalem kernel breaks it for small real products, so
     there chunked correlated draws may differ in the last bit.
     """
-    if samples < 1:
-        raise LeobeamError("need at least one Monte-Carlo sample")
+    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     users = scenario.users
     streams = np.random.SeedSequence(seed).spawn(len(users))
     k = scenario.feeds
@@ -155,8 +155,6 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
         gamma_target=targets,
         samples=samples,
         seed=seed,
-        total_power=design.total_power,
-        per_feed=design.per_feed,
     )
 
 

@@ -433,22 +433,3 @@ def write_channels(scenario: Scenario, path):
                     f"{float(ch.rain_power[kk])!r}\n"
                 )
 
-
-def read_channels(path):
-    """Parse the columnar ensemble back into per-terminal ChannelVectors."""
-    rows = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            key = (int(parts[0]), int(parts[1]))
-            rows.setdefault(key, []).append([float(v) for v in parts[2:]])
-    out = {}
-    for key, feed_rows in rows.items():
-        feed_rows.sort(key=lambda r: r[0])
-        arr = np.array(feed_rows)
-        est = arr[:, 1] + 1j * arr[:, 2]
-        out[key] = ChannelVector(est, float(arr[0, 3]), arr[:, 4], arr[:, 5])
-    return out

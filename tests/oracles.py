@@ -235,11 +235,14 @@ def random_feasible_problem(rng):
     return ConicProblem(c, A, b_vec, blocks), kinds
 
 
-def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7):
+def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7, tol=1e-10):
     """First-order oracle for small strictly feasible cone programs.
 
-    Returns (x, objective).  Run long enough that the objective is accurate
-    to ~1e-5 on the well-conditioned random instances used in tests.
+    Returns (x, objective, pres, dres).  Stops once the primal residual
+    ||x - z|| / (1 + ||z||) and the dual residual rho ||z - z_prev|| /
+    (1 + ||c||) are both at most ``tol``, or after ``iters`` iterations;
+    the final residuals are returned so that callers can assert the stop
+    was a converged one (a fixed point of the iteration is optimal).
     """
     c = np.asarray(c, float)
     A = np.asarray(A, float)
@@ -252,14 +255,20 @@ def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7):
     kkt_inv = np.linalg.inv(kkt)
     z = project_cone(np.zeros(n), cones)
     u = np.zeros(n)
-    x = z.copy()
+    c_scale = 1.0 + np.linalg.norm(c)
+    pres = dres = np.inf
     for _ in range(iters):
         rhs = np.concatenate([rho * (z - u) - c, b])
         x = (kkt_inv @ rhs)[:n]
         xh = over_relax * x + (1.0 - over_relax) * z
+        z_prev = z
         z = project_cone(xh + u, cones)
         u = u + xh - z
-    return z, float(c @ z)
+        pres = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+        dres = rho * np.linalg.norm(z - z_prev) / c_scale
+        if pres <= tol and dres <= tol:
+            break
+    return z, float(c @ z), float(pres), float(dres)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +384,6 @@ def whole_array_evaluate(design, scenario, samples, seed):
         gamma_target=np.array(targets),
         samples=samples,
         seed=seed,
-        total_power=design.total_power,
-        per_feed=design.per_feed,
     )
 
 

@@ -174,7 +174,10 @@ def test_a9_solver_correctness():
                 scale = 1.0 + abs(info.pobj) + abs(info.dobj)
                 slack = max(1e-7, 5.0 * (info.pres + info.dres)) * scale
                 assert info.dobj <= info.pobj + slack
-        _, oracle_obj = solve_conic_admm(problem.c, problem.A, problem.b, kinds, iters=15000)
+        _, oracle_obj, oracle_pres, oracle_dres = solve_conic_admm(
+            problem.c, problem.A, problem.b, kinds, iters=15000
+        )
+        assert max(oracle_pres, oracle_dres) <= 1e-10  # converged, not stopped at the cap
         gap = abs(sol.obj_primal - oracle_obj) / max(1.0, abs(oracle_obj))
         worst_obj = max(worst_obj, gap)
         assert gap <= 1e-4

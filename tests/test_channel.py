@@ -12,7 +12,6 @@ from leobeam.channel import (
     beam_gain,
     expected_phase_matrix,
     large_scale_gain,
-    perturb_channel,
     sample_phase_error,
     sample_rain,
 )
@@ -186,17 +185,6 @@ class TestAssemblePerturb:
         assert np.allclose(
             np.abs(ch.estimated) ** 2, large * ch.beam_gains * ch.rain_power
         )
-
-    def test_perturb_identity_and_modulus(self):
-        rng = np.random.default_rng(7)
-        ch = assemble_channel(
-            1.5, rng.uniform(1, 2, 4), rng.uniform(0.5, 1, 4), rng.uniform(0, 6, 4)
-        )
-        assert np.allclose(perturb_channel(ch, np.zeros(4)), ch.estimated)
-        e = rng.normal(0, 0.3, 4)
-        h = perturb_channel(ch, e)
-        assert np.allclose(np.abs(h), np.abs(ch.estimated))
-        assert np.allclose(h / ch.estimated, np.exp(1j * e))
 
 
 class TestExpectedPhaseMatrix:

@@ -506,7 +506,3 @@ class TestWriteCsv:
         text = path.read_text()
         assert text == "a,b,c,d,e\n0.1,0.3333333333333333,nan,7,x y\n"
         assert "np.float64(" not in text
-
-
-def test_selftest():
-    assert main(["selftest"]) == 0

@@ -60,6 +60,11 @@ class TestEvaluate:
     def test_rejects_empty(self, desk_scenario, alg1_design):
         with pytest.raises(LeobeamError):
             evaluate(alg1_design, desk_scenario, samples=0)
+        # Bad sampling arguments are config errors, not TypeError/ValueError.
+        bad = [(0, 1), (-3, 1), (2.5, 1), (True, 1), (10, -1), (10, 1.5), (10, False)]
+        for samples, seed in bad:
+            with pytest.raises(ConfigError):
+                evaluate(alg1_design, desk_scenario, samples=samples, seed=seed)
 
     def test_csv_schema(self, tmp_path, desk_scenario, alg1_design):
         report = evaluate(alg1_design, desk_scenario, samples=100, seed=1)
@@ -70,7 +75,7 @@ class TestEvaluate:
         assert len(lines) == 1 + len(desk_scenario.users)
 
 
-REPORT_ARRAYS = ("mean_sinr", "se_mean", "outage", "se_outage", "gamma_target", "per_feed")
+REPORT_ARRAYS = ("mean_sinr", "se_mean", "outage", "se_outage", "gamma_target")
 
 
 @pytest.fixture(scope="module")

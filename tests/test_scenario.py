@@ -11,7 +11,6 @@ from leobeam.scenario import (
     hex_lattice,
     offaxis_angle,
     power_split,
-    read_channels,
     write_channels,
 )
 
@@ -242,11 +241,16 @@ def test_channel_ensemble_round_trip(tmp_path):
     sc = build_scenario(desk_config())
     path = tmp_path / "channels.txt"
     write_channels(sc, path)
-    back = read_channels(path)
-    assert len(back) == len(sc.users)
-    for u in sc.users:
-        ch = back[(u.region, u.rank)]
-        assert np.array_equal(ch.estimated, u.channel.estimated)
-        assert np.array_equal(ch.beam_gains, u.channel.beam_gains)
-        assert np.array_equal(ch.rain_power, u.channel.rain_power)
-        assert ch.large_scale == u.channel.large_scale
+    rows = np.loadtxt(path, ndmin=2)
+    assert rows.shape == (len(sc.users) * sc.feeds, 8)
+    # One block of K feed rows per terminal, in scenario order; repr floats
+    # read back bit for bit.
+    for u, block in zip(sc.users, rows.reshape(len(sc.users), sc.feeds, 8)):
+        ch = u.channel
+        region, rank, feed, re, im, large, gains, rain = block.T
+        assert np.all(region == u.region) and np.all(rank == u.rank)
+        assert np.array_equal(feed, np.arange(sc.feeds))
+        assert np.array_equal(re, ch.estimated.real) and np.array_equal(im, ch.estimated.imag)
+        assert np.all(large == ch.large_scale)
+        assert np.array_equal(gains, ch.beam_gains)
+        assert np.array_equal(rain, ch.rain_power)
