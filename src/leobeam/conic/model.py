@@ -28,7 +28,7 @@ class VarRef:
 class ConeProgramBuilder:
     def __init__(self):
         self._vars = []
-        self._rows = []  # (terms dict: var index -> (r, veclen) block, rhs (r,))
+        self._rows = []  # (var index -> (r, veclen) block, rhs (r,)); None once built
         self._obj = {}
         self._n = 0
 
@@ -95,7 +95,11 @@ class ConeProgramBuilder:
         self._rows.append((self._block(terms, rows), rhs.reshape(-1)))
 
     def set_objective(self, terms):
-        self._obj = {vi: vec[0] for vi, vec in self._block(terms, None).items()}
+        self._obj = self._block(terms, None)
+
+    def objective_vector(self, terms) -> np.ndarray:
+        """c of the objective sum over terms of <coeff, var> (single-row forms)."""
+        return self._place(self._block(terms, None))
 
     def _block(self, terms, rows: int | None) -> dict:
         """var index -> summed (rows, veclen) coefficients of the terms on it."""
@@ -107,22 +111,26 @@ class ConeProgramBuilder:
 
     # -- assembly ------------------------------------------------------------
 
-    @property
-    def rhs_vector(self) -> np.ndarray:
-        return np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
+    def _place(self, block) -> np.ndarray:
+        c = np.zeros(self._n)
+        for vi, vec in block.items():
+            c[self._vars[vi].cols] = vec[0]
+        return c
 
     def build(self) -> ConicProblem:
-        b = self.rhs_vector
+        """The program, once: its rows move into A and the builder keeps
+        only its variables, for ``extract`` and ``objective_vector``."""
+        if self._rows is None:
+            raise ValueError("the program is already built")
+        b = np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
         A = np.zeros((b.size, self._n))
         i = 0
         for block, rhs in self._rows:
             for vi, vec in block.items():
                 A[i : i + rhs.size, self._vars[vi].cols] = vec
             i += rhs.size
-        c = np.zeros(self._n)
-        for vi, vec in self._obj.items():
-            c[self._vars[vi].cols] = vec
-        return ConicProblem(c, A, b, [ref.cone for ref in self._vars])
+        self._rows = None
+        return ConicProblem(self._place(self._obj), A, b, [ref.cone for ref in self._vars])
 
     def extract(self, ref: VarRef, x: np.ndarray):
         seg = x[ref.cols]

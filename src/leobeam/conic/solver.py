@@ -52,10 +52,21 @@ FRAC_TO_BOUNDARY = 0.99
 
 @dataclass
 class ConicProblem:
+    """One program: objective c over the constraint set A x = b, x in cones.
+
+    The first solve validates A, b and the cones, equilibrates them and
+    plans the Schur assembly (``_Prepared``); every later solve of this
+    problem or of a ``with_objective`` sibling reuses that work.  So A, b
+    and the cones are read-only after the first solve, and siblings, which
+    share the plan's scratch buffers, are solved one at a time.
+    """
+
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
     cones: list
+    # Holds the ``_Prepared`` work, shared by reference with every sibling.
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -81,6 +92,20 @@ class ConicProblem:
                 raise ValueError("problem data must be finite")
         if not self.cones:
             raise ValueError("at least one cone block required")
+
+    def with_objective(self, c):
+        """The program with objective c over the same A, b and cones,
+        sharing the solver's work on them (see the class docstring)."""
+        sibling = ConicProblem(c, self.A, self.b, self.cones)
+        sibling._shared = self._shared
+        return sibling
+
+    def prepared(self):
+        """The solver's work on A, b and the cones, made on the first call."""
+        if "prep" not in self._shared:
+            self.validate()
+            self._shared["prep"] = _Prepared(self)
+        return self._shared["prep"]
 
 
 @dataclass
@@ -195,14 +220,17 @@ class _SchurPlan:
 
 
 def _equilibrate(problem):
-    """Ruiz-style scaling: per-row and uniform per-cone-block column scaling."""
+    """Ruiz-style scaling of A and b: per-row and uniform per-cone-block
+    column factors, three passes.  Returns (As, bs, dr, dc, col_factors);
+    ``col_factors`` lists each pass's (block slice, 1 / column norm) in the
+    order applied, for ``_Prepared.scale_objective`` to replay on c."""
     A = problem.A.copy()
     b = problem.b.copy()
-    c = problem.c.copy()
     m, n = A.shape
     dr = np.ones(m)
     dc = np.ones(n)
-    layout = _ConeVec(problem.cones)
+    col_factors = []
+    slices = _ConeVec(problem.cones).slices
     for _ in range(3):
         if m:
             rn = np.sqrt(np.abs(A).max(axis=1))
@@ -210,31 +238,59 @@ def _equilibrate(problem):
             A /= rn[:, None]
             b /= rn
             dr /= rn
-        for sl in layout.slices:
+        for sl in slices:
             cn = np.sqrt(np.abs(A[:, sl]).max()) if m else 1.0
             if cn == 0:
                 cn = 1.0
             A[:, sl] /= cn
-            c[sl] *= 1.0 / cn
+            col_factors.append((sl, 1.0 / cn))
             dc[sl] /= cn
-    cscale = max(1.0, np.abs(c).max())
-    c /= cscale
-    return A, b, c, dr, dc, cscale
+    return A, b, dr, dc, col_factors
+
+
+class _Prepared:
+    """The part of a solve that reads only A, b and the cones.
+
+    Made once per constraint set and shared by every objective solved over
+    it: the equilibrated As and bs with their row and column factors, the
+    column factors to replay on each c, the Schur plan, the cone identity e
+    and the barrier degree nu.
+    """
+
+    def __init__(self, problem):
+        self.layout = _ConeVec(problem.cones)
+        self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(problem)
+        self.schur = _SchurPlan(problem.cones, self.layout.slices, self.As)
+        self.e = np.concatenate([identity_element(blk) for blk in problem.cones])
+        self.nu = sum(blk.degree for blk in problem.cones)
+
+    def scale_objective(self, c):
+        """(cs, cscale): c through the column factors, in the order A took
+        them, then divided by cscale = max(1, max |c|)."""
+        if c.shape != self.dc.shape or not np.all(np.isfinite(c)):
+            raise ValueError(f"c must be a finite vector of length {self.dc.size}")
+        c = c.copy()
+        for sl, f in self.col_factors:
+            c[sl] *= f
+        cscale = max(1.0, np.abs(c).max())
+        c /= cscale
+        return c, cscale
 
 
 def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolution:
-    """Solve a mixed-cone program; deterministic for identical inputs."""
+    """Solve a mixed-cone program; deterministic for identical inputs.
+
+    The work on A, b and the cones is the problem's ``prepared()``, made by
+    the first solve; c is checked and scaled on every call.
+    """
     opts = opts or SolveOptions()
-    problem.validate()
-    layout = _ConeVec(problem.cones)
-    As, bs, cs, dr, dc, cscale = _equilibrate(problem)
+    prep = problem.prepared()
+    cs, cscale = prep.scale_objective(problem.c)
+    layout, As, bs, dr, dc = prep.layout, prep.As, prep.bs, prep.dr, prep.dc
+    schur, e, nu = prep.schur, prep.e, prep.nu
     A0, b0, c0 = problem.A, problem.b, problem.c
     m = As.shape[0]
     cones = problem.cones
-    schur = _SchurPlan(cones, layout.slices, As)
-
-    e = np.concatenate([identity_element(blk) for blk in cones])
-    nu = sum(blk.degree for blk in cones)
 
     x = e.copy()
     z = e.copy()

@@ -194,7 +194,7 @@ class SweepRow(PointResult, _GridPoint):
 def apply_axis(scenario, axis: str, value: float):
     """The scenario rebuilt with ``axis`` set to ``value`` for every terminal."""
     if axis not in _AXIS_FIELDS:
-        raise LeobeamError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     return scenario.with_config(**{_AXIS_FIELDS[axis]: value})
 
 
@@ -202,11 +202,14 @@ def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> Point
     """Design with ``design_fn`` and evaluate the design on ``scenario``.
 
     A success carries the design's own status; a ConvergenceError gives
-    NONCONVERGED and any other LeobeamError INFEASIBLE.
+    NONCONVERGED and any other LeobeamError INFEASIBLE, except a
+    ConfigError: a bad input is raised, not reported as a design outcome.
     """
     try:
         design = design_fn(scenario)
         report = evaluate(design, scenario, samples=samples, seed=seed)
+    except ConfigError:
+        raise
     except LeobeamError as ex:
         status = "NONCONVERGED" if isinstance(ex, ConvergenceError) else "INFEASIBLE"
         return PointResult(status, detail=str(ex))
@@ -226,7 +229,7 @@ def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int 
     built first, so a bad grid value is a ConfigError before any design."""
     grid = [float(value) for value in grid]
     if not grid:
-        raise LeobeamError("sweep grid must be nonempty")
+        raise ConfigError("sweep grid must be nonempty")
     points = [apply_axis(scenario, axis, value) for value in grid]
     return [
         SweepRow(axis=axis, value=value, **vars(run_point(point, design_fn, samples, seed)))

@@ -53,8 +53,10 @@ class LiftedProblem:
 
     Holds one Hermitian PSD block W_m per region, one nonnegative slack per
     terminal row and per feed, the terminal rows a subclass emits through
-    ``add_terminal_rows`` and, last, the per-feed power caps.  Assembled
-    once and reused across penalty iterations.
+    ``add_terminal_rows`` and, last, the per-feed power caps.  The program
+    is built once, in ``__init__``; each solve passes only its objective,
+    so every penalty round shares one A, one equilibration and one Schur
+    plan.
     """
 
     family: str  # constraint family that infeasibility certificates name
@@ -73,6 +75,7 @@ class LiftedProblem:
         units = np.array([np.diag(e) for e in np.eye(k)])
         terms = [(ref, units) for ref in self.w_refs]
         bld.add_eq(terms + [(self.feed_slack, np.eye(k))], scenario.power_caps)
+        self.problem = bld.build()
 
     def add_terminal_rows(self, idx, user):
         """Emit terminal ``idx``'s rows; its main row takes -row_slack[idx]."""
@@ -83,11 +86,8 @@ class LiftedProblem:
         k = self.scenario.feeds
         if objective_matrices is None:
             objective_matrices = [np.eye(k)] * self.scenario.beams
-        self.builder.set_objective(
-            [(ref, obj) for ref, obj in zip(self.w_refs, objective_matrices)]
-        )
-        problem = self.builder.build()
-        sol = solve(problem, options or SolveOptions())
+        c = self.builder.objective_vector(zip(self.w_refs, objective_matrices))
+        sol = solve(self.problem.with_objective(c), options or SolveOptions())
         ws = [self.builder.extract(ref, sol.x) for ref in self.w_refs]
         return ws, sol
 
@@ -101,7 +101,7 @@ class LiftedProblem:
         """
         if sol.certificate is None:
             return "unknown"
-        contrib = sol.certificate * self.builder.rhs_vector
+        contrib = sol.certificate * self.problem.b
         k = self.scenario.feeds
         user_w = contrib[:-k].sum()
         feed_w = contrib[-k:].sum()

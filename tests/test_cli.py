@@ -308,6 +308,16 @@ class TestValidation:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    def test_outage_rows_overflow_in_sweep_rejected(self, tmp_path, capsys):
+        # the grid value is a valid scenario, but the outage rows overflow:
+        # the same config error as ``design``, not an INFEASIBLE row
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", write_cfg(tmp_path, SMALL), "--out", str(out)]
+        argv += ["--axis", "gamma", "--grid", "-3200", "--algorithm", "outage"]
+        assert main(argv) == 2
+        assert "makes its outage constraint coefficients overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("g_over_t_db", 3080), ("sat_gain_dbi", 3080), ("altitude_m", 1e-300), ("altitude_m", 1e300)],

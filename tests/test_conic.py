@@ -402,7 +402,7 @@ class TestRowBlocks:
                 bld.add_eq([(ref, coeff[i]) for ref, coeff in terms], data["rhs"][i])
         bld.add_eq([(v, {0: 1.0})], 3.0)
         bld.set_objective([(w, np.eye(3))])
-        return bld, bld.build()
+        return bld.build()
 
     def test_block_equals_single_rows(self):
         rng = np.random.default_rng(31)
@@ -415,13 +415,12 @@ class TestRowBlocks:
             "p": rng.normal(size=(r, 3)),  # raw svec rows of a real order-2 block
             "rhs": rng.normal(size=r),
         }
-        single_bld, single = self.program(data, block=False)
-        block_bld, block = self.program(data, block=True)
+        single = self.program(data, block=False)
+        block = self.program(data, block=True)
         assert block.m == single.m == r + 2
         assert np.array_equal(block.A, single.A)
         assert np.array_equal(block.b, single.b)
         assert np.array_equal(block.c, single.c)
-        assert np.array_equal(block_bld.rhs_vector, single_bld.rhs_vector)
 
     def test_wrong_block_shapes_raise(self):
         bld = ConeProgramBuilder()
@@ -594,7 +593,7 @@ class TestStructuredSchur:
     )
     def test_equals_dense_oracle_at_ipm_iterates(self, design, overrides, monkeypatch):
         scenario = build_scenario(desk_config(**overrides))
-        problem = design(scenario).builder.build()
+        problem = design(scenario).problem
         As = _equilibrate(problem)[0]
         plan = _SchurPlan(problem.cones, _ConeVec(problem.cones).slices, As)
         iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4, 6))
@@ -612,6 +611,62 @@ class TestStructuredSchur:
             assert singles == {k}
         else:
             assert singles == {k + len(scenario.users) * k * (k - 1) // 2}
+
+
+class TestSharedPreparation:
+    """A solve that reuses a problem's equilibration and Schur plan gives the
+    bits of a solve that makes its own."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.status == want.status
+        for name in ("x", "y", "z"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.obj_primal == want.obj_primal
+
+    @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
+    def test_penalty_objective_matches_fresh_problem(self, desk_scenario, design):
+        prob = design(desk_scenario)
+        ws, _ = prob.solve()  # the relaxation prepares the shared work
+        k = desk_scenario.feeds
+        vs = [np.linalg.eigh(w)[1][:, -1] for w in ws]
+        objs = [2.0 * np.eye(k) - np.outer(v, v.conj()) for v in vs]
+        _, shared = prob.solve(objs)
+        c = prob.builder.objective_vector(zip(prob.w_refs, objs))
+        p = prob.problem
+        fresh = solve(ConicProblem(c, p.A.copy(), p.b.copy(), p.cones))
+        assert fresh.status == OPTIMAL
+        self.assert_same_bits(shared, fresh)
+
+    def test_with_objective_matches_fresh_problem(self):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            p, _ = random_feasible_problem(rng)
+            first = solve(p)
+            # c + A'dy keeps c = A'y + z with the same interior z: bounded.
+            c2 = p.c + p.A.T @ rng.normal(size=p.m)
+            sibling = p.with_objective(c2)
+            assert sibling.prepared() is p.prepared()
+            self.assert_same_bits(solve(sibling), solve(ConicProblem(c2, p.A, p.b, p.cones)))
+            # the first objective is still solved to the same bits after the sibling's solve
+            self.assert_same_bits(solve(p), first)
+
+    def test_objective_checked_on_every_solve(self):
+        p = soc_pythagorean()
+        assert solve(p).status == OPTIMAL
+        for bad in (np.ones(p.n + 1), np.full(p.n, np.nan)):
+            with pytest.raises(ValueError, match="finite vector"):
+                solve(p.with_objective(bad))
+
+    def test_builder_builds_once(self):
+        bld = ConeProgramBuilder()
+        v = bld.add_soc(3)
+        bld.add_eq([(v, {1: 1.0})], 3.0)
+        bld.set_objective([(v, {0: 1.0})])
+        p = bld.build()
+        assert np.array_equal(bld.objective_vector([(v, {0: 1.0})]), p.c)
+        with pytest.raises(ValueError, match="already built"):
+            bld.build()
 
 
 class TestTimings:

@@ -193,6 +193,15 @@ class TestSweep:
         assert [r.status for r in rows] == ["NONCONVERGED"]
         assert rows[0].detail == "penalty loop stalled"
 
+    def test_config_error_raised_not_a_row(self, desk_scenario):
+        def bad_input(sc):
+            raise ConfigError("bad input")
+
+        with pytest.raises(ConfigError, match="bad input"):
+            sweep(desk_scenario, "gamma", [0.0], bad_input, samples=10, seed=1)
+        with pytest.raises(ConfigError, match="samples must be an integer"):
+            sweep(desk_scenario, "gamma", [0.0], design_tdma, samples=0, seed=1)
+
     def test_generator_grid(self, desk_scenario):
         grid = (g for g in [0.0, 1.0])
         rows = sweep(desk_scenario, "gamma", grid, design_avg_sinr, samples=100, seed=3)
@@ -217,11 +226,11 @@ class TestSweep:
             assert [u.outage_prob for u in point.users] == [p] * len(point.users)
 
     def test_apply_axis_unknown(self, desk_scenario):
-        with pytest.raises(LeobeamError):
+        with pytest.raises(ConfigError, match="unknown sweep axis"):
             apply_axis(desk_scenario, "bogus", 1.0)
 
     def test_empty_grid_rejected(self, desk_scenario):
-        with pytest.raises(LeobeamError):
+        with pytest.raises(ConfigError, match="nonempty"):
             sweep(desk_scenario, "gamma", [], lambda sc: None)
 
     def test_csv(self, tmp_path, desk_scenario):

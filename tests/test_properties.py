@@ -35,7 +35,7 @@ def test_avg_design_meets_own_rows_or_raises(cfg):
         return
     # The last solve stopped at ||Ax - b|| <= tol_relaxed (1 + ||b||), which
     # bounds the shortfall of every row.
-    b_norm = np.linalg.norm(AvgSinrProblem(sc).builder.rhs_vector)
+    b_norm = np.linalg.norm(AvgSinrProblem(sc).problem.b)
     tol = config.solver.tol_relaxed * (1.0 + b_norm)
     ws = design.lifted
     for user in sc.users:
@@ -72,7 +72,7 @@ def test_outage_design_meets_own_rows_or_raises(cfg):
         design = design_outage(sc, config)
     except (InfeasibleDesignError, ConvergenceError):
         return
-    b_norm = np.linalg.norm(OutageProblem(sc).builder.rhs_vector)
+    b_norm = np.linalg.norm(OutageProblem(sc).problem.b)
     tol = config.solver.tol_relaxed * (1.0 + b_norm)
     ws = design.lifted
     for user in sc.users:

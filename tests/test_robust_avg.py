@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import count_calls, desk_config
 
 from leobeam import robust_avg
+from leobeam.conic import solver
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
 from leobeam.robust_avg import (
     AvgSinrProblem,
@@ -174,6 +175,15 @@ class TestPenaltyLoop:
         design = design_avg_sinr(build_scenario(PENALTY_CFG))
         assert design.iterations == 1
         assert len(calls) == 3
+
+    def test_one_preparation_per_design(self, monkeypatch):
+        # relaxation and one penalty round share one equilibration and plan
+        equilibrations = count_calls(monkeypatch, solver, "_equilibrate")
+        plans = count_calls(monkeypatch, solver, "_SchurPlan")
+        solves = count_calls(monkeypatch, robust_avg, "solve")
+        design = design_avg_sinr(build_scenario(PENALTY_CFG))
+        assert design.iterations == 1
+        assert (len(equilibrations), len(plans), len(solves)) == (1, 1, 2)
 
     def test_iteration_budget(self):
         sc = build_scenario(PENALTY_CFG)

@@ -278,7 +278,7 @@ class TestConicRowsMatchNumeric:
         sc = with_cov(desk_scenario, cov)
         k = sc.feeds
         prob = OutageProblem(sc)
-        a = prob.builder.build().A
+        a = prob.problem.A
         rng = np.random.default_rng(12)
         ws = [random_hermitian(rng, k) for _ in range(sc.beams)]
         x = np.zeros(a.shape[1])
@@ -319,8 +319,8 @@ class TestSymmetricQ:
         sc = with_cov(desk_scenario, cov)
         k, users = sc.feeds, len(sc.users)
         prob, oracle = OutageProblem(sc), vecq_outage_problem(sc)
-        assert prob.builder.build().A.shape[0] == users * (1 + k + k * (k + 1) // 2) + k == 558
-        assert oracle.builder.build().A.shape[0] == users * (1 + k + k * k) + k
+        assert prob.problem.m == users * (1 + k + k * (k + 1) // 2) + k == 558
+        assert oracle.problem.m == users * (1 + k + k * k) + k
         _, sol = prob.solve()
         _, ref = oracle.solve()
         assert sol.status == ref.status == OPTIMAL
@@ -346,7 +346,7 @@ class TestInfeasibilityFamily:
     )
     def test_user_rows_vs_feed_rows(self, desk_scenario, cls, family):
         prob = cls(desk_scenario)
-        rhs = prob.builder.rhs_vector
+        rhs = prob.problem.b
         k = desk_scenario.feeds
         user_only = np.where(np.arange(rhs.size) < rhs.size - k, rhs, 0.0)
         feed_only = rhs - user_only
