@@ -128,63 +128,90 @@ def identity_element(block: ConeBlock) -> np.ndarray:
     return svec(np.eye(block.size, dtype=complex if block.hermitian else float))
 
 
+# Entries of the (d, d) matrices one PSD row chunk expands at once: about
+# 1 MB of complex values per temporary, 18 matrices at d = 60, 455 at d = 12.
+CHUNK_ELEMENTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class PsdRows:
-    """One PSD block's rows of A, held in two forms.
+    """One PSD block's rows of A, read from its columns of A when written.
 
     A row whose block part has a single upper-triangle entry (k, l), such as
     a feed cap's diagonal entry or an off-diagonal Q row of the outage
     program, is held as (row, k, l, coefficient), the ``ndiag`` diagonal
-    rows (k == l) first.  Every other row is a (d, d) matrix in ``stack``.
+    rows (k == l) first.  Every other row, in ``stacked``, is held only as
+    its index into ``cols``.
     """
 
-    stacked: np.ndarray  # row indices of ``stack``
-    stack: np.ndarray  # (len(stacked), d, d)
+    cols: np.ndarray  # the block's columns of A (a view, not a copy)
+    d: int
+    stacked: np.ndarray  # row indices expanded from ``cols`` in full
     single: np.ndarray  # row indices held as one entry
     k: np.ndarray
     l: np.ndarray
     coef: np.ndarray  # entry (k, l); (l, k) holds its conjugate
     ndiag: int  # single[:ndiag] are diagonal entries, real-valued coef
 
+    @property
+    def dtype(self):
+        """The block's field: complex when its columns hold imaginary parts."""
+        return np.dtype(complex if self.cols.shape[1] > _layout(self.d).sc.size else float)
+
+    @property
+    def chunk(self):
+        """Rows expanded and multiplied at once, per ``CHUNK_ELEMENTS``."""
+        return max(1, CHUNK_ELEMENTS // self.d**2)
+
     def write_W_cols(self, scaling, out, spare):
         """out[i] = row i through ``scaling.apply_W_cols``, for every row.
 
-        ``spare`` is a zero stack of at least ``len(single)`` (d, d)
-        matrices of the block's field, zero again on return.  A diagonal row
-        c E_kk skips the first product: Rh (c E_kk) is column k, Rh[:, k] c,
-        one term per entry and so exact on any BLAS kernel; it is written
-        into ``spare`` and only the product with R is a gemm.  An
-        off-diagonal row is expanded in full and takes both gemms, because a
-        complex coefficient makes each entry a complex product that zgemm
-        kernels round differently (fused or not).  Each stacked matmul is
-        one gemm per matrix, so every form gives the bits of the whole
-        (rows, d, d) stack.
+        Each kind of row is expanded and multiplied one chunk of at most
+        ``chunk`` rows at a time.  ``spare`` is a zero stack of at least
+        ``min(chunk, len(single))`` (d, d) matrices of the block's field,
+        zero again on return.  A multi-entry row is ``smat`` of its columns
+        of A.  A diagonal row c E_kk skips the first product: Rh (c E_kk) is
+        column k, Rh[:, k] c, one term per entry and so exact on any BLAS
+        kernel; it is written into ``spare`` and only the product with R is
+        a gemm.  An off-diagonal row is expanded in full into ``spare`` and
+        takes both gemms, because a complex coefficient makes each entry a
+        complex product that zgemm kernels round differently (fused or not).
+        ``smat`` is a gather and a divide per entry, and each stacked matmul
+        is one gemm per matrix, so every form and every chunking gives the
+        bits of ``apply_W_cols`` on the whole (rows, d, d) stack.
         """
-        out[self.stacked] = scaling.apply_W_cols(self.stack)
+        step = self.chunk
+        for at in range(0, self.stacked.size, step):
+            rows = self.stacked[at : at + step]
+            out[rows] = scaling.apply_W_cols(smat(self.cols[rows], self.d))
         n = self.ndiag
-        if n:
-            mats = spare[:n]
-            col = np.arange(n), slice(None), self.k[:n]
-            mats[col] = (scaling.Rh[:, self.k[:n]] * self.coef[:n]).T
-            out[self.single[:n]] = svec(mats @ scaling.R)
+        for at in range(0, n, step):
+            part = slice(at, min(at + step, n))
+            k = self.k[part]
+            mats = spare[: k.size]
+            col = np.arange(k.size), slice(None), k
+            mats[col] = (scaling.Rh[:, k] * self.coef[part]).T
+            out[self.single[part]] = svec(mats @ scaling.R)
             mats[col] = 0.0
-        if self.single.size > n:
-            k, l, coef = self.k[n:], self.l[n:], self.coef[n:]
+        for at in range(n, self.single.size, step):
+            part = slice(at, at + step)
+            k, l, coef = self.k[part], self.l[part], self.coef[part]
             mats = spare[: coef.size]
-            at = np.arange(coef.size), k, l
-            conj = at[0], l, k
+            entry = np.arange(coef.size), k, l
+            conj = entry[0], l, k
             mats[conj] = coef.conj()
-            mats[at] = coef
-            out[self.single[n:]] = scaling.apply_W_cols(mats)
+            mats[entry] = coef
+            out[self.single[part]] = scaling.apply_W_cols(mats)
             mats[conj] = 0.0
-            mats[at] = 0.0
+            mats[entry] = 0.0
 
 
 def row_operand(block: ConeBlock, cols: np.ndarray):
     """One block's columns of A in the form its scaling's W is applied to.
 
-    PSD rows become a ``PsdRows``, other blocks keep their columns.  A does
-    not change within a solve, so the solver builds these once.
+    PSD rows become a ``PsdRows`` over ``cols`` itself, other blocks keep
+    their columns.  A does not change within a solve, so the solver builds
+    these once.
     """
     if block.kind != PSD:
         return cols
@@ -203,10 +230,10 @@ def row_operand(block: ConeBlock, cols: np.ndarray):
         imag = np.zeros((single.size, nre))
         imag[:, lay.strict] = cols[single, nre:] / _SQRT2
         coef = coef + 1j * imag[np.arange(single.size), pos]  # smat's arithmetic
-    stacked = np.flatnonzero(~one)
     return PsdRows(
-        stacked,
-        smat(cols[stacked], block.size),
+        cols,
+        block.size,
+        np.flatnonzero(~one),
         single,
         lay.k[pos],
         lay.l[pos],
@@ -394,7 +421,7 @@ class _PsdScaling:
         return svec(self.T @ smat(v, self.block.size) @ self.T)
 
     def apply_W_cols(self, mats):
-        # mats: (ncols, d, d) from row_operand
+        # mats: (ncols, d, d), one chunk of rows from PsdRows.write_W_cols
         return svec(self.Rh @ mats @ self.R)
 
     def lam_div(self, dvec):

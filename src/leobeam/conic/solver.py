@@ -170,12 +170,14 @@ class _SchurPlan:
 
     Nonnegative and PSD blocks fill the columns of one dense G = A W' (in
     cone order), and S starts as G G', so numpy takes its symmetric syrk
-    path.  A PSD block's one-entry rows are held compact (``PsdRows``) and
-    written per block into one zero stack sized here: a diagonal row (the
-    feed caps) as the one column of its first product Rh (c E_kk), an
-    off-diagonal row as its full expansion.  A second-order
-    block's columns are nonzero only on its own rows r_b (an outage SOC
-    touches its terminal's 13 or 79 rows of 558 at desk scale), so it adds
+    path.  A PSD block's rows are read from its own columns of As as G is
+    written (``PsdRows``), one bounded chunk at a time, so the plan keeps no
+    expanded copy of them.  One-entry rows are held compact and expanded
+    into one zero stack of at most one chunk per (order, field), made here:
+    a diagonal row (the feed caps) as the one column of its first product
+    Rh (c E_kk), an off-diagonal row in full.  A second-order block's
+    columns are nonzero only on its own rows r_b (an outage SOC touches its
+    terminal's 13 or 79 rows of 558 at desk scale), so it adds
     G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
     """
 
@@ -183,7 +185,7 @@ class _SchurPlan:
         self.m = As.shape[0]
         self.dense = []  # (block index, G column slice, row_operand)
         self.soc = []  # (block index, S index of r_b x r_b, As[r_b, b])
-        spare = {}  # (d, dtype) -> most one-entry rows of one block
+        spare = {}  # (d, dtype) -> most one-entry rows of one chunk
         width = 0
         for i, (blk, sl) in enumerate(zip(cones, slices)):
             cols = As[:, sl]
@@ -195,11 +197,12 @@ class _SchurPlan:
             self.dense.append((i, slice(width, width + blk.veclen), op))
             width += blk.veclen
             if isinstance(op, PsdRows):
-                key = op.stack.shape[1:], op.stack.dtype
-                spare[key] = max(spare.get(key, 0), op.single.size)
+                key = op.d, op.dtype
+                spare[key] = max(spare.get(key, 0), min(op.chunk, op.single.size))
         self.width = width
         self.spare = {
-            key: np.zeros((count,) + key[0], key[1]) for key, count in spare.items()
+            (d, dtype): np.zeros((count, d, d), dtype)
+            for (d, dtype), count in spare.items()
         }
 
     def assemble(self, scalings):
@@ -207,7 +210,7 @@ class _SchurPlan:
         G = np.empty((self.m, self.width))
         for i, gsl, op in self.dense:
             if isinstance(op, PsdRows):
-                spare = self.spare[op.stack.shape[1:], op.stack.dtype]
+                spare = self.spare[op.d, op.dtype]
                 op.write_W_cols(scalings[i], G[:, gsl], spare)
             else:
                 G[:, gsl] = scalings[i].apply_W_cols(op)
@@ -392,8 +395,9 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
         # Schur complement S = A H A' (H = W'W), assembled from each block's
         # own rows: G G' over the nonnegative and PSD columns (G = A W', its
-        # one-entry PSD rows expanded from their compact form), plus each
-        # SOC block's G_b G_b' on the rows it touches.  A tiny ridge if needed.
+        # PSD rows expanded per chunk from As or their compact form), plus
+        # each SOC block's G_b G_b' on the rows it touches.  A tiny ridge if
+        # needed.
         with timed("schur_assembly"):
             S = schur.assemble(scalings)
             AHc = As @ per_block("apply_H", cs)

@@ -31,6 +31,7 @@ from leobeam.conic import (
     solve,
 )
 from leobeam.conic.cones import (
+    CHUNK_ELEMENTS,
     PsdRows,
     identity_element,
     jordan_mul,
@@ -496,8 +497,9 @@ class TestSchurKernels:
     @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
     @pytest.mark.parametrize("d", [1, 2, 12, 60])
     def test_compact_rows_give_dense_bits(self, d, hermitian):
-        # G from one-entry rows expanded into the spare stack is bit for bit
-        # G from the whole (rows, d, d) stack, and the spare ends zero.
+        # G from rows expanded per chunk, the one-entry ones into the spare
+        # stack, is bit for bit G from the whole (rows, d, d) stack, and the
+        # spare ends zero.
         block = ConeBlock("psd", d, hermitian=hermitian)
         rng = np.random.default_rng(d + hermitian)
         sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
@@ -525,7 +527,7 @@ class TestSchurKernels:
         else:
             assert op.single.tolist() == [1, 3] + [5] * hermitian
         assert sorted(op.single.tolist() + op.stacked.tolist()) == list(range(len(A)))
-        spare = np.zeros((op.single.size + 2, d, d), dtype=op.stack.dtype)
+        spare = np.zeros((op.single.size + 2, d, d), dtype=op.dtype)
         G = np.full(A.shape, np.nan)
         op.write_W_cols(sc, G, spare)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
@@ -549,6 +551,45 @@ class TestSchurKernels:
         G = np.full(A.shape, np.nan)
         op.write_W_cols(sc, G, spare)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
+        assert not spare.any()
+
+    @pytest.mark.parametrize(
+        "chunks, extra",
+        [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["0", "1", "c-1", "c", "c+1", "2c+1"],
+    )
+    @pytest.mark.parametrize("kind, d", [("multi", 60), ("diag", 60), ("offdiag", 12)])
+    def test_chunked_rows_give_dense_bits(self, kind, d, chunks, extra):
+        # Blocks of each row kind with row counts around the chunk size: G
+        # is bit for bit G from the whole stack, and a spare of the least
+        # size the contract allows (min(chunk, one-entry rows)) ends zero.
+        block = ConeBlock("psd", d, hermitian=True)
+        rng = np.random.default_rng(d + len(kind))
+        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        chunk = max(1, CHUNK_ELEMENTS // d**2)
+        assert chunk == {60: 18, 12: 455}[d]
+        n = chunks * chunk + extra
+        if kind == "multi":
+            A = rng.normal(size=(n, block.veclen))
+        else:
+            mats = np.zeros((n, d, d), dtype=complex)
+            k = rng.integers(d, size=n)
+            if kind == "diag":
+                mats[np.arange(n), k, k] = rng.uniform(0.1, 2.0, n)
+            else:
+                l = (k + rng.integers(1, d, size=n)) % d
+                coef = rng.normal(size=n) + 1j * rng.normal(size=n)
+                mats[np.arange(n), k, l] = coef
+                mats[np.arange(n), l, k] = coef.conj()
+            A = svec(mats).reshape(n, block.veclen)
+        op = row_operand(block, A)
+        assert op.chunk == chunk and op.dtype == complex
+        assert op.stacked.size == (n if kind == "multi" else 0)
+        assert op.ndiag == (n if kind == "diag" else 0)
+        spare = np.zeros((min(chunk, op.single.size), d, d), dtype=complex)
+        G = np.full(A.shape, np.nan)
+        op.write_W_cols(sc, G, spare)
+        assert G.tobytes() == sc.apply_W_cols(smat(A, d)).tobytes()
         assert not spare.any()
 
     def test_no_equality_rows_mixed_cones(self):
@@ -611,6 +652,63 @@ class TestStructuredSchur:
             assert singles == {k}
         else:
             assert singles == {k + len(scenario.users) * k * (k - 1) // 2}
+
+
+class TestSchurPlanMemory:
+    """The Schur plan reads PSD rows from the equilibrated A: it holds no
+    expanded copy of them, only index and coefficient vectors and one chunk
+    of spare matrices per (order, field)."""
+
+    @staticmethod
+    def arrays(obj):
+        """Every array reachable from obj through containers and PsdRows."""
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from TestSchurPlanMemory.arrays(item)
+        elif isinstance(obj, dict):
+            yield from TestSchurPlanMemory.arrays(list(obj.values()))
+        elif isinstance(obj, PsdRows):
+            yield from TestSchurPlanMemory.arrays(list(vars(obj).values()))
+
+    @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
+    def test_plan_holds_no_row_expansion(self, desk_scenario, design):
+        prep = design(desk_scenario).problem.prepared()
+        plan = prep.schur
+        ops = [op for _, _, op in plan.dense if isinstance(op, PsdRows)]
+        assert ops
+        for op in ops:
+            assert np.shares_memory(op.cols, prep.As)
+        spares = list(plan.spare.values())
+        for (d, dtype), spare in plan.spare.items():
+            assert spare.dtype == dtype and spare.shape[1:] == (d, d)
+            assert spare.shape[0] <= max(1, CHUNK_ELEMENTS // d**2)
+        # SOC blocks keep their own rows of As (``soc``), a few per block.
+        held = [v for k, v in vars(plan).items() if k != "soc"]
+        for arr in self.arrays(held):
+            if arr.dtype.kind not in "fc" or np.shares_memory(arr, prep.As):
+                continue
+            if any(arr is spare for spare in spares):
+                continue
+            assert arr.ndim == 1 and arr.size <= plan.m  # one entry per row
+
+    def test_spare_is_one_chunk_whatever_the_row_count(self):
+        # Two d = 60 blocks of 40 feed-cap rows each share one spare of one
+        # chunk (18 matrices); a real block of the same order has its own.
+        d, n = 60, 40
+        cones = [ConeBlock("psd", d, hermitian=True)] * 2 + [ConeBlock("psd", d)]
+        parts = []
+        for blk in cones:
+            mats = np.zeros((n, d, d), dtype=complex if blk.hermitian else float)
+            mats[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+            parts.append(svec(mats))
+        As = np.hstack(parts)
+        plan = _SchurPlan(cones, _ConeVec(cones).slices, As)
+        assert {key: arr.shape for key, arr in plan.spare.items()} == {
+            (d, np.dtype(complex)): (18, d, d),
+            (d, np.dtype(float)): (18, d, d),
+        }
 
 
 class TestSharedPreparation:
