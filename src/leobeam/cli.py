@@ -46,10 +46,12 @@ def load_config(path) -> dict:
     cfg = default_config()
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user_cfg = json.load(fh)
         except json.JSONDecodeError as ex:
             raise ConfigError(f"{path}: line {ex.lineno} column {ex.colno}: {ex.msg}")
+        except (OSError, UnicodeDecodeError) as ex:
+            raise ConfigError(f"{path}: cannot read: {ex}")
         if not isinstance(user_cfg, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         for block, value in user_cfg.items():
@@ -237,6 +239,8 @@ def _prepare(args):
     ):
         if value is not None:
             cfg[block][key] = value
+    if not isinstance(cfg["output"]["dir"], str):
+        raise ConfigError(f"output.dir must be a string, got {cfg['output']['dir']!r}")
     scenario = build_scenario(scenario_from_config(cfg))
     penalty = penalty_from_config(cfg)
     eval_kw = {key: _config_int(cfg["eval"][key], f"eval.{key}") for key in ("samples", "seed")}

@@ -163,47 +163,39 @@ class PsdRows:
         """Rows expanded and multiplied at once, per ``CHUNK_ELEMENTS``."""
         return max(1, CHUNK_ELEMENTS // self.d**2)
 
-    def write_W_cols(self, scaling, out, spare):
+    def write_W_cols(self, scaling, out):
         """out[i] = row i through ``scaling.apply_W_cols``, for every row.
 
         Each kind of row is expanded and multiplied one chunk of at most
-        ``chunk`` rows at a time.  ``spare`` is a zero stack of at least
-        ``min(chunk, len(single))`` (d, d) matrices of the block's field,
-        zero again on return.  A multi-entry row is ``smat`` of its columns
-        of A.  A diagonal row c E_kk skips the first product: Rh (c E_kk) is
-        column k, Rh[:, k] c, one term per entry and so exact on any BLAS
-        kernel; it is written into ``spare`` and only the product with R is
-        a gemm.  An off-diagonal row is expanded in full into ``spare`` and
-        takes both gemms, because a complex coefficient makes each entry a
-        complex product that zgemm kernels round differently (fused or not).
-        ``smat`` is a gather and a divide per entry, and each stacked matmul
-        is one gemm per matrix, so every form and every chunking gives the
-        bits of ``apply_W_cols`` on the whole (rows, d, d) stack.
+        ``chunk`` rows at a time.  A multi-entry row is ``smat`` of its
+        columns of A.  A diagonal row c E_kk skips the first product:
+        Rh (c E_kk) is column k, Rh[:, k] c, one term per entry and so exact
+        on any BLAS kernel; only the product with R is a gemm.  An
+        off-diagonal row is expanded in full and takes both gemms, because a
+        complex coefficient makes each entry a complex product that zgemm
+        kernels round differently (fused or not).  ``smat`` is a gather and
+        a divide per entry, and each stacked matmul is one gemm per matrix,
+        so every form and every chunking gives the bits of ``apply_W_cols``
+        on the whole (rows, d, d) stack.
         """
-        step = self.chunk
+        step, d = self.chunk, self.d
         for at in range(0, self.stacked.size, step):
             rows = self.stacked[at : at + step]
-            out[rows] = scaling.apply_W_cols(smat(self.cols[rows], self.d))
+            out[rows] = scaling.apply_W_cols(smat(self.cols[rows], d))
         n = self.ndiag
         for at in range(0, n, step):
             part = slice(at, min(at + step, n))
             k = self.k[part]
-            mats = spare[: k.size]
-            col = np.arange(k.size), slice(None), k
-            mats[col] = (scaling.Rh[:, k] * self.coef[part]).T
+            mats = np.zeros((k.size, d, d), self.dtype)
+            mats[np.arange(k.size), :, k] = (scaling.Rh[:, k] * self.coef[part]).T
             out[self.single[part]] = svec(mats @ scaling.R)
-            mats[col] = 0.0
         for at in range(n, self.single.size, step):
             part = slice(at, at + step)
             k, l, coef = self.k[part], self.l[part], self.coef[part]
-            mats = spare[: coef.size]
-            entry = np.arange(coef.size), k, l
-            conj = entry[0], l, k
-            mats[conj] = coef.conj()
-            mats[entry] = coef
+            mats = np.zeros((coef.size, d, d), self.dtype)
+            mats[np.arange(coef.size), l, k] = coef.conj()
+            mats[np.arange(coef.size), k, l] = coef
             out[self.single[part]] = scaling.apply_W_cols(mats)
-            mats[conj] = 0.0
-            mats[entry] = 0.0
 
 
 def row_operand(block: ConeBlock, cols: np.ndarray):

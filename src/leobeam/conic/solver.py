@@ -57,8 +57,7 @@ class ConicProblem:
     The first solve validates A, b and the cones, equilibrates them and
     plans the Schur assembly (``_Prepared``); every later solve of this
     problem or of a ``with_objective`` sibling reuses that work.  So A, b
-    and the cones are read-only after the first solve, and siblings, which
-    share the plan's scratch buffers, are solved one at a time.
+    and the cones are read-only after the first solve.
     """
 
     c: np.ndarray
@@ -171,21 +170,17 @@ class _SchurPlan:
     Nonnegative and PSD blocks fill the columns of one dense G = A W' (in
     cone order), and S starts as G G', so numpy takes its symmetric syrk
     path.  A PSD block's rows are read from its own columns of As as G is
-    written (``PsdRows``), one bounded chunk at a time, so the plan keeps no
-    expanded copy of them.  One-entry rows are held compact and expanded
-    into one zero stack of at most one chunk per (order, field), made here:
-    a diagonal row (the feed caps) as the one column of its first product
-    Rh (c E_kk), an off-diagonal row in full.  A second-order block's
-    columns are nonzero only on its own rows r_b (an outage SOC touches its
-    terminal's 13 or 79 rows of 558 at desk scale), so it adds
-    G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
+    written (``PsdRows``), one bounded chunk at a time, so the plan holds
+    only their index and coefficient vectors and a view of As.  A
+    second-order block's columns are nonzero only on its own rows r_b (an
+    outage SOC touches its terminal's 13 or 79 rows of 558 at desk scale),
+    so it adds G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
     """
 
     def __init__(self, cones, slices, As):
         self.m = As.shape[0]
         self.dense = []  # (block index, G column slice, row_operand)
         self.soc = []  # (block index, S index of r_b x r_b, As[r_b, b])
-        spare = {}  # (d, dtype) -> most one-entry rows of one chunk
         width = 0
         for i, (blk, sl) in enumerate(zip(cones, slices)):
             cols = As[:, sl]
@@ -196,22 +191,14 @@ class _SchurPlan:
             op = row_operand(blk, cols)
             self.dense.append((i, slice(width, width + blk.veclen), op))
             width += blk.veclen
-            if isinstance(op, PsdRows):
-                key = op.d, op.dtype
-                spare[key] = max(spare.get(key, 0), min(op.chunk, op.single.size))
         self.width = width
-        self.spare = {
-            (d, dtype): np.zeros((count, d, d), dtype)
-            for (d, dtype), count in spare.items()
-        }
 
     def assemble(self, scalings):
         """S = A H A' at the iterate whose per-block NT scalings are given."""
         G = np.empty((self.m, self.width))
         for i, gsl, op in self.dense:
             if isinstance(op, PsdRows):
-                spare = self.spare[op.d, op.dtype]
-                op.write_W_cols(scalings[i], G[:, gsl], spare)
+                op.write_W_cols(scalings[i], G[:, gsl])
             else:
                 G[:, gsl] = scalings[i].apply_W_cols(op)
         S = G @ G.T

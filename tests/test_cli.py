@@ -243,6 +243,28 @@ class TestValidation:
         assert rc == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"scenario": {"seed": "\xff"}}')
+        out = tmp_path / "o"
+        rc = main(["design", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"config error: {path}: cannot read" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, None, ["o"]])
+    def test_non_string_output_dir_rejected(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, dict(SMALL, output={"dir": value}))
+        rc = main(["design", "--config", cfg])
+        assert rc == 2
+        assert f"output.dir must be a string, got {value!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         doc = dict(SMALL)
         doc["scenario"] = dict(SMALL["scenario"], gamma_db=30.0)

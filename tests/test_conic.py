@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -497,9 +498,8 @@ class TestSchurKernels:
     @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
     @pytest.mark.parametrize("d", [1, 2, 12, 60])
     def test_compact_rows_give_dense_bits(self, d, hermitian):
-        # G from rows expanded per chunk, the one-entry ones into the spare
-        # stack, is bit for bit G from the whole (rows, d, d) stack, and the
-        # spare ends zero.
+        # G from rows expanded per chunk, the one-entry ones from their
+        # compact form, is bit for bit G from the whole (rows, d, d) stack.
         block = ConeBlock("psd", d, hermitian=hermitian)
         rng = np.random.default_rng(d + hermitian)
         sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
@@ -527,11 +527,9 @@ class TestSchurKernels:
         else:
             assert op.single.tolist() == [1, 3] + [5] * hermitian
         assert sorted(op.single.tolist() + op.stacked.tolist()) == list(range(len(A)))
-        spare = np.zeros((op.single.size + 2, d, d), dtype=op.dtype)
         G = np.full(A.shape, np.nan)
-        op.write_W_cols(sc, G, spare)
+        op.write_W_cols(sc, G)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
-        assert not spare.any()
         if not hermitian or d not in (12, 60):
             return
         # Production shapes: avg-full's 60 feed caps per W block are diagonal
@@ -547,11 +545,9 @@ class TestSchurKernels:
         op = row_operand(block, A)
         assert op.stacked.size == 0 and op.single.size == len(A)
         assert op.ndiag == (len(A) if d == 60 else 0)
-        spare = np.zeros((len(A), d, d), dtype=complex)
         G = np.full(A.shape, np.nan)
-        op.write_W_cols(sc, G, spare)
+        op.write_W_cols(sc, G)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
-        assert not spare.any()
 
     @pytest.mark.parametrize(
         "chunks, extra",
@@ -561,36 +557,21 @@ class TestSchurKernels:
     @pytest.mark.parametrize("kind, d", [("multi", 60), ("diag", 60), ("offdiag", 12)])
     def test_chunked_rows_give_dense_bits(self, kind, d, chunks, extra):
         # Blocks of each row kind with row counts around the chunk size: G
-        # is bit for bit G from the whole stack, and a spare of the least
-        # size the contract allows (min(chunk, one-entry rows)) ends zero.
+        # is bit for bit G from the whole stack.
         block = ConeBlock("psd", d, hermitian=True)
         rng = np.random.default_rng(d + len(kind))
         sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
         chunk = max(1, CHUNK_ELEMENTS // d**2)
         assert chunk == {60: 18, 12: 455}[d]
         n = chunks * chunk + extra
-        if kind == "multi":
-            A = rng.normal(size=(n, block.veclen))
-        else:
-            mats = np.zeros((n, d, d), dtype=complex)
-            k = rng.integers(d, size=n)
-            if kind == "diag":
-                mats[np.arange(n), k, k] = rng.uniform(0.1, 2.0, n)
-            else:
-                l = (k + rng.integers(1, d, size=n)) % d
-                coef = rng.normal(size=n) + 1j * rng.normal(size=n)
-                mats[np.arange(n), k, l] = coef
-                mats[np.arange(n), l, k] = coef.conj()
-            A = svec(mats).reshape(n, block.veclen)
+        A = rows_of_kind(kind, d, n, rng)
         op = row_operand(block, A)
         assert op.chunk == chunk and op.dtype == complex
         assert op.stacked.size == (n if kind == "multi" else 0)
         assert op.ndiag == (n if kind == "diag" else 0)
-        spare = np.zeros((min(chunk, op.single.size), d, d), dtype=complex)
         G = np.full(A.shape, np.nan)
-        op.write_W_cols(sc, G, spare)
+        op.write_W_cols(sc, G)
         assert G.tobytes() == sc.apply_W_cols(smat(A, d)).tobytes()
-        assert not spare.any()
 
     def test_no_equality_rows_mixed_cones(self):
         # m = 0: minimize sum(x) + s0 + tr(X) over nonneg x SOC x PSD -> 0.
@@ -601,6 +582,24 @@ class TestSchurKernels:
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(0.0, abs=1e-7)
         assert np.linalg.eigvalsh(smat(s.x[5:], 2)).min() >= -1e-9
+
+
+def rows_of_kind(kind, d, n, rng):
+    """n rows of A over one Hermitian order-d PSD block, all of one kind:
+    "multi" (every entry), "diag" (one diagonal entry, as a feed cap) or
+    "offdiag" (one complex off-diagonal entry, as an outage Q row)."""
+    if kind == "multi":
+        return rng.normal(size=(n, d * d))
+    mats = np.zeros((n, d, d), dtype=complex)
+    k = rng.integers(d, size=n)
+    if kind == "diag":
+        mats[np.arange(n), k, k] = rng.uniform(0.1, 2.0, n)
+    else:
+        l = (k + rng.integers(1, d, size=n)) % d
+        coef = rng.normal(size=n) + 1j * rng.normal(size=n)
+        mats[np.arange(n), k, l] = coef
+        mats[np.arange(n), l, k] = coef.conj()
+    return svec(mats).reshape(n, d * d)
 
 
 def ipm_scalings(problem, monkeypatch, iterations):
@@ -643,7 +642,6 @@ class TestStructuredSchur:
             S = plan.assemble(scalings)
             ref = dense_schur(problem.cones, As, scalings)
             assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert all(not spare.any() for spare in plan.spare.values())
         # The one-entry rows the plan holds compact: feed caps, and for the
         # outage program with identity covariance the off-diagonal Q rows.
         k = scenario.feeds
@@ -653,11 +651,36 @@ class TestStructuredSchur:
         else:
             assert singles == {k + len(scenario.users) * k * (k - 1) // 2}
 
+    @pytest.mark.parametrize(
+        "design, overrides",
+        [
+            (AvgSinrProblem, {}),
+            (OutageProblem, {}),
+            (OutageProblem, {"phase_cov": correlated_cov(12)}),
+        ],
+        ids=["avg-desk", "outage-desk", "outage-cov"],
+    )
+    def test_rows_give_dense_bits_at_ipm_iterates(self, design, overrides, monkeypatch):
+        # Every PSD block of the real programs at real iterates: G from the
+        # chunked and compact rows is bit for bit G from the whole stack.
+        problem = design(build_scenario(desk_config(**overrides))).problem
+        iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4))
+        assert len(iterates) == 3
+        plan = problem.prepared().schur
+        ops = [(i, op) for i, _, op in plan.dense if isinstance(op, PsdRows)]
+        assert ops
+        for scalings in iterates:
+            for i, op in ops:
+                G = np.full(op.cols.shape, np.nan)
+                op.write_W_cols(scalings[i], G)
+                want = scalings[i].apply_W_cols(smat(op.cols, op.d))
+                assert G.tobytes() == want.tobytes()
+
 
 class TestSchurPlanMemory:
     """The Schur plan reads PSD rows from the equilibrated A: it holds no
-    expanded copy of them, only index and coefficient vectors and one chunk
-    of spare matrices per (order, field)."""
+    expanded copy of them, only index and coefficient vectors, and expands
+    them one bounded chunk at a time."""
 
     @staticmethod
     def arrays(obj):
@@ -680,35 +703,33 @@ class TestSchurPlanMemory:
         assert ops
         for op in ops:
             assert np.shares_memory(op.cols, prep.As)
-        spares = list(plan.spare.values())
-        for (d, dtype), spare in plan.spare.items():
-            assert spare.dtype == dtype and spare.shape[1:] == (d, d)
-            assert spare.shape[0] <= max(1, CHUNK_ELEMENTS // d**2)
         # SOC blocks keep their own rows of As (``soc``), a few per block.
         held = [v for k, v in vars(plan).items() if k != "soc"]
         for arr in self.arrays(held):
             if arr.dtype.kind not in "fc" or np.shares_memory(arr, prep.As):
                 continue
-            if any(arr is spare for spare in spares):
-                continue
             assert arr.ndim == 1 and arr.size <= plan.m  # one entry per row
 
-    def test_spare_is_one_chunk_whatever_the_row_count(self):
-        # Two d = 60 blocks of 40 feed-cap rows each share one spare of one
-        # chunk (18 matrices); a real block of the same order has its own.
-        d, n = 60, 40
-        cones = [ConeBlock("psd", d, hermitian=True)] * 2 + [ConeBlock("psd", d)]
-        parts = []
-        for blk in cones:
-            mats = np.zeros((n, d, d), dtype=complex if blk.hermitian else float)
-            mats[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-            parts.append(svec(mats))
-        As = np.hstack(parts)
-        plan = _SchurPlan(cones, _ConeVec(cones).slices, As)
-        assert {key: arr.shape for key, arr in plan.spare.items()} == {
-            (d, np.dtype(complex)): (18, d, d),
-            (d, np.dtype(float)): (18, d, d),
-        }
+    @pytest.mark.parametrize("kind, d", [("multi", 60), ("diag", 60), ("offdiag", 12)])
+    def test_write_temporaries_stay_bounded(self, kind, d):
+        # Ten chunks of rows of one kind: what write_W_cols allocates at once
+        # is a few chunks of (d, d) matrices, not the whole block's rows.
+        block = ConeBlock("psd", d, hermitian=True)
+        rng = np.random.default_rng(d + len(kind))
+        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        op = row_operand(block, rows_of_kind(kind, d, 10 * (CHUNK_ELEMENTS // d**2), rng))
+        G = np.empty(op.cols.shape)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            op.write_W_cols(sc, G)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4 * CHUNK_ELEMENTS * np.dtype(complex).itemsize
 
 
 class TestSharedPreparation:
