@@ -118,8 +118,9 @@ class ConeProgramBuilder:
         return c
 
     def build(self) -> ConicProblem:
-        """The program, once: its rows move into A and the builder keeps
-        only its variables, for ``extract`` and ``objective_vector``."""
+        """The program, once: its rows move into A, which the program takes
+        without a copy, and the builder keeps only its variables, for
+        ``extract`` and ``objective_vector``."""
         if self._rows is None:
             raise ValueError("the program is already built")
         b = np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
@@ -130,7 +131,8 @@ class ConeProgramBuilder:
                 A[i : i + rhs.size, self._vars[vi].cols] = vec
             i += rhs.size
         self._rows = None
-        return ConicProblem(self._place(self._obj), A, b, [ref.cone for ref in self._vars])
+        cones = [ref.cone for ref in self._vars]
+        return ConicProblem(self._place(self._obj), A, b, cones, copy=False)
 
     def extract(self, ref: VarRef, x: np.ndarray):
         seg = x[ref.cols]

@@ -13,6 +13,7 @@ self-dual embedding, so primal or dual infeasibility is detected with a
 certificate ray instead of a diverging iterate.
 """
 
+import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,27 +51,35 @@ INF_TOL = 1e-9
 FRAC_TO_BOUNDARY = 0.99
 
 
-@dataclass
 class ConicProblem:
     """One program: objective c over the constraint set A x = b, x in cones.
 
-    The first solve validates A, b and the cones, equilibrates them and
-    plans the Schur assembly (``_Prepared``); every later solve of this
-    problem or of a ``with_objective`` sibling reuses that work.  So A, b
-    and the cones are read-only after the first solve.
+    The problem holds the only dense A.  The constructor copies the
+    caller's array, unless ``copy=False`` hands it over (a builder that made
+    A for this problem alone), and the first solve validates A, b and the
+    cones, then equilibrates A in place and plans the Schur assembly
+    (``_Prepared``); every later solve of this problem or of a
+    ``with_objective`` sibling reuses that work.  So b and the cones are
+    read-only after the first solve, and ``A`` reads back a copy.
     """
 
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    cones: list
-    # Holds the ``_Prepared`` work, shared by reference with every sibling.
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, c, A, b, cones, *, copy=True):
+        self.c = np.asarray(c, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.cones = cones
+        # The unscaled A until the first solve, then the ``_Prepared`` work
+        # that holds it equilibrated; shared by reference with every sibling.
+        A = np.array(A, dtype=float) if copy else np.asarray(A, dtype=float)
+        self._shared = {"A": A}
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+    @property
+    def A(self):
+        """A new array holding the unscaled A.  After the first solve it is
+        rebuilt from the equilibrated As, each entry within a few ulp."""
+        prep = self._shared.get("prep")
+        if prep is None:
+            return self._shared["A"].copy()
+        return prep.As / prep.dr[:, None] / prep.dc
 
     @property
     def n(self):
@@ -81,12 +90,16 @@ class ConicProblem:
         return self.b.shape[0]
 
     def validate(self):
-        if self.A.ndim != 2 or self.A.shape != (self.m, self.n):
-            raise ValueError(f"A must be {self.m}x{self.n}, got {self.A.shape}")
+        """Check A, b, c and the cones; a prepared problem passed already."""
+        if "prep" in self._shared:
+            return
+        A = self._shared["A"]
+        if A.ndim != 2 or A.shape != (self.m, self.n):
+            raise ValueError(f"A must be {self.m}x{self.n}, got {A.shape}")
         total = sum(blk.veclen for blk in self.cones)
         if total != self.n:
             raise ValueError(f"cone blocks cover {total} coordinates, expected {self.n}")
-        for arr in (self.c, self.A, self.b):
+        for arr in (self.c, A, self.b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("problem data must be finite")
         if not self.cones:
@@ -94,16 +107,16 @@ class ConicProblem:
 
     def with_objective(self, c):
         """The program with objective c over the same A, b and cones,
-        sharing the solver's work on them (see the class docstring)."""
-        sibling = ConicProblem(c, self.A, self.b, self.cones)
-        sibling._shared = self._shared
+        sharing A and the solver's work on it (see the class docstring)."""
+        sibling = copy.copy(self)
+        sibling.c = np.asarray(c, dtype=float)
         return sibling
 
     def prepared(self):
         """The solver's work on A, b and the cones, made on the first call."""
         if "prep" not in self._shared:
             self.validate()
-            self._shared["prep"] = _Prepared(self)
+            self._shared["prep"] = _Prepared(self._shared.pop("A"), self.b, self.cones)
         return self._shared["prep"]
 
 
@@ -209,30 +222,31 @@ class _SchurPlan:
         return S
 
 
-def _equilibrate(problem):
+def _equilibrate(A, b, slices):
     """Ruiz-style scaling of A and b: per-row and uniform per-cone-block
-    column factors, three passes.  Returns (As, bs, dr, dc, col_factors);
-    ``col_factors`` lists each pass's (block slice, 1 / column norm) in the
-    order applied, for ``_Prepared.scale_objective`` to replay on c."""
-    A = problem.A.copy()
-    b = problem.b.copy()
+    column factors, three passes.  A is scaled in place and no temporary
+    of its size is made.  Returns (As, bs, dr, dc, col_factors), As being
+    A itself; ``col_factors`` lists each pass's (block slice, 1 / column
+    norm) in the order applied, for ``_Prepared.scale_objective`` to replay
+    on c."""
+    b = b.copy()
     m, n = A.shape
     dr = np.ones(m)
     dc = np.ones(n)
     col_factors = []
-    slices = _ConeVec(problem.cones).slices
     for _ in range(3):
         if m:
-            rn = np.sqrt(np.abs(A).max(axis=1))
+            rn = np.sqrt(np.maximum(A.max(axis=1), -A.min(axis=1)))
             rn[rn == 0] = 1.0
             A /= rn[:, None]
             b /= rn
             dr /= rn
         for sl in slices:
-            cn = np.sqrt(np.abs(A[:, sl]).max()) if m else 1.0
+            cols = A[:, sl]
+            cn = np.sqrt(max(cols.max(), -cols.min())) if m else 1.0
             if cn == 0:
                 cn = 1.0
-            A[:, sl] /= cn
+            cols /= cn
             col_factors.append((sl, 1.0 / cn))
             dc[sl] /= cn
     return A, b, dr, dc, col_factors
@@ -242,17 +256,19 @@ class _Prepared:
     """The part of a solve that reads only A, b and the cones.
 
     Made once per constraint set and shared by every objective solved over
-    it: the equilibrated As and bs with their row and column factors, the
-    column factors to replay on each c, the Schur plan, the cone identity e
-    and the barrier degree nu.
+    it: the equilibrated As (the problem's A, scaled in place) and bs with
+    their row and column factors, the column factors to replay on each c,
+    the Schur plan, the cone identity e and the barrier degree nu.
     """
 
-    def __init__(self, problem):
-        self.layout = _ConeVec(problem.cones)
-        self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(problem)
-        self.schur = _SchurPlan(problem.cones, self.layout.slices, self.As)
-        self.e = np.concatenate([identity_element(blk) for blk in problem.cones])
-        self.nu = sum(blk.degree for blk in problem.cones)
+    def __init__(self, A, b, cones):
+        self.layout = _ConeVec(cones)
+        self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(
+            A, b, self.layout.slices
+        )
+        self.schur = _SchurPlan(cones, self.layout.slices, self.As)
+        self.e = np.concatenate([identity_element(blk) for blk in cones])
+        self.nu = sum(blk.degree for blk in cones)
 
     def scale_objective(self, c):
         """(cs, cscale): c through the column factors, in the order A took
@@ -276,9 +292,9 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     opts = opts or SolveOptions()
     prep = problem.prepared()
     cs, cscale = prep.scale_objective(problem.c)
-    layout, As, bs, dr, dc = prep.layout, prep.As, prep.bs, prep.dr, prep.dc
+    layout, As, bs = prep.layout, prep.As, prep.bs
     schur, e, nu = prep.schur, prep.e, prep.nu
-    A0, b0, c0 = problem.A, problem.b, problem.c
+    b0, c0 = problem.b, problem.c
     m = As.shape[0]
     cones = problem.cones
 
@@ -306,18 +322,6 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         finally:
             timings[phase] += time.perf_counter() - t0
 
-    def unscaled(xv, yv, zv):
-        return dc * xv, cscale * dr * yv, cscale * (zv / dc)
-
-    def metrics(xv, yv, zv, tauv):
-        xo, yo, zo = unscaled(xv / tauv, yv / tauv, zv / tauv)
-        pres = np.linalg.norm(A0 @ xo - b0) / bnorm
-        dres = np.linalg.norm(A0.T @ yo + zo - c0) / cnorm
-        pobj = float(c0 @ xo)
-        dobj = float(b0 @ yo)
-        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return xo, yo, zo, pres, dres, pobj, dobj, relgap
-
     alpha = 0.0
     sigma = 0.0
     for it in range(opts.max_iter):
@@ -326,7 +330,9 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         r_g = float(cs @ x - bs @ y + kappa)
         mu = (x @ z + tau * kappa) / (nu + 1.0)
 
-        xo, yo, zo, pres, dres, pobj, dobj, relgap = metrics(x, y, z, tau)
+        xo, yo, zo, pres, dres, pobj, dobj, relgap = _metrics(
+            prep, cscale, c0, b0, x, y, z, tau, r_p, r_d
+        )
         log.append(
             IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma)
         )
@@ -352,14 +358,16 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         if no_progress >= 15:
             break
 
-        # Infeasibility certificates (scale-free tests on unscaled data).
-        xu, yu, zu = unscaled(x, y, z)
+        # Infeasibility certificates: scale-free tests on the unscaled ray,
+        # whose products with A the loop-head residuals give.
+        xu, yu, _ = _unscaled(prep, cscale, x, y, z)
+        Axu, Atyu_zu = _ray_products(prep, cs, cscale, tau, r_p, r_d)
         by = float(b0 @ yu)
-        if by > 0 and np.linalg.norm(A0.T @ (yu / by) + zu / by) <= INF_TOL * cnorm:
+        if by > 0 and np.linalg.norm(Atyu_zu / by) <= INF_TOL * cnorm:
             status, cert, best = PRIMAL_INFEASIBLE, yu / by, current
             break
         cx = float(c0 @ xu)
-        if cx < 0 and np.linalg.norm(A0 @ (xu / -cx)) <= INF_TOL * bnorm:
+        if cx < 0 and np.linalg.norm(Axu / -cx) <= INF_TOL * bnorm:
             status, cert, best = DUAL_INFEASIBLE, xu / -cx, current
             break
 
@@ -524,6 +532,37 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     return ConicSolution(
         status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
     )
+
+
+def _unscaled(prep, cscale, x, y, z):
+    """A scaled (x, y, z) in the caller's units: dc x, cscale dr y, cscale z / dc."""
+    return prep.dc * x, cscale * prep.dr * y, cscale * (z / prep.dc)
+
+
+def _metrics(prep, cscale, c, b, x, y, z, tau, r_p, r_d):
+    """The iterate (xo, yo, zo) = (x, y, z) / tau in the caller's units, with
+    its pres, dres, pobj, dobj and relative gap.
+
+    The residuals come from the loop head's r_p = As x - tau bs and
+    r_d = -As'y - z + tau cs, with no product by A: As = diag(dr) A diag(dc),
+    bs = dr b and cs = dc c / cscale give A xo - b = r_p / (tau dr) and
+    A'yo + zo - c = -cscale r_d / (tau dc).  The objectives are taken on the
+    unscaled vectors.
+    """
+    xo, yo, zo = _unscaled(prep, cscale, x / tau, y / tau, z / tau)
+    pres = np.linalg.norm(r_p / (tau * prep.dr)) / (1.0 + np.linalg.norm(b))
+    dres = cscale * np.linalg.norm(r_d / (tau * prep.dc)) / (1.0 + np.linalg.norm(c))
+    pobj = float(c @ xo)
+    dobj = float(b @ yo)
+    relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return xo, yo, zo, pres, dres, pobj, dobj, relgap
+
+
+def _ray_products(prep, cs, cscale, tau, r_p, r_d):
+    """(A xu, A'yu + zu) at (xu, yu, zu) = unscaled (x, y, z), from the loop
+    head's residuals as ``_metrics`` takes them: As x = r_p + tau bs and
+    As'y + z = tau cs - r_d."""
+    return (r_p + tau * prep.bs) / prep.dr, cscale * ((tau * cs - r_d) / prep.dc)
 
 
 def _tril_inv(L):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import correlated_cov, desk_config
+from conftest import correlated_cov, count_calls, desk_config
 from oracles import (
     dense_schur,
     embed_hermitian,
@@ -42,6 +42,7 @@ from leobeam.conic.cones import (
     smat,
     svec,
 )
+from leobeam.conic import model as model_module
 from leobeam.conic import solver as solver_module
 from leobeam.conic.solver import (
     _TRIL_LEAF,
@@ -50,6 +51,7 @@ from leobeam.conic.solver import (
     _equilibrate,
     _SchurPlan,
     _tril_inv,
+    _unscaled,
 )
 from leobeam.robust_avg import AvgSinrProblem
 from leobeam.robust_outage import OutageProblem
@@ -634,8 +636,9 @@ class TestStructuredSchur:
     def test_equals_dense_oracle_at_ipm_iterates(self, design, overrides, monkeypatch):
         scenario = build_scenario(desk_config(**overrides))
         problem = design(scenario).problem
-        As = _equilibrate(problem)[0]
-        plan = _SchurPlan(problem.cones, _ConeVec(problem.cones).slices, As)
+        slices = _ConeVec(problem.cones).slices
+        As = _equilibrate(problem.A, problem.b, slices)[0]  # A read before the solve
+        plan = _SchurPlan(problem.cones, slices, As)
         iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4, 6))
         assert len(iterates) == 4
         for scalings in iterates:
@@ -746,6 +749,7 @@ class TestSharedPreparation:
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
     def test_penalty_objective_matches_fresh_problem(self, desk_scenario, design):
         prob = design(desk_scenario)
+        A = prob.problem.A  # unscaled, before the solve equilibrates it
         ws, _ = prob.solve()  # the relaxation prepares the shared work
         k = desk_scenario.feeds
         vs = [np.linalg.eigh(w)[1][:, -1] for w in ws]
@@ -753,7 +757,7 @@ class TestSharedPreparation:
         _, shared = prob.solve(objs)
         c = prob.builder.objective_vector(zip(prob.w_refs, objs))
         p = prob.problem
-        fresh = solve(ConicProblem(c, p.A.copy(), p.b.copy(), p.cones))
+        fresh = solve(ConicProblem(c, A, p.b.copy(), p.cones))
         assert fresh.status == OPTIMAL
         self.assert_same_bits(shared, fresh)
 
@@ -761,12 +765,13 @@ class TestSharedPreparation:
         rng = np.random.default_rng(41)
         for _ in range(4):
             p, _ = random_feasible_problem(rng)
+            A = p.A  # unscaled, before the first solve equilibrates it
             first = solve(p)
             # c + A'dy keeps c = A'y + z with the same interior z: bounded.
-            c2 = p.c + p.A.T @ rng.normal(size=p.m)
+            c2 = p.c + A.T @ rng.normal(size=p.m)
             sibling = p.with_objective(c2)
             assert sibling.prepared() is p.prepared()
-            self.assert_same_bits(solve(sibling), solve(ConicProblem(c2, p.A, p.b, p.cones)))
+            self.assert_same_bits(solve(sibling), solve(ConicProblem(c2, A, p.b, p.cones)))
             # the first objective is still solved to the same bits after the sibling's solve
             self.assert_same_bits(solve(p), first)
 
@@ -786,6 +791,163 @@ class TestSharedPreparation:
         assert np.array_equal(bld.objective_vector([(v, {0: 1.0})]), p.c)
         with pytest.raises(ValueError, match="already built"):
             bld.build()
+
+
+def infeasible_problems():
+    """Canned programs the solver must prove infeasible, with their status."""
+    bld = ConeProgramBuilder()
+    v = bld.add_soc(3)  # v0 = 1 < ||(3, 4)||
+    bld.add_eq([(v, {0: 1.0})], 1.0)
+    bld.add_eq([(v, {1: 1.0})], 3.0)
+    bld.add_eq([(v, {2: 1.0})], 4.0)
+    bld.set_objective([(v, {0: 10.0})])  # cscale 10 after equilibration
+    nonneg = [ConeBlock("nonneg", 1)]
+    # minimize -10 x1 over x >= 0 with 2 x0 - x1 = 1: unbounded below
+    unbounded = ConicProblem(
+        np.array([0.0, -10.0]), np.array([[2.0, -1.0]]), np.array([1.0]), [ConeBlock("nonneg", 2)]
+    )
+    return [
+        (ConicProblem(np.ones(1), np.ones((1, 1)), -np.ones(1), nonneg), PRIMAL_INFEASIBLE),
+        (bld.build(), PRIMAL_INFEASIBLE),
+        (ConicProblem(-np.ones(1), np.zeros((0, 1)), np.zeros(0), nonneg), DUAL_INFEASIBLE),
+        (unbounded, DUAL_INFEASIBLE),
+    ]
+
+
+class TestScaledResiduals:
+    """The solver reads its residuals and its infeasibility tests off the
+    scaled residuals of the loop head.  At every iterate they agree with the
+    products by the unscaled A that they replace, within 1e-12 in the
+    reported (normalised) units, and the objectives are the same bits."""
+
+    @staticmethod
+    def assert_metrics_match_A(problem, monkeypatch):
+        A, b, c = problem.A, problem.b, problem.c  # A read before the solve
+        calls = count_calls(monkeypatch, solver_module, "_metrics")
+        s = solve(problem)
+        assert len(calls) == s.n_iter > 0
+        bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
+        for (prep, cscale, _, _, x, y, z, tau, _, _), info in zip(calls, s.iterations):
+            xo, yo, zo = _unscaled(prep, cscale, x / tau, y / tau, z / tau)
+            assert abs(info.pres - np.linalg.norm(A @ xo - b) / bnorm) <= 1e-12
+            assert abs(info.dres - np.linalg.norm(A.T @ yo + zo - c) / cnorm) <= 1e-12
+            assert info.pobj == float(c @ xo)
+            assert info.dobj == float(b @ yo)
+        monkeypatch.undo()  # the next problem's solve wraps the original again
+
+    @pytest.mark.parametrize(
+        "design, overrides",
+        [(AvgSinrProblem, {}), (OutageProblem, {}), (OutageProblem, {"feeds": 18})],
+        ids=["avg-desk", "outage-desk", "outage-k18"],
+    )
+    def test_design_programs(self, design, overrides, monkeypatch):
+        problem = design(build_scenario(desk_config(**overrides))).problem
+        self.assert_metrics_match_A(problem, monkeypatch)
+
+    def test_a9_family(self, monkeypatch):
+        rng = np.random.default_rng(20260810)  # test_a9_solver_correctness's draws
+        for _ in range(50):
+            self.assert_metrics_match_A(random_feasible_problem(rng)[0], monkeypatch)
+
+    @pytest.mark.parametrize(
+        "case", range(4), ids=["nonneg-primal", "soc-primal", "nonneg-dual", "row-dual"]
+    )
+    def test_infeasibility_tests(self, case, monkeypatch):
+        problem, want = infeasible_problems()[case]
+        A, b, c = problem.A, problem.b, problem.c
+        points = count_calls(monkeypatch, solver_module, "_metrics")
+        products = []
+        ray_products = solver_module._ray_products
+
+        def recorded(*args):
+            products.append(ray_products(*args))
+            return products[-1]
+
+        monkeypatch.setattr(solver_module, "_ray_products", recorded)
+        s = solve(problem)
+        assert s.status == want
+        assert products and len(products) <= len(points)
+        bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
+        for (prep, cscale, _, _, x, y, z, _, _, _), (Axu, Atyu_zu) in zip(points, products):
+            xu, yu, zu = _unscaled(prep, cscale, x, y, z)
+            by, cx = float(b @ yu), float(c @ xu)
+            if by > 0:
+                got = np.linalg.norm(Atyu_zu / by) / cnorm
+                assert abs(got - np.linalg.norm(A.T @ (yu / by) + zu / by) / cnorm) <= 1e-12
+            if cx < 0:
+                got = np.linalg.norm(Axu / -cx) / bnorm
+                assert abs(got - np.linalg.norm(A @ (xu / -cx)) / bnorm) <= 1e-12
+        # the last products are the certifying iterate's, checked above
+        assert by > 0 if want == PRIMAL_INFEASIBLE else cx < 0
+
+
+class TestOneA:
+    """The problem owns the only dense A: preparation equilibrates it in
+    place, with transients of a fraction of its size, and never scales an
+    array its caller holds."""
+
+    @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
+    def test_prepared_holds_one_A(self, desk_scenario, design):
+        p = design(desk_scenario).problem
+        sibling = p.with_objective(2.0 * p.c)
+        prep = p.prepared()
+        assert sibling.prepared() is prep
+        held = [vars(p), vars(sibling), vars(prep), vars(prep.schur), vars(prep.layout)]
+        floats = [a for a in TestSchurPlanMemory.arrays(held) if a.dtype.kind in "fc"]
+        assert [a for a in floats if a.shape == (p.m, p.n)] == [prep.As]
+        for arr in floats:
+            if not np.shares_memory(arr, prep.As):
+                assert arr.size <= p.m * p.n // 10
+
+    def test_preparation_adds_a_fraction_of_A(self):
+        scenario = build_scenario(desk_config(feeds=18))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            p = OutageProblem(scenario).problem
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            p.prepared()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        nbytes = p.prepared().As.nbytes
+        assert nbytes > 10e6
+        assert peak <= 0.25 * nbytes
+
+    def test_builder_hands_A_over(self, monkeypatch):
+        given = []
+
+        def recorded(c, A, b, cones, **kwargs):
+            given.append(A)
+            return ConicProblem(c, A, b, cones, **kwargs)
+
+        monkeypatch.setattr(model_module, "ConicProblem", recorded)
+        p = soc_pythagorean()
+        assert np.shares_memory(given[0], p.prepared().As)
+
+    def test_caller_arrays_unchanged(self):
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            p, _ = random_feasible_problem(rng)
+            A, b, c = p.A, p.b.copy(), p.c.copy()
+            c2 = c + A.T @ rng.normal(size=p.m)
+            kept = [arr.copy() for arr in (A, b, c, c2)]
+            q = ConicProblem(c, A, b, p.cones)
+            before = q.A  # a copy, not the array the solve scales
+            assert solve(q).status == solve(q.with_objective(c2)).status == OPTIMAL
+            for arr, want in zip((A, b, c, c2, before), kept + [kept[0]]):
+                assert arr.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
+    def test_A_reads_back_within_a_few_ulp(self, desk_scenario, design):
+        p = design(desk_scenario).problem
+        A = p.A
+        p.prepared()
+        back = p.A
+        assert np.all(np.abs(back - A) <= 4 * np.finfo(float).eps * np.abs(A))
+        assert np.array_equal(back == 0, A == 0)
 
 
 class TestTimings:
