@@ -119,8 +119,9 @@ class ConeProgramBuilder:
 
     def build(self) -> ConicProblem:
         """The program, once: its rows move into A, which the program takes
-        without a copy, and the builder keeps only its variables, for
-        ``extract`` and ``objective_vector``."""
+        over (equilibrated in place, its Schur assembly planned), and the
+        builder keeps only its variables, for ``extract`` and
+        ``objective_vector``."""
         if self._rows is None:
             raise ValueError("the program is already built")
         b = np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
@@ -132,7 +133,7 @@ class ConeProgramBuilder:
             i += rhs.size
         self._rows = None
         cones = [ref.cone for ref in self._vars]
-        return ConicProblem(self._place(self._obj), A, b, cones, copy=False)
+        return ConicProblem(self._place(self._obj), A, b, cones)
 
     def extract(self, ref: VarRef, x: np.ndarray):
         seg = x[ref.cols]

@@ -52,72 +52,75 @@ FRAC_TO_BOUNDARY = 0.99
 
 
 class ConicProblem:
-    """One program: objective c over the constraint set A x = b, x in cones.
+    """One program: objective c over the constraint set A x = b, x in cones,
+    with the solver's work on A, b and the cones done once, here.
 
-    The problem holds the only dense A.  The constructor copies the
-    caller's array, unless ``copy=False`` hands it over (a builder that made
-    A for this problem alone), and the first solve validates A, b and the
-    cones, then equilibrates A in place and plans the Schur assembly
-    (``_Prepared``); every later solve of this problem or of a
-    ``with_objective`` sibling reuses that work.  So b and the cones are
-    read-only after the first solve, and ``A`` reads back a copy.
+    The constructor checks A, b and the cones, then takes A over: it
+    equilibrates A in place (``_equilibrate``), so a caller that keeps using
+    its array passes a copy.  A rejected A is left unscaled.  The problem
+    holds the equilibrated As and bs with their row and column factors, the
+    column factors to replay on each c, the cone slices, the Schur plan,
+    the cone identity e and the barrier degree nu; a ``with_objective``
+    sibling shares all of it by reference, so b and the cones are
+    read-only.  c is checked on each solve.
     """
 
-    def __init__(self, c, A, b, cones, *, copy=True):
+    def __init__(self, c, A, b, cones):
         self.c = np.asarray(c, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.cones = cones
-        # The unscaled A until the first solve, then the ``_Prepared`` work
-        # that holds it equilibrated; shared by reference with every sibling.
-        A = np.array(A, dtype=float) if copy else np.asarray(A, dtype=float)
-        self._shared = {"A": A}
+        if not cones:
+            raise ValueError("at least one cone block required")
+        self.slices = []
+        n = 0
+        for blk in cones:
+            self.slices.append(slice(n, n + blk.veclen))
+            n += blk.veclen
+        A = np.asarray(A, dtype=float)
+        if A.shape != (self.m, n):
+            raise ValueError(f"A must be {self.m}x{n}, got {A.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(self.b))):
+            raise ValueError("problem data must be finite")
+        self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(
+            A, self.b, self.slices
+        )
+        self.schur = _SchurPlan(cones, self.slices, self.As)
+        self.e = np.concatenate([identity_element(blk) for blk in cones])
+        self.nu = sum(blk.degree for blk in cones)
 
     @property
     def A(self):
-        """A new array holding the unscaled A.  After the first solve it is
-        rebuilt from the equilibrated As, each entry within a few ulp."""
-        prep = self._shared.get("prep")
-        if prep is None:
-            return self._shared["A"].copy()
-        return prep.As / prep.dr[:, None] / prep.dc
+        """A new array holding the unscaled A, rebuilt from the equilibrated
+        As: each entry within a few ulp."""
+        return self.As / self.dr[:, None] / self.dc
 
     @property
     def n(self):
-        return self.c.shape[0]
+        return self.dc.shape[0]
 
     @property
     def m(self):
         return self.b.shape[0]
 
-    def validate(self):
-        """Check A, b, c and the cones; a prepared problem passed already."""
-        if "prep" in self._shared:
-            return
-        A = self._shared["A"]
-        if A.ndim != 2 or A.shape != (self.m, self.n):
-            raise ValueError(f"A must be {self.m}x{self.n}, got {A.shape}")
-        total = sum(blk.veclen for blk in self.cones)
-        if total != self.n:
-            raise ValueError(f"cone blocks cover {total} coordinates, expected {self.n}")
-        for arr in (self.c, A, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("problem data must be finite")
-        if not self.cones:
-            raise ValueError("at least one cone block required")
-
     def with_objective(self, c):
         """The program with objective c over the same A, b and cones,
-        sharing A and the solver's work on it (see the class docstring)."""
+        sharing the work on them (see the class docstring)."""
         sibling = copy.copy(self)
         sibling.c = np.asarray(c, dtype=float)
         return sibling
 
-    def prepared(self):
-        """The solver's work on A, b and the cones, made on the first call."""
-        if "prep" not in self._shared:
-            self.validate()
-            self._shared["prep"] = _Prepared(self._shared.pop("A"), self.b, self.cones)
-        return self._shared["prep"]
+    def scale_objective(self):
+        """(cs, cscale): c through the column factors, in the order A took
+        them, then divided by cscale = max(1, max |c|)."""
+        c = self.c
+        if c.shape != self.dc.shape or not np.all(np.isfinite(c)):
+            raise ValueError(f"c must be a finite vector of length {self.n}")
+        c = c.copy()
+        for sl, f in self.col_factors:
+            c[sl] *= f
+        cscale = max(1.0, np.abs(c).max())
+        c /= cscale
+        return c, cscale
 
 
 @dataclass
@@ -159,22 +162,6 @@ class ConicSolution:
     @property
     def n_iter(self):
         return len(self.iterations)
-
-
-class _ConeVec:
-    """Per-block views into a flat cone vector."""
-
-    def __init__(self, cones):
-        self.cones = cones
-        self.slices = []
-        pos = 0
-        for blk in cones:
-            self.slices.append(slice(pos, pos + blk.veclen))
-            pos += blk.veclen
-        self.n = pos
-
-    def blocks(self, v):
-        return [v[sl] for sl in self.slices]
 
 
 class _SchurPlan:
@@ -227,8 +214,8 @@ def _equilibrate(A, b, slices):
     column factors, three passes.  A is scaled in place and no temporary
     of its size is made.  Returns (As, bs, dr, dc, col_factors), As being
     A itself; ``col_factors`` lists each pass's (block slice, 1 / column
-    norm) in the order applied, for ``_Prepared.scale_objective`` to replay
-    on c."""
+    norm) in the order applied, for ``ConicProblem.scale_objective`` to
+    replay on c."""
     b = b.copy()
     m, n = A.shape
     dr = np.ones(m)
@@ -252,48 +239,16 @@ def _equilibrate(A, b, slices):
     return A, b, dr, dc, col_factors
 
 
-class _Prepared:
-    """The part of a solve that reads only A, b and the cones.
-
-    Made once per constraint set and shared by every objective solved over
-    it: the equilibrated As (the problem's A, scaled in place) and bs with
-    their row and column factors, the column factors to replay on each c,
-    the Schur plan, the cone identity e and the barrier degree nu.
-    """
-
-    def __init__(self, A, b, cones):
-        self.layout = _ConeVec(cones)
-        self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(
-            A, b, self.layout.slices
-        )
-        self.schur = _SchurPlan(cones, self.layout.slices, self.As)
-        self.e = np.concatenate([identity_element(blk) for blk in cones])
-        self.nu = sum(blk.degree for blk in cones)
-
-    def scale_objective(self, c):
-        """(cs, cscale): c through the column factors, in the order A took
-        them, then divided by cscale = max(1, max |c|)."""
-        if c.shape != self.dc.shape or not np.all(np.isfinite(c)):
-            raise ValueError(f"c must be a finite vector of length {self.dc.size}")
-        c = c.copy()
-        for sl, f in self.col_factors:
-            c[sl] *= f
-        cscale = max(1.0, np.abs(c).max())
-        c /= cscale
-        return c, cscale
-
-
 def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolution:
     """Solve a mixed-cone program; deterministic for identical inputs.
 
-    The work on A, b and the cones is the problem's ``prepared()``, made by
-    the first solve; c is checked and scaled on every call.
+    The work on A, b and the cones is the problem's, made when it was
+    built; c is checked and scaled on every call.
     """
     opts = opts or SolveOptions()
-    prep = problem.prepared()
-    cs, cscale = prep.scale_objective(problem.c)
-    layout, As, bs = prep.layout, prep.As, prep.bs
-    schur, e, nu = prep.schur, prep.e, prep.nu
+    cs, cscale = problem.scale_objective()
+    As, bs, slices = problem.As, problem.bs, problem.slices
+    schur, e, nu = problem.schur, problem.e, problem.nu
     b0, c0 = problem.b, problem.c
     m = As.shape[0]
     cones = problem.cones
@@ -331,7 +286,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         mu = (x @ z + tau * kappa) / (nu + 1.0)
 
         xo, yo, zo, pres, dres, pobj, dobj, relgap = _metrics(
-            prep, cscale, c0, b0, x, y, z, tau, r_p, r_d
+            problem, cscale, c0, b0, x, y, z, tau, r_p, r_d
         )
         log.append(
             IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma)
@@ -360,8 +315,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
         # Infeasibility certificates: scale-free tests on the unscaled ray,
         # whose products with A the loop-head residuals give.
-        xu, yu, _ = _unscaled(prep, cscale, x, y, z)
-        Axu, Atyu_zu = _ray_products(prep, cs, cscale, tau, r_p, r_d)
+        xu, yu, _ = _unscaled(problem, cscale, x, y, z)
+        Axu, Atyu_zu = _ray_products(problem, cs, cscale, tau, r_p, r_d)
         by = float(b0 @ yu)
         if by > 0 and np.linalg.norm(Atyu_zu / by) <= INF_TOL * cnorm:
             status, cert, best = PRIMAL_INFEASIBLE, yu / by, current
@@ -374,8 +329,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         with timed("nt_scaling"):
             try:
                 scalings = [
-                    nt_scaling(blk, xb, zb)
-                    for blk, xb, zb in zip(cones, layout.blocks(x), layout.blocks(z))
+                    nt_scaling(blk, x[sl], z[sl])
+                    for blk, sl in zip(cones, slices)
                 ]
             except (FloatingPointError, np.linalg.LinAlgError):
                 break  # iterate degenerated numerically; report best so far
@@ -384,7 +339,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         def per_block(op, v):
             """Apply the scaling method named ``op`` to each block of v."""
             out = np.empty_like(v)
-            for sc, sl in zip(scalings, layout.slices):
+            for sc, sl in zip(scalings, slices):
                 out[sl] = getattr(sc, op)(v[sl])
             return out
 
@@ -450,7 +405,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
             )
 
         def directions(sig, eta_corr, dkappa_corr):
-            dc_vec = sig * mu * e - _jordan_sq(cones, layout, lam)
+            dc_vec = sig * mu * e - _jordan_sq(cones, slices, lam)
             if eta_corr is not None:
                 dc_vec -= eta_corr
             rhs = (
@@ -473,7 +428,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         # Predictor (affine scaling) direction.
         dx_a, dy_a, dz_a, dtau_a, dkap_a = directions(0.0, None, 0.0)
         with timed("step_search"):
-            a_aff = _step_len(cones, layout, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
+            a_aff = _step_len(cones, slices, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
         a_aff = min(1.0, a_aff)
         mu_aff = (
             (x + a_aff * dx_a) @ (z + a_aff * dz_a)
@@ -484,23 +439,21 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         # Corrector uses scaled-space products of the affine direction.
         eta = np.concatenate(
             [
-                jordan_mul(blk, sc.apply_WinvT(dxb), sc.apply_W(dzb))
-                for blk, sc, dxb, dzb in zip(
-                    cones, scalings, layout.blocks(dx_a), layout.blocks(dz_a)
-                )
+                jordan_mul(blk, sc.apply_WinvT(dx_a[sl]), sc.apply_W(dz_a[sl]))
+                for blk, sc, sl in zip(cones, scalings, slices)
             ]
         )
         dx, dy, dz, dtau, dkap = directions(sigma, eta, dtau_a * dkap_a)
 
         with timed("step_search"):
-            a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
+            a_max = _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
         alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha < 1e-6:
             # Recenter: a pure centering step is better conditioned and
             # restores interior margin after a degenerate combined step.
             dx, dy, dz, dtau, dkap = directions(1.0, None, 0.0)
             with timed("step_search"):
-                a_max = _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap)
+                a_max = _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
             alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha <= 1e-10:
             break  # stalled; report best iterate
@@ -511,8 +464,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
             for _ in range(12):
                 xn = x + alpha * dx
                 zn = z + alpha * dz
-                if _strictly_interior(cones, layout, xn) and _strictly_interior(
-                    cones, layout, zn
+                if _strictly_interior(cones, slices, xn) and _strictly_interior(
+                    cones, slices, zn
                 ):
                     break
                 alpha *= 0.8
@@ -534,12 +487,12 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     )
 
 
-def _unscaled(prep, cscale, x, y, z):
+def _unscaled(problem, cscale, x, y, z):
     """A scaled (x, y, z) in the caller's units: dc x, cscale dr y, cscale z / dc."""
-    return prep.dc * x, cscale * prep.dr * y, cscale * (z / prep.dc)
+    return problem.dc * x, cscale * problem.dr * y, cscale * (z / problem.dc)
 
 
-def _metrics(prep, cscale, c, b, x, y, z, tau, r_p, r_d):
+def _metrics(problem, cscale, c, b, x, y, z, tau, r_p, r_d):
     """The iterate (xo, yo, zo) = (x, y, z) / tau in the caller's units, with
     its pres, dres, pobj, dobj and relative gap.
 
@@ -549,20 +502,20 @@ def _metrics(prep, cscale, c, b, x, y, z, tau, r_p, r_d):
     A'yo + zo - c = -cscale r_d / (tau dc).  The objectives are taken on the
     unscaled vectors.
     """
-    xo, yo, zo = _unscaled(prep, cscale, x / tau, y / tau, z / tau)
-    pres = np.linalg.norm(r_p / (tau * prep.dr)) / (1.0 + np.linalg.norm(b))
-    dres = cscale * np.linalg.norm(r_d / (tau * prep.dc)) / (1.0 + np.linalg.norm(c))
+    xo, yo, zo = _unscaled(problem, cscale, x / tau, y / tau, z / tau)
+    pres = np.linalg.norm(r_p / (tau * problem.dr)) / (1.0 + np.linalg.norm(b))
+    dres = cscale * np.linalg.norm(r_d / (tau * problem.dc)) / (1.0 + np.linalg.norm(c))
     pobj = float(c @ xo)
     dobj = float(b @ yo)
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return xo, yo, zo, pres, dres, pobj, dobj, relgap
 
 
-def _ray_products(prep, cs, cscale, tau, r_p, r_d):
+def _ray_products(problem, cs, cscale, tau, r_p, r_d):
     """(A xu, A'yu + zu) at (xu, yu, zu) = unscaled (x, y, z), from the loop
     head's residuals as ``_metrics`` takes them: As x = r_p + tau bs and
     As'y + z = tau cs - r_d."""
-    return (r_p + tau * prep.bs) / prep.dr, cscale * ((tau * cs - r_d) / prep.dc)
+    return (r_p + tau * problem.bs) / problem.dr, cscale * ((tau * cs - r_d) / problem.dc)
 
 
 def _tril_inv(L):
@@ -589,14 +542,14 @@ def _norm(parts):
     return float(np.sqrt(sum(np.vdot(p, p) for p in parts)))
 
 
-def _jordan_sq(cones, layout, lam):
+def _jordan_sq(cones, slices, lam):
     return np.concatenate(
-        [jordan_mul(blk, lam[sl], lam[sl]) for blk, sl in zip(cones, layout.slices)]
+        [jordan_mul(blk, lam[sl], lam[sl]) for blk, sl in zip(cones, slices)]
     )
 
 
-def _strictly_interior(cones, layout, v):
-    for blk, sl in zip(cones, layout.slices):
+def _strictly_interior(cones, slices, v):
+    for blk, sl in zip(cones, slices):
         if blk.kind == PSD_KIND:
             # Cholesky success is the margin test actually needed downstream.
             try:
@@ -608,9 +561,9 @@ def _strictly_interior(cones, layout, v):
     return True
 
 
-def _step_len(cones, layout, x, dx, z, dz, tau, dtau, kappa, dkap):
+def _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap):
     a = np.inf
-    for blk, sl in zip(cones, layout.slices):
+    for blk, sl in zip(cones, slices):
         a = min(a, max_step(blk, x[sl], dx[sl]), max_step(blk, z[sl], dz[sl]))
     if dtau < 0:
         a = min(a, -tau / dtau)

@@ -47,9 +47,6 @@ from leobeam.conic import solver as solver_module
 from leobeam.conic.solver import (
     _TRIL_LEAF,
     PHASES,
-    _ConeVec,
-    _equilibrate,
-    _SchurPlan,
     _tril_inv,
     _unscaled,
 )
@@ -63,6 +60,20 @@ def kkt_residuals(p, s):
     dres = np.linalg.norm(p.A.T @ s.y + s.z - p.c) / (1 + np.linalg.norm(p.c))
     comp = abs(s.x @ s.z) / (1 + abs(p.c @ s.x))
     return pres, dres, comp
+
+
+def record_A(monkeypatch):
+    """Copies of each A given to ``ConicProblem`` by the builder or by
+    ``random_feasible_problem``, taken before the problem scales it."""
+    given = []
+
+    def recorded(c, A, b, cones):
+        given.append(np.array(A, dtype=float))
+        return ConicProblem(c, A, b, cones)
+
+    monkeypatch.setattr(model_module, "ConicProblem", recorded)
+    monkeypatch.setattr(conic, "ConicProblem", recorded)
+    return given
 
 
 def soc_pythagorean():
@@ -135,17 +146,15 @@ class TestCannedProblems:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_iterate_raises_convergence_error(self):
-        # finite data that passes validate() but overflows every residual
+        # finite data that the constructor accepts but that overflows every residual
         p = soc_pythagorean()
         p = ConicProblem(p.c, 1e200 * p.A, 1e200 * p.b, p.cones)
-        p.validate()
         with pytest.raises(ConvergenceError):
             solve(p)
 
     def test_dimension_validation(self):
-        p = ConicProblem(np.ones(3), np.ones((1, 3)), np.ones(1), [ConeBlock("nonneg", 2)])
         with pytest.raises(ValueError):
-            solve(p)
+            ConicProblem(np.ones(3), np.ones((1, 3)), np.ones(1), [ConeBlock("nonneg", 2)])
 
 
 class TestRandomFamily:
@@ -636,9 +645,7 @@ class TestStructuredSchur:
     def test_equals_dense_oracle_at_ipm_iterates(self, design, overrides, monkeypatch):
         scenario = build_scenario(desk_config(**overrides))
         problem = design(scenario).problem
-        slices = _ConeVec(problem.cones).slices
-        As = _equilibrate(problem.A, problem.b, slices)[0]  # A read before the solve
-        plan = _SchurPlan(problem.cones, slices, As)
+        As, plan = problem.As, problem.schur
         iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4, 6))
         assert len(iterates) == 4
         for scalings in iterates:
@@ -669,7 +676,7 @@ class TestStructuredSchur:
         problem = design(build_scenario(desk_config(**overrides))).problem
         iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4))
         assert len(iterates) == 3
-        plan = problem.prepared().schur
+        plan = problem.schur
         ops = [(i, op) for i, _, op in plan.dense if isinstance(op, PsdRows)]
         assert ops
         for scalings in iterates:
@@ -700,16 +707,16 @@ class TestSchurPlanMemory:
 
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
     def test_plan_holds_no_row_expansion(self, desk_scenario, design):
-        prep = design(desk_scenario).problem.prepared()
-        plan = prep.schur
+        p = design(desk_scenario).problem
+        plan = p.schur
         ops = [op for _, _, op in plan.dense if isinstance(op, PsdRows)]
         assert ops
         for op in ops:
-            assert np.shares_memory(op.cols, prep.As)
+            assert np.shares_memory(op.cols, p.As)
         # SOC blocks keep their own rows of As (``soc``), a few per block.
         held = [v for k, v in vars(plan).items() if k != "soc"]
         for arr in self.arrays(held):
-            if arr.dtype.kind not in "fc" or np.shares_memory(arr, prep.As):
+            if arr.dtype.kind not in "fc" or np.shares_memory(arr, p.As):
                 continue
             assert arr.ndim == 1 and arr.size <= plan.m  # one entry per row
 
@@ -747,10 +754,11 @@ class TestSharedPreparation:
         assert got.obj_primal == want.obj_primal
 
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
-    def test_penalty_objective_matches_fresh_problem(self, desk_scenario, design):
+    def test_penalty_objective_matches_fresh_problem(self, desk_scenario, design, monkeypatch):
+        given = record_A(monkeypatch)
         prob = design(desk_scenario)
-        A = prob.problem.A  # unscaled, before the solve equilibrates it
-        ws, _ = prob.solve()  # the relaxation prepares the shared work
+        A = given[0]  # unscaled, before the problem equilibrates it
+        ws, _ = prob.solve()
         k = desk_scenario.feeds
         vs = [np.linalg.eigh(w)[1][:, -1] for w in ws]
         objs = [2.0 * np.eye(k) - np.outer(v, v.conj()) for v in vs]
@@ -761,19 +769,27 @@ class TestSharedPreparation:
         assert fresh.status == OPTIMAL
         self.assert_same_bits(shared, fresh)
 
-    def test_with_objective_matches_fresh_problem(self):
+    def test_with_objective_matches_fresh_problem(self, monkeypatch):
         rng = np.random.default_rng(41)
+        given = record_A(monkeypatch)
         for _ in range(4):
             p, _ = random_feasible_problem(rng)
-            A = p.A  # unscaled, before the first solve equilibrates it
+            A = given[-1]  # unscaled, before the problem equilibrates it
             first = solve(p)
             # c + A'dy keeps c = A'y + z with the same interior z: bounded.
             c2 = p.c + A.T @ rng.normal(size=p.m)
             sibling = p.with_objective(c2)
-            assert sibling.prepared() is p.prepared()
+            assert sibling.schur is p.schur
             self.assert_same_bits(solve(sibling), solve(ConicProblem(c2, A, p.b, p.cones)))
             # the first objective is still solved to the same bits after the sibling's solve
             self.assert_same_bits(solve(p), first)
+
+    def test_sibling_shares_the_work(self):
+        p = soc_pythagorean()
+        c = p.c.copy()
+        sibling = p.with_objective(2.0 * c)
+        assert sibling.As is p.As and sibling.schur is p.schur
+        assert np.array_equal(p.c, c) and np.array_equal(sibling.c, 2.0 * c)
 
     def test_objective_checked_on_every_solve(self):
         p = soc_pythagorean()
@@ -822,13 +838,13 @@ class TestScaledResiduals:
 
     @staticmethod
     def assert_metrics_match_A(problem, monkeypatch):
-        A, b, c = problem.A, problem.b, problem.c  # A read before the solve
+        A, b, c = problem.A, problem.b, problem.c  # A rebuilt from As, within a few ulp
         calls = count_calls(monkeypatch, solver_module, "_metrics")
         s = solve(problem)
         assert len(calls) == s.n_iter > 0
         bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
-        for (prep, cscale, _, _, x, y, z, tau, _, _), info in zip(calls, s.iterations):
-            xo, yo, zo = _unscaled(prep, cscale, x / tau, y / tau, z / tau)
+        for (p, cscale, _, _, x, y, z, tau, _, _), info in zip(calls, s.iterations):
+            xo, yo, zo = _unscaled(p, cscale, x / tau, y / tau, z / tau)
             assert abs(info.pres - np.linalg.norm(A @ xo - b) / bnorm) <= 1e-12
             assert abs(info.dres - np.linalg.norm(A.T @ yo + zo - c) / cnorm) <= 1e-12
             assert info.pobj == float(c @ xo)
@@ -868,8 +884,8 @@ class TestScaledResiduals:
         assert s.status == want
         assert products and len(products) <= len(points)
         bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
-        for (prep, cscale, _, _, x, y, z, _, _, _), (Axu, Atyu_zu) in zip(points, products):
-            xu, yu, zu = _unscaled(prep, cscale, x, y, z)
+        for (p, cscale, _, _, x, y, z, _, _, _), (Axu, Atyu_zu) in zip(points, products):
+            xu, yu, zu = _unscaled(p, cscale, x, y, z)
             by, cx = float(b @ yu), float(c @ xu)
             if by > 0:
                 got = np.linalg.norm(Atyu_zu / by) / cnorm
@@ -882,50 +898,57 @@ class TestScaledResiduals:
 
 
 class TestOneA:
-    """The problem owns the only dense A: preparation equilibrates it in
-    place, with transients of a fraction of its size, and never scales an
-    array its caller holds."""
+    """The problem owns the only dense A: its constructor takes the array
+    over and equilibrates it in place, with transients of a fraction of its
+    size, and leaves a rejected A unscaled."""
 
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
     def test_prepared_holds_one_A(self, desk_scenario, design):
         p = design(desk_scenario).problem
         sibling = p.with_objective(2.0 * p.c)
-        prep = p.prepared()
-        assert sibling.prepared() is prep
-        held = [vars(p), vars(sibling), vars(prep), vars(prep.schur), vars(prep.layout)]
+        assert sibling.As is p.As and sibling.schur is p.schur
+        held = [vars(p), vars(sibling), vars(p.schur)]
         floats = [a for a in TestSchurPlanMemory.arrays(held) if a.dtype.kind in "fc"]
-        assert [a for a in floats if a.shape == (p.m, p.n)] == [prep.As]
+        assert {id(a) for a in floats if a.shape == (p.m, p.n)} == {id(p.As)}
         for arr in floats:
-            if not np.shares_memory(arr, prep.As):
+            if not np.shares_memory(arr, p.As):
                 assert arr.size <= p.m * p.n // 10
 
-    def test_preparation_adds_a_fraction_of_A(self):
+    def test_preparation_adds_a_fraction_of_A(self, monkeypatch):
         scenario = build_scenario(desk_config(feeds=18))
+        peaks = []
+
+        def measured(c, A, b, cones):
+            # A is already made: the peak is the constructor's own work
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            problem = ConicProblem(c, A, b, cones)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return problem
+
+        monkeypatch.setattr(model_module, "ConicProblem", measured)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             p = OutageProblem(scenario).problem
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            p.prepared()
-            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
-        nbytes = p.prepared().As.nbytes
+        (peak,) = peaks
+        nbytes = p.As.nbytes
         assert nbytes > 10e6
         assert peak <= 0.25 * nbytes
 
     def test_builder_hands_A_over(self, monkeypatch):
         given = []
 
-        def recorded(c, A, b, cones, **kwargs):
+        def recorded(c, A, b, cones):
             given.append(A)
-            return ConicProblem(c, A, b, cones, **kwargs)
+            return ConicProblem(c, A, b, cones)
 
         monkeypatch.setattr(model_module, "ConicProblem", recorded)
         p = soc_pythagorean()
-        assert np.shares_memory(given[0], p.prepared().As)
+        assert np.shares_memory(given[0], p.As)
 
     def test_caller_arrays_unchanged(self):
         rng = np.random.default_rng(8)
@@ -933,18 +956,29 @@ class TestOneA:
             p, _ = random_feasible_problem(rng)
             A, b, c = p.A, p.b.copy(), p.c.copy()
             c2 = c + A.T @ rng.normal(size=p.m)
-            kept = [arr.copy() for arr in (A, b, c, c2)]
+            kept = [arr.copy() for arr in (b, c, c2)]
             q = ConicProblem(c, A, b, p.cones)
-            before = q.A  # a copy, not the array the solve scales
+            assert np.shares_memory(q.As, A)  # taken over, not copied
             assert solve(q).status == solve(q.with_objective(c2)).status == OPTIMAL
-            for arr, want in zip((A, b, c, c2, before), kept + [kept[0]]):
+            for arr, want in zip((b, c, c2), kept):
                 assert arr.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+    def test_rejected_A_left_unscaled(self, bad):
+        cones = [ConeBlock("nonneg", 2), ConeBlock("soc", 3)]
+        A = np.random.default_rng(12).normal(size=(3, 6 if bad == "shape" else 5))
+        if bad != "shape":
+            A[1, 2] = float(bad)
+        kept = A.copy()
+        with pytest.raises(ValueError, match="must be 3x5" if bad == "shape" else "finite"):
+            ConicProblem(np.ones(5), A, np.ones(3), cones)
+        assert A.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
-    def test_A_reads_back_within_a_few_ulp(self, desk_scenario, design):
+    def test_A_reads_back_within_a_few_ulp(self, desk_scenario, design, monkeypatch):
+        given = record_A(monkeypatch)
         p = design(desk_scenario).problem
-        A = p.A
-        p.prepared()
+        A = given[0]
         back = p.A
         assert np.all(np.abs(back - A) <= 4 * np.finfo(float).eps * np.abs(A))
         assert np.array_equal(back == 0, A == 0)
