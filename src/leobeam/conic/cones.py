@@ -235,11 +235,12 @@ def row_operand(block: ConeBlock, cols: np.ndarray):
 
 
 def interior_margin(block: ConeBlock, v: np.ndarray) -> float:
-    """Distance-to-boundary proxy of a nonnegative or second-order block;
-    positive iff strictly interior."""
+    """Distance-to-boundary proxy; positive iff strictly interior."""
     if block.kind == NONNEG:
         return float(v.min()) if v.size else np.inf
-    return float(v[0] - np.linalg.norm(v[1:]))
+    if block.kind == SOC:
+        return float(v[0] - np.linalg.norm(v[1:]))
+    return float(np.linalg.eigvalsh(smat(v, block.size)).min())
 
 
 def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:

@@ -191,16 +191,6 @@ def project_cone(v, cones):
     return out
 
 
-def cone_margin(block, v):
-    """Distance-to-boundary proxy of any cone block, positive iff strictly
-    interior: a PSD block's least eigenvalue."""
-    from leobeam.conic.cones import PSD, interior_margin, smat
-
-    if block.kind == PSD:
-        return float(np.linalg.eigvalsh(smat(v, block.size)).min())
-    return interior_margin(block, v)
-
-
 def random_feasible_problem(rng):
     """Random mixed-cone program with a strictly feasible primal-dual pair.
 
@@ -209,7 +199,7 @@ def random_feasible_problem(rng):
     (problem, cones-as-(kind,size)-pairs).
     """
     from leobeam.conic import ConeBlock, ConicProblem
-    from leobeam.conic.cones import identity_element
+    from leobeam.conic.cones import identity_element, interior_margin
 
     kinds = []
     for _ in range(int(rng.integers(1, 4))):
@@ -233,13 +223,13 @@ def random_feasible_problem(rng):
     x0 = np.concatenate([identity_element(b) for b in blocks])
     pert = rng.normal(size=n) * 0.1
     while min(
-        cone_margin(b, (x0 + pert)[sl]) for b, sl in zip(blocks, slices)
+        interior_margin(b, (x0 + pert)[sl]) for b, sl in zip(blocks, slices)
     ) <= 0.05:
         pert *= 0.5
     b_vec = A @ (x0 + pert)
     y0 = rng.normal(size=m)
     z0 = x0 + rng.normal(size=n) * 0.1
-    while min(cone_margin(b, z0[sl]) for b, sl in zip(blocks, slices)) <= 0.05:
+    while min(interior_margin(b, z0[sl]) for b, sl in zip(blocks, slices)) <= 0.05:
         z0 = x0 + (z0 - x0) * 0.5
     c = A.T @ y0 + z0
     return ConicProblem(c, A, b_vec, blocks), kinds

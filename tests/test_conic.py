@@ -809,24 +809,36 @@ class TestSharedPreparation:
             bld.build()
 
 
-def infeasible_problems():
-    """Canned programs the solver must prove infeasible, with their status."""
+def infeasible_problems(monkeypatch):
+    """Canned programs the solver must prove infeasible, each with a copy of
+    its unscaled A and its status."""
+    given = record_A(monkeypatch)
     bld = ConeProgramBuilder()
     v = bld.add_soc(3)  # v0 = 1 < ||(3, 4)||
     bld.add_eq([(v, {0: 1.0})], 1.0)
     bld.add_eq([(v, {1: 1.0})], 3.0)
     bld.add_eq([(v, {2: 1.0})], 4.0)
     bld.set_objective([(v, {0: 10.0})])  # cscale 10 after equilibration
+    soc = bld.build()
     nonneg = [ConeBlock("nonneg", 1)]
-    # minimize -10 x1 over x >= 0 with 2 x0 - x1 = 1: unbounded below
-    unbounded = ConicProblem(
-        np.array([0.0, -10.0]), np.array([[2.0, -1.0]]), np.array([1.0]), [ConeBlock("nonneg", 2)]
-    )
+
+    def exact(c, A, b, cones):
+        return ConicProblem(c, A.copy(), b, cones), A
+
     return [
-        (ConicProblem(np.ones(1), np.ones((1, 1)), -np.ones(1), nonneg), PRIMAL_INFEASIBLE),
-        (bld.build(), PRIMAL_INFEASIBLE),
-        (ConicProblem(-np.ones(1), np.zeros((0, 1)), np.zeros(0), nonneg), DUAL_INFEASIBLE),
-        (unbounded, DUAL_INFEASIBLE),
+        (*exact(np.ones(1), np.ones((1, 1)), -np.ones(1), nonneg), PRIMAL_INFEASIBLE),
+        (soc, given[0], PRIMAL_INFEASIBLE),
+        (*exact(-np.ones(1), np.zeros((0, 1)), np.zeros(0), nonneg), DUAL_INFEASIBLE),
+        # minimize -10 x1 over x >= 0 with 2 x0 - x1 = 1: unbounded below
+        (
+            *exact(
+                np.array([0.0, -10.0]),
+                np.array([[2.0, -1.0]]),
+                np.array([1.0]),
+                [ConeBlock("nonneg", 2)],
+            ),
+            DUAL_INFEASIBLE,
+        ),
     ]
 
 
@@ -837,8 +849,8 @@ class TestScaledResiduals:
     reported (normalised) units, and the objectives are the same bits."""
 
     @staticmethod
-    def assert_metrics_match_A(problem, monkeypatch):
-        A, b, c = problem.A, problem.b, problem.c  # A rebuilt from As, within a few ulp
+    def assert_metrics_match_A(problem, A, monkeypatch):
+        b, c = problem.b, problem.c  # A: the exact unscaled A, recorded at build
         calls = count_calls(monkeypatch, solver_module, "_metrics")
         s = solve(problem)
         assert len(calls) == s.n_iter > 0
@@ -857,20 +869,23 @@ class TestScaledResiduals:
         ids=["avg-desk", "outage-desk", "outage-k18"],
     )
     def test_design_programs(self, design, overrides, monkeypatch):
+        given = record_A(monkeypatch)
         problem = design(build_scenario(desk_config(**overrides))).problem
-        self.assert_metrics_match_A(problem, monkeypatch)
+        self.assert_metrics_match_A(problem, given[0], monkeypatch)
 
     def test_a9_family(self, monkeypatch):
         rng = np.random.default_rng(20260810)  # test_a9_solver_correctness's draws
         for _ in range(50):
-            self.assert_metrics_match_A(random_feasible_problem(rng)[0], monkeypatch)
+            given = record_A(monkeypatch)  # patched again: each check undoes it
+            problem = random_feasible_problem(rng)[0]
+            self.assert_metrics_match_A(problem, given[-1], monkeypatch)
 
     @pytest.mark.parametrize(
         "case", range(4), ids=["nonneg-primal", "soc-primal", "nonneg-dual", "row-dual"]
     )
     def test_infeasibility_tests(self, case, monkeypatch):
-        problem, want = infeasible_problems()[case]
-        A, b, c = problem.A, problem.b, problem.c
+        problem, A, want = infeasible_problems(monkeypatch)[case]
+        b, c = problem.b, problem.c
         points = count_calls(monkeypatch, solver_module, "_metrics")
         products = []
         ray_products = solver_module._ray_products
