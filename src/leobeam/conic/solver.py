@@ -39,9 +39,15 @@ PRIMAL_INFEASIBLE = "PRIMAL_INFEASIBLE"
 DUAL_INFEASIBLE = "DUAL_INFEASIBLE"
 MAX_ITER = "MAX_ITER"
 
-# Keys of ConicSolution.timings: seconds per solver phase, summed over iterations.
+# Keys of ConicSolution.timings: seconds per solver phase, summed over
+# iterations.  ``factor`` is the Cholesky factor of S and the inverses of
+# its diagonal blocks; ``schur_solve`` is the substitutions with them.
 PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
-# Triangular blocks at or below this order are inverted by one LAPACK solve.
+# Order of the diagonal blocks of the Schur factor L that are inverted; a
+# Schur system of this order or less is one block, solved as Linv'(Linv r).
+_SCHUR_BLOCK = 128
+# ``_tril_inv`` inverts a diagonal block at or below this order by one LAPACK
+# solve, and one above it (97 to 128) by one split into two such solves.
 _TRIL_LEAF = 96
 # Relative residuals and gap at or below which an iterate is OPTIMAL.
 TOL = 1e-8
@@ -63,6 +69,12 @@ class ConicProblem:
     the cone identity e and the barrier degree nu; a ``with_objective``
     sibling shares all of it by reference, so b and the cones are
     read-only.  c is checked on each solve.
+
+    Products with As (``matvec``, ``rmatvec``) read the second-order
+    columns at the cost of their nonzeros: one dense product per contiguous
+    run of other columns (all of As when there is no SOC block), plus one
+    gather and ``np.bincount`` over the SOC nonzeros, which the Schur plan's
+    rows r_b give (an outage SOC column has one).
     """
 
     def __init__(self, c, A, b, cones):
@@ -87,6 +99,20 @@ class ConicProblem:
         self.schur = _SchurPlan(cones, self.slices, self.As)
         self.e = np.concatenate([identity_element(blk) for blk in cones])
         self.nu = sum(blk.degree for blk in cones)
+        self.runs = []  # column slices of the maximal runs of non-SOC blocks
+        for blk, sl in zip(cones, self.slices):
+            if blk.kind != SOC_KIND:
+                if self.runs and self.runs[-1].stop == sl.start:
+                    sl = slice(self.runs.pop().start, sl.stop)
+                self.runs.append(sl)
+        # Row, column and value of each nonzero of As in the SOC columns.
+        rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        for i, r_b, sub in self.schur.soc:
+            r, k = np.nonzero(sub)
+            rows.append(r_b[r])
+            cols.append(self.slices[i].start + k)
+            vals.append(sub[r, k])
+        self.soc_rows, self.soc_cols, self.soc_vals = map(np.concatenate, (rows, cols, vals))
 
     @property
     def A(self):
@@ -101,6 +127,20 @@ class ConicProblem:
     @property
     def m(self):
         return self.b.shape[0]
+
+    def matvec(self, v):
+        """As @ v (see the class docstring)."""
+        out = _bincount(self.soc_rows, self.soc_vals * v[self.soc_cols], self.m)
+        for sl in self.runs:
+            out += self.As[:, sl] @ v[sl]
+        return out
+
+    def rmatvec(self, y):
+        """As' @ y (see the class docstring)."""
+        out = _bincount(self.soc_cols, self.soc_vals * y[self.soc_rows], self.n)
+        for sl in self.runs:
+            out[sl] = self.As[:, sl].T @ y
+        return out
 
     def with_objective(self, c):
         """The program with objective c over the same A, b and cones,
@@ -157,7 +197,7 @@ class ConicSolution:
     dres: float
     iterations: list = field(default_factory=list)
     certificate: np.ndarray | None = None
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # seconds per phase, see PHASES
 
     @property
     def n_iter(self):
@@ -175,18 +215,20 @@ class _SchurPlan:
     second-order block's columns are nonzero only on its own rows r_b (an
     outage SOC touches its terminal's 13 or 79 rows of 558 at desk scale),
     so it adds G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
+    The nonzeros of these A[r_b, b] are all of the SOC columns' nonzeros,
+    and the problem's products with As read them from there.
     """
 
     def __init__(self, cones, slices, As):
         self.m = As.shape[0]
         self.dense = []  # (block index, G column slice, row_operand)
-        self.soc = []  # (block index, S index of r_b x r_b, As[r_b, b])
+        self.soc = []  # (block index, rows r_b, As[r_b, b])
         width = 0
         for i, (blk, sl) in enumerate(zip(cones, slices)):
             cols = As[:, sl]
             if blk.kind == SOC_KIND:
                 rows = np.flatnonzero((cols != 0).any(axis=1))
-                self.soc.append((i, np.ix_(rows, rows), cols[rows]))
+                self.soc.append((i, rows, cols[rows]))
                 continue
             op = row_operand(blk, cols)
             self.dense.append((i, slice(width, width + blk.veclen), op))
@@ -203,9 +245,9 @@ class _SchurPlan:
                 G[:, gsl] = scalings[i].apply_W_cols(op)
         S = G @ G.T
         del G
-        for i, at, cols in self.soc:
+        for i, rows, cols in self.soc:
             Gb = scalings[i].apply_W_cols(cols)
-            S[at] += Gb @ Gb.T
+            S[np.ix_(rows, rows)] += Gb @ Gb.T
         return S
 
 
@@ -247,10 +289,11 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     """
     opts = opts or SolveOptions()
     cs, cscale = problem.scale_objective()
-    As, bs, slices = problem.As, problem.bs, problem.slices
+    Av, Aty = problem.matvec, problem.rmatvec
+    bs, slices = problem.bs, problem.slices
     schur, e, nu = problem.schur, problem.e, problem.nu
     b0, c0 = problem.b, problem.c
-    m = As.shape[0]
+    m = problem.m
     cones = problem.cones
 
     x = e.copy()
@@ -280,8 +323,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
     alpha = 0.0
     sigma = 0.0
     for it in range(opts.max_iter):
-        r_p = As @ x - bs * tau
-        r_d = -As.T @ y - z + cs * tau
+        r_p = Av(x) - bs * tau
+        r_d = -Aty(y) - z + cs * tau
         r_g = float(cs @ x - bs @ y + kappa)
         mu = (x @ z + tau * kappa) / (nu + 1.0)
 
@@ -346,32 +389,26 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         # Schur complement S = A H A' (H = W'W), assembled from each block's
         # own rows: G G' over the nonnegative and PSD columns (G = A W', its
         # PSD rows expanded per chunk from As or their compact form), plus
-        # each SOC block's G_b G_b' on the rows it touches.  A tiny ridge if
-        # needed.
+        # each SOC block's G_b G_b' on the rows it touches.
         with timed("schur_assembly"):
             S = schur.assemble(scalings)
-            AHc = As @ per_block("apply_H", cs)
+            AHc = Av(per_block("apply_H", cs))
 
-        # One factor per iteration, S^-1 = Linv' Linv, reused by every solve below.
+        # One factor per iteration, with a tiny ridge if needed, reused by
+        # every solve below; S goes.
         with timed("factor"):
-            ridge = 0.0
-            for attempt in range(4):
-                try:
-                    L = np.linalg.cholesky(S + ridge * np.eye(m))
-                    break
-                except np.linalg.LinAlgError:
-                    ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
-            else:
+            L = _cholesky(S)
+            del S
+            if L is None:
                 break
-            Linv = _tril_inv(L)
-            del L
+            factor = _SchurFactor(L)
 
         def schur_solve(rhs):
             with timed("schur_solve"):
-                return Linv.T @ (Linv @ rhs)
+                return factor.solve(rhs)
 
         q1 = schur_solve(AHc + bs)
-        Atq1 = As.T @ q1
+        Atq1 = Aty(q1)
         p1 = per_block("apply_H", Atq1 - cs)
         # cs'p1 - bs'q1 = -p1'H^-1 p1: summed as a square, the tau pivot
         # keeps its sign where the difference would cancel.
@@ -384,8 +421,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
                 kappa dtau + tau dkap = dk,
             eliminating dz and dx onto the Schur complement."""
             w1 = per_block("apply_Winv", g) + rd
-            q2 = schur_solve(rp - As @ per_block("apply_H", w1))
-            Atq2 = As.T @ q2
+            q2 = schur_solve(rp - Av(per_block("apply_H", w1)))
+            Atq2 = Aty(q2)
             p2 = per_block("apply_H", Atq2 + w1)
             dtau = (rg - float(cs @ p2) + float(bs @ q2) - dk / tau) / den
             dy = q2 + dtau * q1
@@ -397,8 +434,8 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
         def newton_residual(rhs, d):
             dx, dy, dz, dtau, dkap = d
             return (
-                rhs[0] - (As @ dx - bs * dtau),
-                rhs[1] - (cs * dtau - As.T @ dy - dz),
+                rhs[0] - (Av(dx) - bs * dtau),
+                rhs[1] - (cs * dtau - Aty(dy) - dz),
                 rhs[2] - (float(cs @ dx) - float(bs @ dy) + dkap),
                 rhs[3] - (per_block("apply_WinvT", dx) + per_block("apply_W", dz)),
                 rhs[4] - (kappa * dtau + tau * dkap),
@@ -516,6 +553,60 @@ def _ray_products(problem, cs, cscale, tau, r_p, r_d):
     head's residuals as ``_metrics`` takes them: As x = r_p + tau bs and
     As'y + z = tau cs - r_d."""
     return (r_p + tau * problem.bs) / problem.dr, cscale * ((tau * cs - r_d) / problem.dc)
+
+
+def _bincount(index, weights, size):
+    """Sums of the weights per index, as floats also when there are none
+    (``np.bincount`` gives integer zeros then)."""
+    return np.bincount(index, weights, size).astype(float, copy=False)
+
+
+def _cholesky(S):
+    """L with S + ridge I = L L', or None if four attempts fail.
+
+    The ridge is 0 unless a Cholesky fails.  After the first failure it is
+    1e-12 (1 + tr(S)/m), S's trace taken before any ridge, and 100 times
+    the last ridge after each later one.  Each retry writes the ridge onto
+    the diagonal S had at the start, so S is changed in place.
+    """
+    m = S.shape[0]
+    diag, trace = S.diagonal().copy(), np.trace(S)
+    ridge = 0.0
+    for _ in range(4):
+        try:
+            return np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            ridge = max(1e-12 * (1.0 + trace / max(m, 1)), ridge * 100 or 1e-12)
+            np.fill_diagonal(S, diag + ridge)
+    return None
+
+
+class _SchurFactor:
+    """S = L L', solved by blocked forward and back substitution.
+
+    The diagonal blocks of L, of order ``_SCHUR_BLOCK``, are inverted with
+    ``_tril_inv``; between them the substitutions take products with the
+    strips of L left of and below each block.  A system of order
+    ``_SCHUR_BLOCK`` or less is one block, whose solve is Linv'(Linv r) with
+    Linv = ``_tril_inv(L)``.
+    """
+
+    def __init__(self, L):
+        m = L.shape[0]
+        self.L = L
+        self.blocks = [slice(i, min(i + _SCHUR_BLOCK, m)) for i in range(0, m, _SCHUR_BLOCK)]
+        self.inv = [_tril_inv(L[b, b]) for b in self.blocks]
+
+    def solve(self, r):
+        """x with L L' x = r: forward for L y = r, then back for L' x = y,
+        each over x's blocks in place."""
+        L = self.L
+        x = np.empty_like(r)
+        for b, Dinv in zip(self.blocks, self.inv):
+            x[b] = Dinv @ (r[b] - L[b, : b.start] @ x[: b.start])
+        for b, Dinv in zip(reversed(self.blocks), reversed(self.inv)):
+            x[b] = Dinv.T @ (x[b] - L[b.stop :, b].T @ x[b.stop :])
+        return x
 
 
 def _tril_inv(L):

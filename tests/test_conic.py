@@ -45,14 +45,20 @@ from leobeam.conic.cones import (
 from leobeam.conic import model as model_module
 from leobeam.conic import solver as solver_module
 from leobeam.conic.solver import (
+    _SCHUR_BLOCK,
     _TRIL_LEAF,
     PHASES,
+    _cholesky,
+    _SchurFactor,
     _tril_inv,
     _unscaled,
 )
 from leobeam.robust_avg import AvgSinrProblem
 from leobeam.robust_outage import OutageProblem
 from leobeam.scenario import build_scenario
+
+# The full-scale average-SINR scenario (60 feeds, 10 beams, 3 per region).
+FULL_SCALE_AVG = dict(feeds=60, beams=10, users_per_region=3, gamma_db=1.5)
 
 
 def kkt_residuals(p, s):
@@ -482,6 +488,61 @@ class TestSchurKernels:
         assert np.array_equal(Linv, np.tril(Linv))
 
     @pytest.mark.parametrize(
+        "m", [1, _TRIL_LEAF, _TRIL_LEAF + 1, _SCHUR_BLOCK, _SCHUR_BLOCK + 1, 257, 558, 954]
+    )
+    def test_blocked_factor_solves(self, m):
+        # One block at m <= 128, blocked substitutions above: S x = r.
+        rng = np.random.default_rng(m)
+        g = rng.normal(size=(m, m))
+        S = g @ g.T / m + np.eye(m)
+        r = rng.normal(size=m)
+        x = _SchurFactor(_cholesky(S.copy())).solve(r)
+        assert np.linalg.norm(S @ x - r) <= 1e-12 * np.linalg.norm(r)
+        want = np.linalg.solve(S, r)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m", [1, 18, 90, _TRIL_LEAF, _TRIL_LEAF + 1, _SCHUR_BLOCK])
+    def test_one_block_solve_gives_inverse_bits(self, m):
+        # At order <= 128 the solve is Linv'(Linv r) with Linv = _tril_inv(L):
+        # the arithmetic of an explicit inverse, so such programs keep their
+        # bits (avg-full's Schur order is 90, desk avg's 18).
+        rng = np.random.default_rng(m + 1)
+        g = rng.normal(size=(m, m))
+        L = np.linalg.cholesky(g @ g.T / m + np.eye(m))
+        factor = _SchurFactor(L)
+        assert len(factor.blocks) == 1
+        Linv = _tril_inv(L)
+        for _ in range(3):
+            r = rng.normal(size=m)
+            assert factor.solve(r).tobytes() == (Linv.T @ (Linv @ r)).tobytes()
+
+    def test_ridge_sequence(self):
+        # An indefinite S: the first ridge is 1e-12 (1 + tr(S)/m) with S's
+        # own trace and each later one 100x the last, as S + ridge I had
+        # them; four failed attempts give no factor.
+        m = 40
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        lam = rng.uniform(1.0, 3.0, m)
+        lam[0] = -1e-11 * (1.0 + lam.sum() / m)  # between the first two ridges
+        S = (q * lam) @ q.T
+        S = (S + S.T) / 2
+
+        def explicit_ridge(S):
+            ridge = 0.0
+            for _ in range(4):
+                try:
+                    return np.linalg.cholesky(S + ridge * np.eye(m)), ridge
+                except np.linalg.LinAlgError:
+                    ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
+            return None, ridge
+
+        want, ridge = explicit_ridge(S)
+        assert ridge == 1e-12 * (1.0 + np.trace(S) / m) * 100  # the second ridge
+        assert _cholesky(S.copy()).tobytes() == want.tobytes()
+        assert _cholesky(-np.eye(3)) is None
+
+    @pytest.mark.parametrize(
         "block",
         [
             ConeBlock("nonneg", 1),
@@ -685,6 +746,65 @@ class TestStructuredSchur:
                 op.write_W_cols(scalings[i], G)
                 want = scalings[i].apply_W_cols(smat(op.cols, op.d))
                 assert G.tobytes() == want.tobytes()
+
+
+class TestSplitProducts:
+    """``matvec`` and ``rmatvec`` take one dense product per run of non-SOC
+    columns and read the SOC columns' nonzeros: the products with As to
+    rounding, and bit for bit where there is no SOC block."""
+
+    @staticmethod
+    def assert_products_match(p, rng):
+        for _ in range(3):
+            v, y = rng.normal(size=p.n), rng.normal(size=p.m)
+            # 1e-14 of the sum of |terms| of each entry
+            assert np.all(np.abs(p.matvec(v) - p.As @ v) <= 1e-14 * (np.abs(p.As) @ np.abs(v)))
+            assert np.all(
+                np.abs(p.rmatvec(y) - p.As.T @ y) <= 1e-14 * (np.abs(p.As).T @ np.abs(y))
+            )
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"phase_cov": correlated_cov(12)}], ids=["desk", "cov"]
+    )
+    def test_outage_programs(self, overrides):
+        p = OutageProblem(build_scenario(desk_config(**overrides))).problem
+        assert len(p.runs) == 1  # the PSD and nonnegative blocks come first
+        soc = [sl for blk, sl in zip(p.cones, p.slices) if blk.kind == "soc"]
+        assert p.soc_cols.size == sum(sl.stop - sl.start for sl in soc)  # one per column
+        self.assert_products_match(p, np.random.default_rng(1))
+
+    def test_a9_draws_with_soc_blocks(self):
+        rng = np.random.default_rng(20260810)  # test_a9_solver_correctness's draws
+        draws = [random_feasible_problem(rng)[0] for _ in range(50)]
+        with_soc = [p for p in draws if any(blk.kind == "soc" for blk in p.cones)]
+        assert len(with_soc) >= 10
+        for p in with_soc:
+            self.assert_products_match(p, rng)
+
+    def test_all_soc_program(self):
+        rng = np.random.default_rng(3)
+        cones = [ConeBlock("soc", 3), ConeBlock("soc", 1), ConeBlock("soc", 4)]
+        A = rng.normal(size=(5, 8)) * (rng.uniform(size=(5, 8)) < 0.5)
+        p = ConicProblem(np.ones(8), A, np.ones(5), cones)
+        assert p.runs == []
+        self.assert_products_match(p, rng)
+
+    def test_no_equality_rows(self):
+        cones = [ConeBlock("nonneg", 2), ConeBlock("soc", 3), ConeBlock("psd", 2)]
+        p = ConicProblem(np.ones(8), np.zeros((0, 8)), np.zeros(0), cones)
+        v = np.arange(8.0)
+        assert p.matvec(v).shape == (0,) and p.matvec(v).dtype == float
+        assert p.rmatvec(np.zeros(0)).tobytes() == np.zeros(8).tobytes()
+
+    @pytest.mark.parametrize("overrides", [{}, FULL_SCALE_AVG], ids=["desk", "full"])
+    def test_products_without_soc_give_dense_bits(self, overrides):
+        p = AvgSinrProblem(build_scenario(desk_config(**overrides))).problem
+        assert p.runs == [slice(0, p.n)] and p.soc_cols.size == 0
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            v, y = rng.normal(size=p.n), rng.normal(size=p.m)
+            assert p.matvec(v).tobytes() == (p.As @ v).tobytes()
+            assert p.rmatvec(y).tobytes() == (p.As.T @ y).tobytes()
 
 
 class TestSchurPlanMemory:
