@@ -8,7 +8,7 @@ within this package's own experiments.
 import numpy as np
 
 from .errors import InfeasibleDesignError
-from .network import BeamDesign
+from .network import BeamDesign, per_feed_power
 from .robust_avg import PenaltyConfig, design_avg_sinr, expected_channel_matrix
 
 
@@ -61,8 +61,7 @@ def design_zfbf(scenario) -> BeamDesign:
             )
         powers[m] = max(powers[m], user.gamma_lin * scenario.noise_power / (margin * gain))
     beams = f * np.sqrt(powers)[None, :]
-    per_feed = np.sum(np.abs(beams) ** 2, axis=1)
-    if np.any(per_feed > scenario.power_caps + 1e-12):
+    if np.any(per_feed_power(beams) > scenario.power_caps + 1e-12):
         raise InfeasibleDesignError(
             "zero-forcing power allocation violates per-feed caps",
             family="per-feed-power",

@@ -16,6 +16,7 @@ length (at d = 1 the two layouts coincide).  The matrix code below uses
 conjugate transposes throughout, so one path serves both fields.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ class ConeBlock:
     kind: str
     size: int  # vector length for nonneg/soc, matrix order for psd
     hermitian: bool = False  # psd only: complex Hermitian instead of real symmetric
+
+    def __post_init__(self):
+        if self.kind not in (NONNEG, SOC, PSD):
+            raise ValueError(f"{self}: kind must be {NONNEG}, {SOC} or {PSD}")
+        if not isinstance(self.size, numbers.Integral) or self.size < 1:
+            raise ValueError(f"{self}: size must be an integer of at least 1")
 
     @property
     def veclen(self) -> int:
@@ -302,11 +309,10 @@ class _NonnegScaling:
     def apply_W(self, v):
         return self.w * v
 
-    def apply_WinvT(self, v):
-        return v / self.w
-
     def apply_Winv(self, v):
         return v / self.w
+
+    apply_WinvT = apply_Winv  # W is diagonal
 
     def apply_H(self, v):
         return self.w * self.w * v

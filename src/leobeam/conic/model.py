@@ -29,7 +29,6 @@ class ConeProgramBuilder:
     def __init__(self):
         self._vars = []
         self._rows = []  # (var index -> (r, veclen) block, rhs (r,)); None once built
-        self._obj = {}
         self._n = 0
 
     # -- variables ---------------------------------------------------------
@@ -94,12 +93,13 @@ class ConeProgramBuilder:
         rows = rhs.size if rhs.ndim else None
         self._rows.append((self._block(terms, rows), rhs.reshape(-1)))
 
-    def set_objective(self, terms):
-        self._obj = self._block(terms, None)
-
     def objective_vector(self, terms) -> np.ndarray:
-        """c of the objective sum over terms of <coeff, var> (single-row forms)."""
-        return self._place(self._block(terms, None))
+        """c of the objective sum over terms of <coeff, var> (single-row forms),
+        for ``solve(problem, c)``."""
+        c = np.zeros(self._n)
+        for vi, vec in self._block(terms, None).items():
+            c[self._vars[vi].cols] = vec[0]
+        return c
 
     def _block(self, terms, rows: int | None) -> dict:
         """var index -> summed (rows, veclen) coefficients of the terms on it."""
@@ -110,12 +110,6 @@ class ConeProgramBuilder:
         return block
 
     # -- assembly ------------------------------------------------------------
-
-    def _place(self, block) -> np.ndarray:
-        c = np.zeros(self._n)
-        for vi, vec in block.items():
-            c[self._vars[vi].cols] = vec[0]
-        return c
 
     def build(self) -> ConicProblem:
         """The program, once: its rows move into A, which the program takes
@@ -133,7 +127,7 @@ class ConeProgramBuilder:
             i += rhs.size
         self._rows = None
         cones = [ref.cone for ref in self._vars]
-        return ConicProblem(self._place(self._obj), A, b, cones)
+        return ConicProblem(A, b, cones)
 
     def extract(self, ref: VarRef, x: np.ndarray):
         seg = x[ref.cols]

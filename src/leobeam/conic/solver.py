@@ -13,7 +13,6 @@ self-dual embedding, so primal or dual infeasibility is detected with a
 certificate ray instead of a diverging iterate.
 """
 
-import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,20 +54,21 @@ TOL = 1e-8
 INF_TOL = 1e-9
 # Share of the distance to the cone boundary that one step takes.
 FRAC_TO_BOUNDARY = 0.99
+# Iterations after which a solve stops with its best iterate (MAX_ITER).
+ITER_LIMIT = 100
 
 
 class ConicProblem:
-    """One program: objective c over the constraint set A x = b, x in cones,
-    with the solver's work on A, b and the cones done once, here.
+    """One constraint set A x = b, x in cones, with the solver's work on A,
+    b and the cones done once, here; each solve passes its own objective c.
 
     The constructor checks A, b and the cones, then takes A over: it
     equilibrates A in place (``_equilibrate``), so a caller that keeps using
     its array passes a copy.  A rejected A is left unscaled.  The problem
     holds the equilibrated As and bs with their row and column factors, the
     column factors to replay on each c, the cone slices, the Schur plan,
-    the cone identity e and the barrier degree nu; a ``with_objective``
-    sibling shares all of it by reference, so b and the cones are
-    read-only.  c is checked on each solve.
+    the cone identity e and the barrier degree nu.  No solve writes any of
+    it, so one problem serves every objective posed over its constraints.
 
     Products with As (``matvec``, ``rmatvec``) read the second-order
     columns at the cost of their nonzeros: one dense product per contiguous
@@ -77,8 +77,7 @@ class ConicProblem:
     rows r_b give (an outage SOC column has one).
     """
 
-    def __init__(self, c, A, b, cones):
-        self.c = np.asarray(c, dtype=float)
+    def __init__(self, A, b, cones):
         self.b = np.asarray(b, dtype=float)
         self.cones = cones
         if not cones:
@@ -142,17 +141,9 @@ class ConicProblem:
             out[sl] = self.As[:, sl].T @ y
         return out
 
-    def with_objective(self, c):
-        """The program with objective c over the same A, b and cones,
-        sharing the work on them (see the class docstring)."""
-        sibling = copy.copy(self)
-        sibling.c = np.asarray(c, dtype=float)
-        return sibling
-
-    def scale_objective(self):
+    def scale_objective(self, c):
         """(cs, cscale): c through the column factors, in the order A took
         them, then divided by cscale = max(1, max |c|)."""
-        c = self.c
         if c.shape != self.dc.shape or not np.all(np.isfinite(c)):
             raise ValueError(f"c must be a finite vector of length {self.n}")
         c = c.copy()
@@ -166,7 +157,6 @@ class ConicProblem:
 @dataclass
 class SolveOptions:
     tol_relaxed: float = 1e-7  # accept as OPTIMAL when progress stalls above TOL
-    max_iter: int = 100
 
 
 @dataclass
@@ -281,18 +271,20 @@ def _equilibrate(A, b, slices):
     return A, b, dr, dc, col_factors
 
 
-def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolution:
-    """Solve a mixed-cone program; deterministic for identical inputs.
+def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSolution:
+    """Minimize c'x over the problem's constraint set; deterministic for
+    identical inputs.
 
     The work on A, b and the cones is the problem's, made when it was
-    built; c is checked and scaled on every call.
+    built, and the solve only reads it; c is checked and scaled here.
     """
     opts = opts or SolveOptions()
-    cs, cscale = problem.scale_objective()
+    c0 = np.asarray(c, dtype=float)
+    cs, cscale = problem.scale_objective(c0)
     Av, Aty = problem.matvec, problem.rmatvec
     bs, slices = problem.bs, problem.slices
     schur, e, nu = problem.schur, problem.e, problem.nu
-    b0, c0 = problem.b, problem.c
+    b0 = problem.b
     m = problem.m
     cones = problem.cones
 
@@ -322,7 +314,7 @@ def solve(problem: ConicProblem, opts: SolveOptions | None = None) -> ConicSolut
 
     alpha = 0.0
     sigma = 0.0
-    for it in range(opts.max_iter):
+    for it in range(ITER_LIMIT):
         r_p = Av(x) - bs * tau
         r_d = -Aty(y) - z + cs * tau
         r_g = float(cs @ x - bs @ y + kappa)

@@ -78,7 +78,7 @@ def bessel_j(order: int, x):
     return float(out) if xs.ndim == 0 else out
 
 
-def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_iter: int = 50000):
+def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_steps: int = 50000):
     """Largest eigenvalue and unit eigenvector of a Hermitian matrix.
 
     Shifted power iteration; the shift makes the dominant eigenvalue of
@@ -99,7 +99,7 @@ def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_iter: int = 50000):
     # Deterministic start with spread phases so no eigenvector is orthogonal
     # to it by construction.
     v = np.exp(1j * 0.7 * np.arange(k)) / np.sqrt(k)
-    for _ in range(max_iter):
+    for _ in range(max_steps):
         u = m @ v + shift * v
         nu = np.linalg.norm(u)
         if nu == 0.0:
@@ -112,6 +112,6 @@ def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_iter: int = 50000):
         if resid <= tol * scale:
             return float(rho), v
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol:g}*||m|| in {max_iter} steps"
+        f"power iteration did not reach residual {tol:g}*||m|| in {max_steps} steps"
     )
 

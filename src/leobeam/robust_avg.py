@@ -87,7 +87,7 @@ class LiftedProblem:
         if objective_matrices is None:
             objective_matrices = [np.eye(k)] * self.scenario.beams
         c = self.builder.objective_vector(zip(self.w_refs, objective_matrices))
-        sol = solve(self.problem.with_objective(c), options or SolveOptions())
+        sol = solve(self.problem, c, options)
         ws = [self.builder.extract(ref, sol.x) for ref in self.w_refs]
         return ws, sol
 

@@ -196,7 +196,7 @@ def random_feasible_problem(rng):
 
     b is built from a strictly interior x0 and c from a random y0 plus a
     strictly interior z0, so both sides satisfy Slater's condition.  Returns
-    (problem, cones-as-(kind,size)-pairs).
+    (problem, c, cones-as-(kind,size)-pairs).
     """
     from leobeam.conic import ConeBlock, ConicProblem
     from leobeam.conic.cones import identity_element, interior_margin
@@ -232,7 +232,7 @@ def random_feasible_problem(rng):
     while min(interior_margin(b, z0[sl]) for b, sl in zip(blocks, slices)) <= 0.05:
         z0 = x0 + (z0 - x0) * 0.5
     c = A.T @ y0 + z0
-    return ConicProblem(c, A, b_vec, blocks), kinds
+    return ConicProblem(A, b_vec, blocks), c, kinds
 
 
 def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7, tol=1e-10):

@@ -155,16 +155,16 @@ def test_a9_solver_correctness():
     rng = np.random.default_rng(20260810)
     worst_kkt = worst_obj = 0.0
     for _ in range(50):
-        problem, kinds = random_feasible_problem(rng)
-        sol = solve(problem)
+        problem, c, kinds = random_feasible_problem(rng)
+        sol = solve(problem, c)
         assert sol.status == "OPTIMAL"
         pres = np.linalg.norm(problem.A @ sol.x - problem.b) / (
             1 + np.linalg.norm(problem.b)
         )
-        dres = np.linalg.norm(problem.A.T @ sol.y + sol.z - problem.c) / (
-            1 + np.linalg.norm(problem.c)
+        dres = np.linalg.norm(problem.A.T @ sol.y + sol.z - c) / (
+            1 + np.linalg.norm(c)
         )
-        comp = abs(sol.x @ sol.z) / (1 + abs(problem.c @ sol.x))
+        comp = abs(sol.x @ sol.z) / (1 + abs(c @ sol.x))
         worst_kkt = max(worst_kkt, pres, dres, comp)
         assert max(pres, dres, comp) <= 1e-7
         # weak duality wherever both sides are feasible (to tolerance); the
@@ -175,7 +175,7 @@ def test_a9_solver_correctness():
                 slack = max(1e-7, 5.0 * (info.pres + info.dres)) * scale
                 assert info.dobj <= info.pobj + slack
         _, oracle_obj, oracle_pres, oracle_dres = solve_conic_admm(
-            problem.c, problem.A, problem.b, kinds, iters=15000
+            c, problem.A, problem.b, kinds, iters=15000
         )
         assert max(oracle_pres, oracle_dres) <= 1e-10  # converged, not stopped at the cap
         gap = abs(sol.obj_primal - oracle_obj) / max(1.0, abs(oracle_obj))

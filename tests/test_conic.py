@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -61,10 +62,10 @@ from leobeam.scenario import build_scenario
 FULL_SCALE_AVG = dict(feeds=60, beams=10, users_per_region=3, gamma_db=1.5)
 
 
-def kkt_residuals(p, s):
+def kkt_residuals(p, c, s):
     pres = np.linalg.norm(p.A @ s.x - p.b) / (1 + np.linalg.norm(p.b))
-    dres = np.linalg.norm(p.A.T @ s.y + s.z - p.c) / (1 + np.linalg.norm(p.c))
-    comp = abs(s.x @ s.z) / (1 + abs(p.c @ s.x))
+    dres = np.linalg.norm(p.A.T @ s.y + s.z - c) / (1 + np.linalg.norm(c))
+    comp = abs(s.x @ s.z) / (1 + abs(c @ s.x))
     return pres, dres, comp
 
 
@@ -73,9 +74,9 @@ def record_A(monkeypatch):
     ``random_feasible_problem``, taken before the problem scales it."""
     given = []
 
-    def recorded(c, A, b, cones):
+    def recorded(A, b, cones):
         given.append(np.array(A, dtype=float))
-        return ConicProblem(c, A, b, cones)
+        return ConicProblem(A, b, cones)
 
     monkeypatch.setattr(model_module, "ConicProblem", recorded)
     monkeypatch.setattr(conic, "ConicProblem", recorded)
@@ -83,18 +84,26 @@ def record_A(monkeypatch):
 
 
 def soc_pythagorean():
+    """(problem, c): minimize v0 over the SOC with v1 = 3 and v2 = 4."""
     bld = ConeProgramBuilder()
     v = bld.add_soc(3)
     bld.add_eq([(v, {1: 1.0})], 3.0)
     bld.add_eq([(v, {2: 1.0})], 4.0)
-    bld.set_objective([(v, {0: 1.0})])
-    return bld.build()
+    return bld.build(), bld.objective_vector([(v, {0: 1.0})])
+
+
+def design_program(design, scenario):
+    """(problem, c): a design's lifted program and its relaxation objective,
+    tr W_m summed over the regions."""
+    lifted = design(scenario)
+    eye = np.eye(scenario.feeds)
+    return lifted.problem, lifted.builder.objective_vector((ref, eye) for ref in lifted.w_refs)
 
 
 class TestCannedProblems:
     def test_nonneg_min(self):
-        p = ConicProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), [ConeBlock("nonneg", 1)])
-        s = solve(p)
+        p = ConicProblem(np.zeros((0, 1)), np.zeros(0), [ConeBlock("nonneg", 1)])
+        s = solve(p, np.array([1.0]))
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(0.0, abs=1e-7)
 
@@ -103,26 +112,18 @@ class TestCannedProblems:
         X = bld.add_psd(2)
         bld.add_eq([(X, np.diag([1.0, 0.0]))], 1.0)
         bld.add_eq([(X, np.diag([0.0, 1.0]))], 1.0)
-        bld.set_objective([(X, np.eye(2))])
-        s = solve(bld.build())
+        s = solve(bld.build(), bld.objective_vector([(X, np.eye(2))]))
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(2.0, abs=1e-6)
 
     def test_soc_pythagorean(self):
-        bld = ConeProgramBuilder()
-        v = bld.add_soc(3)
-        bld.add_eq([(v, {1: 1.0})], 3.0)
-        bld.add_eq([(v, {2: 1.0})], 4.0)
-        bld.set_objective([(v, {0: 1.0})])
-        s = solve(bld.build())
+        s = solve(*soc_pythagorean())
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(5.0, abs=1e-6)
 
     def test_primal_infeasible_certificate(self):
-        p = ConicProblem(
-            np.array([1.0]), np.array([[1.0]]), np.array([-1.0]), [ConeBlock("nonneg", 1)]
-        )
-        s = solve(p)
+        p = ConicProblem(np.array([[1.0]]), np.array([-1.0]), [ConeBlock("nonneg", 1)])
+        s = solve(p, np.array([1.0]))
         assert s.status == PRIMAL_INFEASIBLE
         assert s.certificate is not None
         y = s.certificate
@@ -131,56 +132,59 @@ class TestCannedProblems:
         assert np.all(-(p.A.T @ y) >= 0)
 
     def test_dual_infeasible_certificate(self):
-        p = ConicProblem(np.array([-1.0]), np.zeros((0, 1)), np.zeros(0), [ConeBlock("nonneg", 1)])
-        s = solve(p)
+        p = ConicProblem(np.zeros((0, 1)), np.zeros(0), [ConeBlock("nonneg", 1)])
+        c = np.array([-1.0])
+        s = solve(p, c)
         assert s.status == DUAL_INFEASIBLE
         assert s.certificate is not None
-        assert p.c @ s.certificate < 0
+        assert c @ s.certificate < 0
 
-    def test_max_iter_status(self):
-        bld = ConeProgramBuilder()
-        v = bld.add_soc(3)
-        bld.add_eq([(v, {1: 1.0})], 3.0)
-        bld.add_eq([(v, {2: 1.0})], 4.0)
-        bld.set_objective([(v, {0: 1.0})])
-        s = solve(bld.build(), SolveOptions(max_iter=2, tol_relaxed=1e-12))
+    def test_max_iter_status(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "ITER_LIMIT", 2)
+        s = solve(*soc_pythagorean(), SolveOptions(tol_relaxed=1e-12))
         assert s.status == MAX_ITER
 
-    def test_zero_iterations_raise_convergence_error(self):
+    def test_zero_iterations_raise_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "ITER_LIMIT", 0)
         with pytest.raises(ConvergenceError):
-            solve(soc_pythagorean(), SolveOptions(max_iter=0))
+            solve(*soc_pythagorean())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_iterate_raises_convergence_error(self):
         # finite data that the constructor accepts but that overflows every residual
-        p = soc_pythagorean()
-        p = ConicProblem(p.c, 1e200 * p.A, 1e200 * p.b, p.cones)
+        p, c = soc_pythagorean()
+        p = ConicProblem(1e200 * p.A, 1e200 * p.b, p.cones)
         with pytest.raises(ConvergenceError):
-            solve(p)
+            solve(p, c)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            ConicProblem(np.ones(3), np.ones((1, 3)), np.ones(1), [ConeBlock("nonneg", 2)])
+            ConicProblem(np.ones((1, 3)), np.ones(1), [ConeBlock("nonneg", 2)])
+
+    @pytest.mark.parametrize("kind, size", [("foo", 2), ("nonneg", 0), ("psd", 0)])
+    def test_bad_cone_block_rejected(self, kind, size):
+        with pytest.raises(ValueError, match=re.escape(f"ConeBlock(kind={kind!r}, size={size},")):
+            ConeBlock(kind, size)
 
 
 class TestRandomFamily:
     def test_against_first_order_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(12):
-            p, kinds = random_feasible_problem(rng)
-            s = solve(p)
+            p, c, kinds = random_feasible_problem(rng)
+            s = solve(p, c)
             assert s.status == OPTIMAL
-            pres, dres, comp = kkt_residuals(p, s)
+            pres, dres, comp = kkt_residuals(p, c, s)
             assert max(pres, dres, comp) <= 1e-7
-            _, obj, pres_admm, dres_admm = solve_conic_admm(p.c, p.A, p.b, kinds, iters=20000)
+            _, obj, pres_admm, dres_admm = solve_conic_admm(c, p.A, p.b, kinds, iters=20000)
             assert max(pres_admm, dres_admm) <= 1e-10  # converged, not stopped at the cap
             assert s.obj_primal == pytest.approx(obj, abs=1e-4 * max(1, abs(obj)))
 
     def test_weak_duality_on_feasible_iterates(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            p, _ = random_feasible_problem(rng)
-            s = solve(p)
+            p, c, _ = random_feasible_problem(rng)
+            s = solve(p, c)
             assert s.status == OPTIMAL
             for info in s.iterations:
                 if info.pres <= 1e-6 and info.dres <= 1e-6:
@@ -188,18 +192,17 @@ class TestRandomFamily:
 
     def test_scaling_invariance_of_argmin(self):
         rng = np.random.default_rng(5)
-        p, _ = random_feasible_problem(rng)
-        s1 = solve(p)
-        p2 = ConicProblem(37.0 * p.c, p.A, p.b, p.cones)
-        s2 = solve(p2)
+        p, c, _ = random_feasible_problem(rng)
+        s1 = solve(p, c)
+        s2 = solve(ConicProblem(p.A, p.b, p.cones), 37.0 * c)
         assert s1.status == s2.status == OPTIMAL
         assert np.linalg.norm(s1.x - s2.x) <= 1e-6 * (1 + np.linalg.norm(s1.x))
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        p, _ = random_feasible_problem(rng)
-        s1 = solve(p)
-        s2 = solve(p)
+        p, c, _ = random_feasible_problem(rng)
+        s1 = solve(p, c)
+        s2 = solve(p, c)
         assert np.array_equal(s1.x, s2.x)
         assert s1.obj_primal == s2.obj_primal
 
@@ -210,8 +213,7 @@ class TestComplexLift:
         W = bld.add_hermitian_psd(2)
         bld.add_eq([(W, np.diag([1.0, 0.0]))], 1.0)
         bld.add_eq([(W, np.diag([0.0, 1.0]))], 1.0)
-        bld.set_objective([(W, np.eye(2))])
-        s = solve(bld.build())
+        s = solve(bld.build(), bld.objective_vector([(W, np.eye(2))]))
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(2.0, abs=1e-6)
 
@@ -220,9 +222,7 @@ class TestComplexLift:
         W = bld.add_hermitian_psd(3)
         d = np.array([[2.0, 1j, 0], [-1j, 1.0, 0.5], [0, 0.5, 1.0]])
         bld.add_eq([(W, d)], 1.0)
-        bld.set_objective([(W, np.eye(3))])
-        p = bld.build()
-        s = solve(p)
+        s = solve(bld.build(), bld.objective_vector([(W, np.eye(3))]))
         assert s.status == OPTIMAL
         w = bld.extract(W, s.x)
         assert np.allclose(w, w.conj().T)
@@ -240,8 +240,7 @@ class TestComplexLift:
         bld = ConeProgramBuilder()
         W = bld.add_hermitian_psd(2)
         bld.add_eq([(W, np.eye(2))], 1.0)
-        bld.set_objective([(W, c0)])
-        s = solve(bld.build())
+        s = solve(bld.build(), bld.objective_vector([(W, c0)]))
         assert s.status == OPTIMAL
         def grid_min(t_lo, t_hi, p_lo, p_hi, npts):
             theta = np.linspace(t_lo, t_hi, npts)
@@ -265,7 +264,8 @@ class TestComplexLift:
 
 def build_hermitian_program(data, embedded):
     """The program of ``random_hermitian_program`` with native Hermitian
-    blocks, or with each block as its real embedding of twice the order."""
+    blocks, or with each block as its real embedding of twice the order:
+    (builder, PSD refs, c)."""
     def coeff(d):
         return 0.5 * embed_hermitian(d) if embedded else d
 
@@ -283,8 +283,7 @@ def build_hermitian_program(data, embedded):
     obj = [(ref, coeff(c)) for ref, c in zip(refs, data["C"])]
     if u is not None:
         obj.append((u, data["f"]))
-    bld.set_objective(obj)
-    return bld, refs
+    return bld, refs, bld.objective_vector(obj)
 
 
 class TestHermitianCone:
@@ -387,11 +386,11 @@ class TestComplexEmbeddingOracle:
         rng = np.random.default_rng(17)
         for _ in range(20):
             data = random_hermitian_program(rng)
-            native, refs = build_hermitian_program(data, embedded=False)
-            emb, emb_refs = build_hermitian_program(data, embedded=True)
+            native, refs, c = build_hermitian_program(data, embedded=False)
+            emb, emb_refs, c_emb = build_hermitian_program(data, embedded=True)
             p, q = native.build(), emb.build()
             assert p.n == sum(k * k for k in data["orders"]) + data["n_nonneg"]
-            s, t = solve(p), solve(q)
+            s, t = solve(p, c), solve(q, c_emb)
             assert s.status == t.status == OPTIMAL
             assert s.obj_primal == pytest.approx(t.obj_primal, abs=1e-7 * (1 + abs(t.obj_primal)))
             for ref, eref in zip(refs, emb_refs):
@@ -420,8 +419,7 @@ class TestRowBlocks:
             for i in range(data["rhs"].size):
                 bld.add_eq([(ref, coeff[i]) for ref, coeff in terms], data["rhs"][i])
         bld.add_eq([(v, {0: 1.0})], 3.0)
-        bld.set_objective([(w, np.eye(3))])
-        return bld.build()
+        return bld.build(), bld.objective_vector([(w, np.eye(3))])
 
     def test_block_equals_single_rows(self):
         rng = np.random.default_rng(31)
@@ -434,12 +432,12 @@ class TestRowBlocks:
             "p": rng.normal(size=(r, 3)),  # raw svec rows of a real order-2 block
             "rhs": rng.normal(size=r),
         }
-        single = self.program(data, block=False)
-        block = self.program(data, block=True)
+        single, c_single = self.program(data, block=False)
+        block, c_block = self.program(data, block=True)
         assert block.m == single.m == r + 2
         assert np.array_equal(block.A, single.A)
         assert np.array_equal(block.b, single.b)
-        assert np.array_equal(block.c, single.c)
+        assert np.array_equal(c_block, c_single)
 
     def test_wrong_block_shapes_raise(self):
         bld = ConeProgramBuilder()
@@ -649,8 +647,8 @@ class TestSchurKernels:
         # m = 0: minimize sum(x) + s0 + tr(X) over nonneg x SOC x PSD -> 0.
         cones = [ConeBlock("nonneg", 2), ConeBlock("soc", 3), ConeBlock("psd", 2)]
         c = np.concatenate([[1.0, 1.0, 1.0, 0.0, 0.0], svec(np.eye(2))])
-        p = ConicProblem(c, np.zeros((0, c.size)), np.zeros(0), cones)
-        s = solve(p)
+        p = ConicProblem(np.zeros((0, c.size)), np.zeros(0), cones)
+        s = solve(p, c)
         assert s.status == OPTIMAL
         assert s.obj_primal == pytest.approx(0.0, abs=1e-7)
         assert np.linalg.eigvalsh(smat(s.x[5:], 2)).min() >= -1e-9
@@ -674,7 +672,7 @@ def rows_of_kind(kind, d, n, rng):
     return svec(mats).reshape(n, d * d)
 
 
-def ipm_scalings(problem, monkeypatch, iterations):
+def ipm_scalings(problem, c, monkeypatch, iterations):
     """Per-block NT scalings at the given iterations of a solve of ``problem``."""
     seen = []
 
@@ -683,7 +681,7 @@ def ipm_scalings(problem, monkeypatch, iterations):
         return nt_scaling(blk, x, z)
 
     monkeypatch.setattr(solver_module, "nt_scaling", recorded)
-    solve(problem)
+    solve(problem, c)
     nb = len(problem.cones)
     return [
         [nt_scaling(*args) for args in seen[nb * it : nb * (it + 1)]]
@@ -705,9 +703,9 @@ class TestStructuredSchur:
     )
     def test_equals_dense_oracle_at_ipm_iterates(self, design, overrides, monkeypatch):
         scenario = build_scenario(desk_config(**overrides))
-        problem = design(scenario).problem
+        problem, c = design_program(design, scenario)
         As, plan = problem.As, problem.schur
-        iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4, 6))
+        iterates = ipm_scalings(problem, c, monkeypatch, (0, 2, 4, 6))
         assert len(iterates) == 4
         for scalings in iterates:
             S = plan.assemble(scalings)
@@ -734,8 +732,8 @@ class TestStructuredSchur:
     def test_rows_give_dense_bits_at_ipm_iterates(self, design, overrides, monkeypatch):
         # Every PSD block of the real programs at real iterates: G from the
         # chunked and compact rows is bit for bit G from the whole stack.
-        problem = design(build_scenario(desk_config(**overrides))).problem
-        iterates = ipm_scalings(problem, monkeypatch, (0, 2, 4))
+        problem, c = design_program(design, build_scenario(desk_config(**overrides)))
+        iterates = ipm_scalings(problem, c, monkeypatch, (0, 2, 4))
         assert len(iterates) == 3
         plan = problem.schur
         ops = [(i, op) for i, _, op in plan.dense if isinstance(op, PsdRows)]
@@ -785,13 +783,13 @@ class TestSplitProducts:
         rng = np.random.default_rng(3)
         cones = [ConeBlock("soc", 3), ConeBlock("soc", 1), ConeBlock("soc", 4)]
         A = rng.normal(size=(5, 8)) * (rng.uniform(size=(5, 8)) < 0.5)
-        p = ConicProblem(np.ones(8), A, np.ones(5), cones)
+        p = ConicProblem(A, np.ones(5), cones)
         assert p.runs == []
         self.assert_products_match(p, rng)
 
     def test_no_equality_rows(self):
         cones = [ConeBlock("nonneg", 2), ConeBlock("soc", 3), ConeBlock("psd", 2)]
-        p = ConicProblem(np.ones(8), np.zeros((0, 8)), np.zeros(0), cones)
+        p = ConicProblem(np.zeros((0, 8)), np.zeros(0), cones)
         v = np.arange(8.0)
         assert p.matvec(v).shape == (0,) and p.matvec(v).dtype == float
         assert p.rmatvec(np.zeros(0)).tobytes() == np.zeros(8).tobytes()
@@ -863,8 +861,9 @@ class TestSchurPlanMemory:
 
 
 class TestSharedPreparation:
-    """A solve that reuses a problem's equilibration and Schur plan gives the
-    bits of a solve that makes its own."""
+    """Objectives solved in turn on one problem each give the bits of a
+    fresh problem built for them alone, and no solve writes what the problem
+    holds."""
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -878,76 +877,99 @@ class TestSharedPreparation:
         given = record_A(monkeypatch)
         prob = design(desk_scenario)
         A = given[0]  # unscaled, before the problem equilibrates it
-        ws, _ = prob.solve()
+        ws, first = prob.solve()
         k = desk_scenario.feeds
         vs = [np.linalg.eigh(w)[1][:, -1] for w in ws]
         objs = [2.0 * np.eye(k) - np.outer(v, v.conj()) for v in vs]
-        _, shared = prob.solve(objs)
-        c = prob.builder.objective_vector(zip(prob.w_refs, objs))
+        _, penalty = prob.solve(objs)
         p = prob.problem
-        fresh = solve(ConicProblem(c, A, p.b.copy(), p.cones))
-        assert fresh.status == OPTIMAL
-        self.assert_same_bits(shared, fresh)
+        for mats, shared in (([np.eye(k)] * len(ws), first), (objs, penalty)):
+            c = prob.builder.objective_vector(zip(prob.w_refs, mats))
+            fresh = solve(ConicProblem(A.copy(), p.b.copy(), p.cones), c)
+            assert fresh.status == OPTIMAL
+            self.assert_same_bits(shared, fresh)
+        # the relaxation objective, solved again, gives its first bits again
+        self.assert_same_bits(prob.solve()[1], first)
 
-    def test_with_objective_matches_fresh_problem(self, monkeypatch):
+    def test_objectives_in_turn_match_fresh_problems(self, monkeypatch):
         rng = np.random.default_rng(41)
         given = record_A(monkeypatch)
         for _ in range(4):
-            p, _ = random_feasible_problem(rng)
+            p, c, _ = random_feasible_problem(rng)
             A = given[-1]  # unscaled, before the problem equilibrates it
-            first = solve(p)
+            first = solve(p, c)
             # c + A'dy keeps c = A'y + z with the same interior z: bounded.
-            c2 = p.c + A.T @ rng.normal(size=p.m)
-            sibling = p.with_objective(c2)
-            assert sibling.schur is p.schur
-            self.assert_same_bits(solve(sibling), solve(ConicProblem(c2, A, p.b, p.cones)))
-            # the first objective is still solved to the same bits after the sibling's solve
-            self.assert_same_bits(solve(p), first)
+            c2 = c + A.T @ rng.normal(size=p.m)
+            second = solve(p, c2)
+            for obj, shared in ((c, first), (c2, second)):
+                self.assert_same_bits(shared, solve(ConicProblem(A.copy(), p.b, p.cones), obj))
+            self.assert_same_bits(solve(p, c), first)
 
-    def test_sibling_shares_the_work(self):
-        p = soc_pythagorean()
-        c = p.c.copy()
-        sibling = p.with_objective(2.0 * c)
-        assert sibling.As is p.As and sibling.schur is p.schur
-        assert np.array_equal(p.c, c) and np.array_equal(sibling.c, 2.0 * c)
+    @staticmethod
+    def held(p):
+        """The bytes of every array reachable from the problem and its plan."""
+        arrays = TestSchurPlanMemory.arrays([vars(p), vars(p.schur)])
+        return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    @pytest.mark.parametrize("case", ["avg", "outage", "a9"])
+    def test_solves_write_nothing_the_problem_holds(self, desk_scenario, case):
+        if case == "a9":
+            rng = np.random.default_rng(20260810)  # test_a9_solver_correctness's draws
+            draws = [random_feasible_problem(rng) for _ in range(3)]
+            programs = [(p, c, c + p.A.T @ rng.normal(size=p.m)) for p, c, _ in draws]
+        else:
+            design = AvgSinrProblem if case == "avg" else OutageProblem
+            lifted = design(desk_scenario)
+            eye = np.eye(desk_scenario.feeds)
+            tilted = 2.0 * eye - np.outer(eye[0], eye[0])  # a penalty round's form
+            c, c2 = (
+                lifted.builder.objective_vector((ref, mat) for ref in lifted.w_refs)
+                for mat in (eye, tilted)
+            )
+            programs = [(lifted.problem, c, c2)]
+        for p, c, c2 in programs:
+            before = self.held(p)
+            assert len(before) > 10
+            assert solve(p, c).status == solve(p, c2).status == OPTIMAL
+            assert self.held(p) == before
 
     def test_objective_checked_on_every_solve(self):
-        p = soc_pythagorean()
-        assert solve(p).status == OPTIMAL
+        p, c = soc_pythagorean()
+        assert solve(p, c).status == OPTIMAL
         for bad in (np.ones(p.n + 1), np.full(p.n, np.nan)):
             with pytest.raises(ValueError, match="finite vector"):
-                solve(p.with_objective(bad))
+                solve(p, bad)
 
     def test_builder_builds_once(self):
         bld = ConeProgramBuilder()
         v = bld.add_soc(3)
         bld.add_eq([(v, {1: 1.0})], 3.0)
-        bld.set_objective([(v, {0: 1.0})])
-        p = bld.build()
-        assert np.array_equal(bld.objective_vector([(v, {0: 1.0})]), p.c)
+        bld.build()
+        # the builder keeps its variables, so objectives are posed after the build
+        assert bld.objective_vector([(v, {0: 1.0})]).tolist() == [1.0, 0.0, 0.0]
         with pytest.raises(ValueError, match="already built"):
             bld.build()
 
 
 def infeasible_problems(monkeypatch):
-    """Canned programs the solver must prove infeasible, each with a copy of
-    its unscaled A and its status."""
+    """Canned programs the solver must prove infeasible, each with its
+    objective, a copy of its unscaled A and its status."""
     given = record_A(monkeypatch)
     bld = ConeProgramBuilder()
     v = bld.add_soc(3)  # v0 = 1 < ||(3, 4)||
     bld.add_eq([(v, {0: 1.0})], 1.0)
     bld.add_eq([(v, {1: 1.0})], 3.0)
     bld.add_eq([(v, {2: 1.0})], 4.0)
-    bld.set_objective([(v, {0: 10.0})])  # cscale 10 after equilibration
     soc = bld.build()
+    c_soc = bld.objective_vector([(v, {0: 10.0})])  # cscale 10 after equilibration
     nonneg = [ConeBlock("nonneg", 1)]
 
     def exact(c, A, b, cones):
-        return ConicProblem(c, A.copy(), b, cones), A
+        return ConicProblem(A.copy(), b, cones), c, A
 
     return [
         (*exact(np.ones(1), np.ones((1, 1)), -np.ones(1), nonneg), PRIMAL_INFEASIBLE),
-        (soc, given[0], PRIMAL_INFEASIBLE),
+        (soc, c_soc, given[0], PRIMAL_INFEASIBLE),
         (*exact(-np.ones(1), np.zeros((0, 1)), np.zeros(0), nonneg), DUAL_INFEASIBLE),
         # minimize -10 x1 over x >= 0 with 2 x0 - x1 = 1: unbounded below
         (
@@ -969,10 +991,10 @@ class TestScaledResiduals:
     reported (normalised) units, and the objectives are the same bits."""
 
     @staticmethod
-    def assert_metrics_match_A(problem, A, monkeypatch):
-        b, c = problem.b, problem.c  # A: the exact unscaled A, recorded at build
+    def assert_metrics_match_A(problem, c, A, monkeypatch):
+        b = problem.b  # A: the exact unscaled A, recorded at build
         calls = count_calls(monkeypatch, solver_module, "_metrics")
-        s = solve(problem)
+        s = solve(problem, c)
         assert len(calls) == s.n_iter > 0
         bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
         for (p, cscale, _, _, x, y, z, tau, _, _), info in zip(calls, s.iterations):
@@ -990,22 +1012,22 @@ class TestScaledResiduals:
     )
     def test_design_programs(self, design, overrides, monkeypatch):
         given = record_A(monkeypatch)
-        problem = design(build_scenario(desk_config(**overrides))).problem
-        self.assert_metrics_match_A(problem, given[0], monkeypatch)
+        problem, c = design_program(design, build_scenario(desk_config(**overrides)))
+        self.assert_metrics_match_A(problem, c, given[0], monkeypatch)
 
     def test_a9_family(self, monkeypatch):
         rng = np.random.default_rng(20260810)  # test_a9_solver_correctness's draws
         for _ in range(50):
             given = record_A(monkeypatch)  # patched again: each check undoes it
-            problem = random_feasible_problem(rng)[0]
-            self.assert_metrics_match_A(problem, given[-1], monkeypatch)
+            problem, c, _ = random_feasible_problem(rng)
+            self.assert_metrics_match_A(problem, c, given[-1], monkeypatch)
 
     @pytest.mark.parametrize(
         "case", range(4), ids=["nonneg-primal", "soc-primal", "nonneg-dual", "row-dual"]
     )
     def test_infeasibility_tests(self, case, monkeypatch):
-        problem, A, want = infeasible_problems(monkeypatch)[case]
-        b, c = problem.b, problem.c
+        problem, c, A, want = infeasible_problems(monkeypatch)[case]
+        b = problem.b
         points = count_calls(monkeypatch, solver_module, "_metrics")
         products = []
         ray_products = solver_module._ray_products
@@ -1015,7 +1037,7 @@ class TestScaledResiduals:
             return products[-1]
 
         monkeypatch.setattr(solver_module, "_ray_products", recorded)
-        s = solve(problem)
+        s = solve(problem, c)
         assert s.status == want
         assert products and len(products) <= len(points)
         bnorm, cnorm = 1 + np.linalg.norm(b), 1 + np.linalg.norm(c)
@@ -1040,9 +1062,7 @@ class TestOneA:
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
     def test_prepared_holds_one_A(self, desk_scenario, design):
         p = design(desk_scenario).problem
-        sibling = p.with_objective(2.0 * p.c)
-        assert sibling.As is p.As and sibling.schur is p.schur
-        held = [vars(p), vars(sibling), vars(p.schur)]
+        held = [vars(p), vars(p.schur)]
         floats = [a for a in TestSchurPlanMemory.arrays(held) if a.dtype.kind in "fc"]
         assert {id(a) for a in floats if a.shape == (p.m, p.n)} == {id(p.As)}
         for arr in floats:
@@ -1053,11 +1073,11 @@ class TestOneA:
         scenario = build_scenario(desk_config(feeds=18))
         peaks = []
 
-        def measured(c, A, b, cones):
+        def measured(A, b, cones):
             # A is already made: the peak is the constructor's own work
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            problem = ConicProblem(c, A, b, cones)
+            problem = ConicProblem(A, b, cones)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return problem
 
@@ -1077,24 +1097,24 @@ class TestOneA:
     def test_builder_hands_A_over(self, monkeypatch):
         given = []
 
-        def recorded(c, A, b, cones):
+        def recorded(A, b, cones):
             given.append(A)
-            return ConicProblem(c, A, b, cones)
+            return ConicProblem(A, b, cones)
 
         monkeypatch.setattr(model_module, "ConicProblem", recorded)
-        p = soc_pythagorean()
+        p, _ = soc_pythagorean()
         assert np.shares_memory(given[0], p.As)
 
     def test_caller_arrays_unchanged(self):
         rng = np.random.default_rng(8)
         for _ in range(4):
-            p, _ = random_feasible_problem(rng)
-            A, b, c = p.A, p.b.copy(), p.c.copy()
+            p, c, _ = random_feasible_problem(rng)
+            A, b = p.A, p.b.copy()
             c2 = c + A.T @ rng.normal(size=p.m)
             kept = [arr.copy() for arr in (b, c, c2)]
-            q = ConicProblem(c, A, b, p.cones)
+            q = ConicProblem(A, b, p.cones)
             assert np.shares_memory(q.As, A)  # taken over, not copied
-            assert solve(q).status == solve(q.with_objective(c2)).status == OPTIMAL
+            assert solve(q, c).status == solve(q, c2).status == OPTIMAL
             for arr, want in zip((b, c, c2), kept):
                 assert arr.tobytes() == want.tobytes()
 
@@ -1106,7 +1126,7 @@ class TestOneA:
             A[1, 2] = float(bad)
         kept = A.copy()
         with pytest.raises(ValueError, match="must be 3x5" if bad == "shape" else "finite"):
-            ConicProblem(np.ones(5), A, np.ones(3), cones)
+            ConicProblem(A, np.ones(3), cones)
         assert A.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem], ids=["avg", "outage"])
@@ -1122,9 +1142,9 @@ class TestOneA:
 class TestTimings:
     def test_phase_seconds_within_wall_time(self):
         rng = np.random.default_rng(9)
-        p, _ = random_feasible_problem(rng)
+        p, c, _ = random_feasible_problem(rng)
         t0 = time.perf_counter()
-        s = solve(p)
+        s = solve(p, c)
         wall = time.perf_counter() - t0
         assert s.status == OPTIMAL
         assert tuple(s.timings) == PHASES

@@ -107,7 +107,7 @@ class TestMaxEigpair:
     def test_iteration_cap_raises(self):
         m = np.diag([1.0, 1.0 - 1e-14, 0.5])
         with pytest.raises(ConvergenceError):
-            max_eigpair(m, tol=1e-16, max_iter=3)
+            max_eigpair(m, tol=1e-16, max_steps=3)
 
 
 class TestEmbedding:
