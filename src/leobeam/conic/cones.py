@@ -250,6 +250,12 @@ def interior_margin(block: ConeBlock, v: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(smat(v, block.size)).min())
 
 
+def _jdet(v):
+    """v'Jv, J = diag(1, -I), as (v0 - ||v1||)(v0 + ||v1||): accurate near the boundary."""
+    r = np.linalg.norm(v[1:])
+    return (v[0] - r) * (v[0] + r)
+
+
 def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:
     """Largest alpha with x + alpha*dx still in the cone (x strictly inside)."""
     if block.kind == NONNEG:
@@ -258,24 +264,17 @@ def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:
             return np.inf
         return float((-x[neg] / dx[neg]).min())
     if block.kind == SOC:
-        a = dx[0] ** 2 - dx[1:] @ dx[1:]
-        b = 2.0 * (x[0] * dx[0] - x[1:] @ dx[1:])
-        c = x[0] ** 2 - x[1:] @ x[1:]
-        roots = []
-        if abs(a) < 1e-14 * max(1.0, abs(b), abs(c)):
-            if b < 0:
-                roots.append(-c / b)
-        else:
-            disc = b * b - 4 * a * c
-            if disc >= 0:
-                sq = np.sqrt(disc)
-                q = -0.5 * (b + np.copysign(sq, b)) if b != 0 else np.sqrt(max(-a * c, 0.0))
-                if q != 0:
-                    roots.extend([q / a, c / q])
-                else:
-                    roots.append(0.0)
-        pos = [r for r in roots if r > 0]
-        return float(min(pos)) if pos else np.inf
+        # With a = sqrt(x'Jx) and xb = x / a, x + t dx = a Hyp(xb) (e + t rho)
+        # for rho = J Hyp(xb) J dx / a (Hyp as in _SocScaling), and Hyp(xb)
+        # maps the cone onto itself: the ray leaves it where
+        # t (||rho1|| - rho0) = 1.  Here rho0 = s / a and ||rho1|| = u / a;
+        # for s > 0, u - s is taken as -dx'J dx / (u + s), free of cancellation.
+        a = np.sqrt(_jdet(x))
+        xb = x / a
+        s = xb[0] * dx[0] - xb[1:] @ dx[1:]
+        u = np.linalg.norm(dx[1:] - (s + dx[0]) / (xb[0] + 1.0) * xb[1:])
+        rate = (u - s if s <= 0 else -_jdet(dx) / (u + s)) / a
+        return float(1.0 / rate) if rate > 0 else np.inf
     # psd
     # Eigenvalues of L^-1 dX L^-H with X = L L^H; one solve inverts L.
     d = block.size
@@ -329,9 +328,7 @@ class _SocScaling:
     # Hyp(w) = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]; Hyp(w)^2 = 2 w w' - J.
     def __init__(self, block, x, z):
         self.block = block
-        # Product form avoids cancellation when the iterate hugs the boundary.
-        jx = (x[0] - np.linalg.norm(x[1:])) * (x[0] + np.linalg.norm(x[1:]))
-        jz = (z[0] - np.linalg.norm(z[1:])) * (z[0] + np.linalg.norm(z[1:]))
+        jx, jz = _jdet(x), _jdet(z)
         if jx <= 0 or jz <= 0:
             raise FloatingPointError("second-order cone iterate left the interior")
         xb = x / np.sqrt(jx)

@@ -42,12 +42,10 @@ MAX_ITER = "MAX_ITER"
 # iterations.  ``factor`` is the Cholesky factor of S and the inverses of
 # its diagonal blocks; ``schur_solve`` is the substitutions with them.
 PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
-# Order of the diagonal blocks of the Schur factor L that are inverted; a
-# Schur system of this order or less is one block, solved as Linv'(Linv r).
-_SCHUR_BLOCK = 128
-# ``_tril_inv`` inverts a diagonal block at or below this order by one LAPACK
-# solve, and one above it (97 to 128) by one split into two such solves.
-_TRIL_LEAF = 96
+# Order of the diagonal blocks of the Schur factor L that are inverted, each
+# by one LAPACK solve; a Schur system of this order or less is one block,
+# solved as Linv'(Linv r).
+_SCHUR_BLOCK = 96
 # Relative residuals and gap at or below which an iterate is OPTIMAL.
 TOL = 1e-8
 # Relative residual below which a certificate ray proves infeasibility.
@@ -576,18 +574,18 @@ def _cholesky(S):
 class _SchurFactor:
     """S = L L', solved by blocked forward and back substitution.
 
-    The diagonal blocks of L, of order ``_SCHUR_BLOCK``, are inverted with
-    ``_tril_inv``; between them the substitutions take products with the
-    strips of L left of and below each block.  A system of order
+    The diagonal blocks of L, of order ``_SCHUR_BLOCK``, are inverted by one
+    LAPACK solve each; between them the substitutions take products with
+    the strips of L left of and below each block.  A system of order
     ``_SCHUR_BLOCK`` or less is one block, whose solve is Linv'(Linv r) with
-    Linv = ``_tril_inv(L)``.
+    Linv = ``np.linalg.solve(L, I)``.
     """
 
     def __init__(self, L):
         m = L.shape[0]
         self.L = L
         self.blocks = [slice(i, min(i + _SCHUR_BLOCK, m)) for i in range(0, m, _SCHUR_BLOCK)]
-        self.inv = [_tril_inv(L[b, b]) for b in self.blocks]
+        self.inv = [np.linalg.solve(L[b, b], np.eye(b.stop - b.start)) for b in self.blocks]
 
     def solve(self, r):
         """x with L L' x = r: forward for L y = r, then back for L' x = y,
@@ -599,25 +597,6 @@ class _SchurFactor:
         for b, Dinv in zip(reversed(self.blocks), reversed(self.inv)):
             x[b] = Dinv.T @ (x[b] - L[b.stop :, b].T @ x[b.stop :])
         return x
-
-
-def _tril_inv(L):
-    """Inverse of a lower-triangular matrix by 2x2 block recursion.
-
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: above the leaf
-    order only matrix products, about k^3/3 multiply-adds in all.
-    """
-    k = L.shape[0]
-    if k <= _TRIL_LEAF:
-        return np.linalg.solve(L, np.eye(k))
-    h = k // 2
-    Ainv = _tril_inv(L[:h, :h])
-    Cinv = _tril_inv(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = Ainv
-    out[h:, h:] = Cinv
-    out[h:, :h] = -Cinv @ (L[h:, :h] @ Ainv)
-    return out
 
 
 def _norm(parts):

@@ -186,6 +186,11 @@ class NetworkConfig:
             raise ConfigError("alpha_policy must be geometric, rank, or explicit")
         if self.alpha_policy == "geometric" and self.alpha_ratio <= 1:
             raise ConfigError("alpha_ratio must exceed 1")
+        if self.alpha_explicit is not None and self.alpha_policy != "explicit":
+            raise ConfigError(
+                f"alpha_explicit is set but alpha_policy is {self.alpha_policy!r}; "
+                "only the explicit policy reads it"
+            )
         if self.alpha_policy == "explicit":
             if self.alpha_explicit is None:
                 raise ConfigError("explicit alpha policy needs alpha_explicit")

@@ -9,6 +9,7 @@ from conftest import count_calls
 from leobeam import cli
 from leobeam.cli import main
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
+from leobeam.scenario import build_scenario
 
 SMALL = {
     "scenario": {"feeds": 6, "beams": 2, "users_per_region": 2, "seed": 3},
@@ -94,6 +95,19 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert "sum" in err and "> 1" in err
+
+    def test_alpha_explicit_under_other_policy_rejected(self, tmp_path, capsys):
+        split = [[0.5, 0.5], [0.5, 0.5]]
+        block = dict(SMALL["scenario"], alpha_explicit=split)
+        doc = {"scenario": dict(block, alpha_policy="geometric")}
+        out = tmp_path / "o"
+        rc = main(["design", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+        assert rc == 2
+        assert "only the explicit policy reads it" in capsys.readouterr().err
+        assert not out.exists()
+        # Without alpha_policy, alpha_explicit selects the explicit policy.
+        cfg = cli.scenario_from_config({"scenario": block})
+        assert [u.alpha for u in build_scenario(cfg).users] == [0.5] * 4
 
     def test_zero_outage_rejected(self, tmp_path, capsys):
         doc = {"scenario": {"outage_prob": 0.0}, "design": {"algorithm": "outage"}}
@@ -522,7 +536,7 @@ class TestCompareCommand:
         statuses = {row[0]: row[1] for row in rows}
         assert statuses == {
             "avg": "INFEASIBLE",
-            "outage": "NONCONVERGED",
+            "outage": "INFEASIBLE",
             "nonrobust": "INFEASIBLE",
             "zfbf": "INFEASIBLE",
             "tdma": "INFEASIBLE",

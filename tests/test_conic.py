@@ -1,6 +1,7 @@
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,11 +48,9 @@ from leobeam.conic import model as model_module
 from leobeam.conic import solver as solver_module
 from leobeam.conic.solver import (
     _SCHUR_BLOCK,
-    _TRIL_LEAF,
     PHASES,
     _cholesky,
     _SchurFactor,
-    _tril_inv,
     _unscaled,
 )
 from leobeam.robust_avg import AvgSinrProblem
@@ -339,6 +338,68 @@ class TestHermitianCone:
         assert np.linalg.eigvalsh(smat(x + 0.99 * alpha * dx, 4)).min() > 0
 
 
+class TestSocStep:
+    """``max_step`` on a second-order cone, decided in exact arithmetic."""
+
+    @staticmethod
+    def in_cone(x, dx, t):
+        """Whether x + t dx lies in the cone, in rationals (no rounding)."""
+        v = [Fraction(a) + Fraction(t) * Fraction(b) for a, b in zip(x.tolist(), dx.tolist())]
+        return v[0] >= 0 and v[0] * v[0] >= sum(e * e for e in v[1:])
+
+    @staticmethod
+    def draw(rng):
+        """(x, dx, rel, near_recession): x inside with x0/||x1|| - 1 = rel.
+
+        A third of the directions are generic, a third lie within a
+        relative 1e-12 to 1e-3 of the cone's boundary (dx0 ~ ||dx1||, where
+        the ray leaves late or never), and a third run along x's own
+        boundary ray (dx1 ~ c x1, where the ray leaves early).
+        """
+        n = int(rng.integers(2, 8))
+        scale = 10.0 ** rng.uniform(-8, 3)
+        rel = 10.0 ** rng.uniform(-12, 1)
+        x1 = rng.normal(size=n - 1)
+        x1 *= scale / np.linalg.norm(x1)
+        x = np.concatenate([[scale * (1.0 + rel)], x1])
+        dx = rng.normal(size=n) * scale * 10.0 ** rng.uniform(-3, 3)
+        kind = int(rng.integers(3))
+        if kind == 1:
+            gap = rng.uniform(-1, 1) * 10.0 ** rng.uniform(-12, -3)
+            dx[0] = np.linalg.norm(dx[1:]) * (1.0 + gap)
+        elif kind == 2:
+            dx[1:] = x1 * rng.uniform(-3, 3) + dx[1:] * 10.0 ** rng.uniform(-9, 0)
+        return x, dx, rel, kind == 1
+
+    def test_step_against_exact_oracle(self):
+        # No gross error on any draw: an infinite step only when dx lies in
+        # the cone (the ray never leaves it), otherwise x + t/2 dx inside and
+        # x + 2t dx outside.  Away from the boundary (rel >= 1e-6) the step
+        # is also within 1e-6 relative of the exit point, except for
+        # directions near the cone's boundary: there the exit point is set
+        # by the last bits of dx0 - ||dx1|| and moves with any rounding.
+        rng = np.random.default_rng(11)
+        gross, inaccurate, accurate = [], [], 0
+        for i in range(2000):
+            x, dx, rel, near_recession = self.draw(rng)
+            assert self.in_cone(x, dx, 0) and x[0] > np.linalg.norm(x[1:])
+            t = max_step(ConeBlock("soc", x.size), x, dx)
+            if t == np.inf:
+                if not self.in_cone(dx, x, 0):  # dx itself in the cone
+                    gross.append(i)
+                continue
+            t = Fraction(t)
+            if not (t > 0 and self.in_cone(x, dx, t / 2) and not self.in_cone(x, dx, 2 * t)):
+                gross.append(i)
+            if rel >= 1e-6 and not near_recession:
+                accurate += 1
+                lo, hi = t * Fraction(999_999, 10**6), t * Fraction(1_000_001, 10**6)
+                if not (self.in_cone(x, dx, lo) and not self.in_cone(x, dx, hi)):
+                    inaccurate.append(i)
+        assert gross == [] and inaccurate == []
+        assert accurate > 500
+
+
 class TestSvecGather:
     """svec and smat gather through cached flat indices; the fancy-index
     oracles give every byte, signed zeros included."""
@@ -475,21 +536,27 @@ def interior_point(block, rng):
 
 
 class TestSchurKernels:
-    @pytest.mark.parametrize("k", [1, _TRIL_LEAF, _TRIL_LEAF + 1, 2 * _TRIL_LEAF + 1, 954])
-    def test_tril_inv_matches_inverse(self, k):
+    @pytest.mark.parametrize("k", [1, _SCHUR_BLOCK, _SCHUR_BLOCK + 1, 2 * _SCHUR_BLOCK + 1, 954])
+    def test_block_inverses_match_inverse(self, k):
+        # Each diagonal block of L is inverted by itself: its inverse is
+        # lower triangular and matches the block's explicit inverse.
         rng = np.random.default_rng(k)
         g = rng.normal(size=(k, k))
         L = np.linalg.cholesky(g @ g.T / k + np.eye(k))
-        Linv = _tril_inv(L)
-        assert np.abs(Linv @ L - np.eye(k)).max() <= 1e-12
-        assert np.allclose(Linv, np.linalg.inv(L), rtol=0, atol=1e-12)
-        assert np.array_equal(Linv, np.tril(Linv))
+        factor = _SchurFactor(L)
+        assert len(factor.blocks) == -(-k // _SCHUR_BLOCK)
+        for b, Dinv in zip(factor.blocks, factor.inv):
+            n = b.stop - b.start
+            assert np.abs(Dinv @ L[b, b] - np.eye(n)).max() <= 1e-12
+            assert np.allclose(Dinv, np.linalg.inv(L[b, b]), rtol=0, atol=1e-12)
+            assert np.array_equal(Dinv, np.tril(Dinv))
 
     @pytest.mark.parametrize(
-        "m", [1, _TRIL_LEAF, _TRIL_LEAF + 1, _SCHUR_BLOCK, _SCHUR_BLOCK + 1, 257, 558, 954]
+        "m",
+        [1, _SCHUR_BLOCK, _SCHUR_BLOCK + 1, 128, 129, 2 * _SCHUR_BLOCK + 1, 257, 558, 954],
     )
     def test_blocked_factor_solves(self, m):
-        # One block at m <= 128, blocked substitutions above: S x = r.
+        # One block at m <= 96, blocked substitutions above: S x = r.
         rng = np.random.default_rng(m)
         g = rng.normal(size=(m, m))
         S = g @ g.T / m + np.eye(m)
@@ -499,17 +566,18 @@ class TestSchurKernels:
         want = np.linalg.solve(S, r)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("m", [1, 18, 90, _TRIL_LEAF, _TRIL_LEAF + 1, _SCHUR_BLOCK])
+    @pytest.mark.parametrize("m", [1, 18, 30, 90, _SCHUR_BLOCK])
     def test_one_block_solve_gives_inverse_bits(self, m):
-        # At order <= 128 the solve is Linv'(Linv r) with Linv = _tril_inv(L):
-        # the arithmetic of an explicit inverse, so such programs keep their
-        # bits (avg-full's Schur order is 90, desk avg's 18).
+        # At order <= 96 the solve is Linv'(Linv r) with Linv the LAPACK
+        # inverse of L: the arithmetic of an explicit inverse, so such
+        # programs keep their bits (avg-full's Schur order is 90, desk avg's
+        # 18, gamma-sweep's 30).
         rng = np.random.default_rng(m + 1)
         g = rng.normal(size=(m, m))
         L = np.linalg.cholesky(g @ g.T / m + np.eye(m))
         factor = _SchurFactor(L)
         assert len(factor.blocks) == 1
-        Linv = _tril_inv(L)
+        Linv = np.linalg.solve(L, np.eye(m))
         for _ in range(3):
             r = rng.normal(size=m)
             assert factor.solve(r).tobytes() == (Linv.T @ (Linv @ r)).tobytes()

@@ -7,9 +7,9 @@ import pytest
 from conftest import correlated_cov, desk_config
 from oracles import vecq_outage_problem
 
-from leobeam.conic.cones import svec
-from leobeam.conic.solver import OPTIMAL
-from leobeam.errors import ConfigError
+from leobeam.conic.cones import smat, svec
+from leobeam.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
+from leobeam.errors import ConfigError, InfeasibleDesignError
 from leobeam.evaluator import evaluate
 from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
 from leobeam.robust_outage import (
@@ -26,7 +26,7 @@ from leobeam.robust_outage import (
     taylor_quadratic,
     taylor_terms,
 )
-from leobeam.scenario import build_scenario
+from leobeam.scenario import NetworkConfig, build_scenario
 
 
 def random_hermitian(rng, k):
@@ -357,6 +357,76 @@ class TestInfeasibilityFamily:
             == "per-feed-power"
         )
         assert prob.infeasibility_family(SimpleNamespace(certificate=None)) == "unknown"
+
+
+def small_random_configs(n):
+    """The small outage family: 4 or 6 feeds, 2 beams, 1-2 terminals per
+    region, gamma -3..15 dB, sigma 0-10 deg, p 0.01-0.3."""
+    rng = np.random.default_rng(0)
+    for i in range(n):
+        feeds = int(rng.choice([4, 6]))
+        users_per_region = [int(v) for v in rng.integers(1, 3, size=2)]
+        gamma_db = rng.uniform(-3, 15)
+        phase_sigma_deg = rng.uniform(0, 10)
+        outage_prob = rng.uniform(0.01, 0.3)
+        yield NetworkConfig(
+            feeds=feeds,
+            beams=2,
+            users_per_region=users_per_region,
+            gamma_db=gamma_db,
+            phase_sigma_deg=phase_sigma_deg,
+            outage_prob=outage_prob,
+            seed=1000 + i,
+        )
+
+
+def cone_margins(problem, v):
+    """Each block's margin of v, positive inside the block's cone; every cone
+    here is its own dual."""
+    margins, at = [], 0
+    for blk in problem.cones:
+        part = v[at : at + blk.veclen]
+        at += blk.veclen
+        if blk.kind == "nonneg":
+            margins.append(part.min())
+        elif blk.kind == "soc":
+            margins.append(part[0] - np.linalg.norm(part[1:]))
+        else:
+            margins.append(np.linalg.eigvalsh(smat(part, blk.size)).min())
+    return np.array(margins)
+
+
+class TestInfeasibleRelaxations:
+    def test_family_solves_or_certifies(self):
+        # Every outage relaxation ends OPTIMAL or PRIMAL_INFEASIBLE with a
+        # Farkas ray checked from A itself (b'y > 0, -A'y in every block's
+        # dual cone), and it agrees with the average-SINR design.
+        outcomes = []
+        for cfg in small_random_configs(12):
+            sc = build_scenario(cfg)
+            prob = OutageProblem(sc)
+            _, sol = prob.solve()
+            assert sol.status in (OPTIMAL, PRIMAL_INFEASIBLE)
+            infeasible = sol.status == PRIMAL_INFEASIBLE
+            if infeasible:
+                y = sol.certificate
+                assert prob.problem.b @ y > 0
+                assert cone_margins(prob.problem, -(prob.problem.A.T @ y)).min() >= 0
+            try:
+                design_avg_sinr(sc)
+                avg_infeasible = False
+            except InfeasibleDesignError:
+                avg_infeasible = True
+            assert infeasible == avg_infeasible
+            outcomes.append(infeasible)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_large_phase_error_is_certified_infeasible(self):
+        sc = build_scenario(desk_config(phase_sigma_deg=30.0))
+        with pytest.warns(UserWarning, match="15 deg"):
+            with pytest.raises(InfeasibleDesignError) as exc_info:
+                design_outage(sc)
+        assert exc_info.value.family == "outage"
 
 
 class TestDesignOutage:

@@ -199,6 +199,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="one list per region"):
             cfg.validate()
 
+    @pytest.mark.parametrize("policy", [None, "geometric", "rank"])
+    def test_alpha_explicit_needs_explicit_policy(self, policy):
+        # The split would be silently ignored: the policy's own split is built.
+        fields = {} if policy is None else {"alpha_policy": policy}
+        cfg = NetworkConfig(alpha_explicit=[[0.5, 0.5]] * 3, **fields)
+        with pytest.raises(ConfigError, match="only the explicit policy reads it"):
+            build_scenario(cfg)
+
     def test_eta_range(self):
         with pytest.raises(ConfigError):
             NetworkConfig(sic_eta=1.5).validate()
