@@ -301,6 +301,8 @@ def jordan_mul(block: ConeBlock, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _NonnegScaling:
     def __init__(self, block, x, z):
+        if not (x.min() > 0 and z.min() > 0):
+            raise FloatingPointError("nonnegative iterate left the interior")
         self.block = block
         self.w = np.sqrt(x / z)
         self.lam = np.sqrt(x * z)
@@ -329,7 +331,7 @@ class _SocScaling:
     def __init__(self, block, x, z):
         self.block = block
         jx, jz = _jdet(x), _jdet(z)
-        if jx <= 0 or jz <= 0:
+        if not (x[0] > 0 and z[0] > 0 and jx > 0 and jz > 0):
             raise FloatingPointError("second-order cone iterate left the interior")
         xb = x / np.sqrt(jx)
         zb = z / np.sqrt(jz)
@@ -377,8 +379,7 @@ class _SocScaling:
 
     def lam_div(self, dvec):
         lam = self.lam
-        det = lam[0] ** 2 - lam[1:] @ lam[1:]
-        u0 = (lam[0] * dvec[0] - lam[1:] @ dvec[1:]) / det
+        u0 = (lam[0] * dvec[0] - lam[1:] @ dvec[1:]) / _jdet(lam)
         out = np.empty_like(dvec)
         out[0] = u0
         out[1:] = (dvec[1:] - u0 * lam[1:]) / lam[0]

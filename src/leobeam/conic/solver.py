@@ -21,16 +21,13 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from .cones import (
-    PSD as PSD_KIND,
     SOC as SOC_KIND,
     PsdRows,
     identity_element,
-    interior_margin,
     jordan_mul,
     max_step,
     nt_scaling,
     row_operand,
-    smat,
 )
 
 OPTIMAL = "OPTIMAL"
@@ -310,6 +307,13 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
         finally:
             timings[phase] += time.perf_counter() - t0
 
+    def scale_at(x, z):
+        """Per-block NT scalings at (x, z); raises FloatingPointError or
+        LinAlgError unless every block of x and z is strictly interior."""
+        return [nt_scaling(blk, x[sl], z[sl]) for blk, sl in zip(cones, slices)]
+
+    with timed("nt_scaling"):
+        scalings = scale_at(x, z)
     alpha = 0.0
     sigma = 0.0
     for it in range(ITER_LIMIT):
@@ -359,14 +363,6 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             status, cert, best = DUAL_INFEASIBLE, xu / -cx, current
             break
 
-        with timed("nt_scaling"):
-            try:
-                scalings = [
-                    nt_scaling(blk, x[sl], z[sl])
-                    for blk, sl in zip(cones, slices)
-                ]
-            except (FloatingPointError, np.linalg.LinAlgError):
-                break  # iterate degenerated numerically; report best so far
         lam = np.concatenate([sc.lam for sc in scalings])
 
         def per_block(op, v):
@@ -486,16 +482,20 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             break  # stalled; report best iterate
         stall = stall + 1 if alpha < 1e-6 else 0
 
-        # Keep the new iterate strictly interior despite rounding in a_max.
-        with timed("step_search"):
+        # The trial point's NT scalings, which the next iteration uses, are
+        # its interior test: a block's scaling raises unless the point is
+        # strictly inside it, and then the step shrinks (a_max is rounded).
+        with timed("nt_scaling"):
             for _ in range(12):
                 xn = x + alpha * dx
                 zn = z + alpha * dz
-                if _strictly_interior(cones, slices, xn) and _strictly_interior(
-                    cones, slices, zn
-                ):
+                try:
+                    scalings = scale_at(xn, zn)
                     break
-                alpha *= 0.8
+                except (FloatingPointError, np.linalg.LinAlgError):
+                    alpha *= 0.8
+            else:
+                break  # no interior trial point; report the best iterate
         x = xn
         y = y + alpha * dy
         z = zn
@@ -608,19 +608,6 @@ def _jordan_sq(cones, slices, lam):
     return np.concatenate(
         [jordan_mul(blk, lam[sl], lam[sl]) for blk, sl in zip(cones, slices)]
     )
-
-
-def _strictly_interior(cones, slices, v):
-    for blk, sl in zip(cones, slices):
-        if blk.kind == PSD_KIND:
-            # Cholesky success is the margin test actually needed downstream.
-            try:
-                np.linalg.cholesky(smat(v[sl], blk.size))
-            except np.linalg.LinAlgError:
-                return False
-        elif interior_margin(blk, v[sl]) <= 0:
-            return False
-    return True
 
 
 def _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap):

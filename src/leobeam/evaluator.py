@@ -226,8 +226,12 @@ def run_point(scenario, design_fn, samples: int = 10000, seed: int = 0) -> Point
 def sweep(scenario, axis: str, grid, design_fn, samples: int = 10000, seed: int = 0):
     """Re-design and re-evaluate along one axis with :func:`run_point`; a
     failed point keeps its status and the sweep continues.  Every point is
-    built first, so a bad grid value is a ConfigError before any design."""
-    grid = [float(value) for value in grid]
+    built first, so a grid value that is not a number (a float or a numeric
+    string) or that the axis rejects is a ConfigError before any design."""
+    try:
+        grid = [float(value) for value in grid]
+    except (TypeError, ValueError) as ex:
+        raise ConfigError(f"sweep grid values must be numbers: {ex}")
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
     points = [apply_axis(scenario, axis, value) for value in grid]

@@ -7,6 +7,7 @@ penalty on tr(W) - lambda_max(W), linearized at the current leading
 eigenvector each round.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +15,10 @@ import numpy as np
 from .channel import expected_phase_matrix
 from .conic import ConeProgramBuilder, SolveOptions, solve
 from .conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
-from .errors import ConvergenceError, InfeasibleDesignError
+from .errors import ConfigError, ConvergenceError, InfeasibleDesignError
 from .network import BeamDesign
 from .numerics import max_eigpair
+from .scenario import _is_real
 
 
 @dataclass
@@ -24,8 +26,18 @@ class PenaltyConfig:
     rho0: float = 1.0
     growth: float = 3.0
     rank_gap_tol: float = 1e-6
-    max_iters: int = 30
+    max_iters: int = 30  # penalty rounds after the relaxation; 0 runs the relaxation only
     solver: SolveOptions = field(default_factory=SolveOptions)
+
+    def __post_init__(self):
+        for key in ("rho0", "growth", "rank_gap_tol"):
+            value = getattr(self, key)
+            if not _is_real(value):
+                raise ConfigError(f"penalty.{key} must be numeric and finite, got {value!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ConfigError(f"penalty.max_iters must be an integer, got {self.max_iters!r}")
+        if self.rho0 <= 0 or self.growth <= 1 or self.rank_gap_tol <= 0 or self.max_iters < 0:
+            raise ConfigError("penalty config must satisfy rho0>0, growth>1, tol>0, iters>=0")
 
 
 def expected_channel_matrix(user) -> np.ndarray:

@@ -375,6 +375,8 @@ class TestValidation:
             ({"rank_gap_tol": float("nan")}, "penalty.rank_gap_tol must be numeric and finite"),
             ({"max_iters": 2.5}, "penalty.max_iters must be an integer"),
             (5, "design.penalty must be an object"),
+            ({"max_iters": -1}, "iters>=0"),
+            ({"growth": 1}, "growth>1"),
         ],
     )
     def test_bad_penalty_rejected(self, tmp_path, capsys, penalty, message):
@@ -420,7 +422,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "axis, grid, algorithm",
         [("p", "0,0.05", "outage"), ("sigma", "-5", "avg"), ("eta", "1.5", "avg")]
-        + [("gamma", "nan", "avg")],
+        + [("gamma", "nan", "avg"), ("gamma", "0,a", "avg"), ("gamma", ",", "avg")],
     )
     def test_bad_sweep_grid_rejected(self, tmp_path, capsys, monkeypatch, axis, grid, algorithm):
         designs = [count_calls(monkeypatch, cli, f"design_{a}") for a in ("avg_sinr", "outage")]

@@ -37,6 +37,7 @@ from leobeam.conic.cones import (
     CHUNK_ELEMENTS,
     PsdRows,
     identity_element,
+    interior_margin,
     jordan_mul,
     max_step,
     nt_scaling,
@@ -398,6 +399,95 @@ class TestSocStep:
                     inaccurate.append(i)
         assert gross == [] and inaccurate == []
         assert accurate > 500
+
+
+def mixed_program(seed):
+    """(problem, c): a strictly feasible program over one block of each kind."""
+    rng = np.random.default_rng(seed)
+    cones = [ConeBlock("nonneg", 3), ConeBlock("soc", 4), ConeBlock("psd", 3, hermitian=True)]
+    x0 = np.concatenate([interior_point(blk, rng) for blk in cones])
+    z0 = np.concatenate([interior_point(blk, rng) for blk in cones])
+    A = rng.normal(size=(5, x0.size))
+    return ConicProblem(A, A @ x0, cones), A.T @ rng.normal(size=5) + z0
+
+
+def assert_interior(problem, v):
+    for blk, sl in zip(problem.cones, problem.slices):
+        assert interior_margin(blk, v[sl]) > 0
+
+
+class TestInteriorGuard:
+    """The NT scaling of a trial point is the solver's only interior test."""
+
+    @pytest.mark.parametrize(
+        "block, outside",
+        [
+            (ConeBlock("nonneg", 3), [1.0, 0.0, 2.0]),
+            (ConeBlock("nonneg", 3), [1.0, -1.0, 2.0]),
+            (ConeBlock("soc", 3), [-2.0, 0.5, 0.5]),  # in -K: its x'Jx is positive
+            (ConeBlock("soc", 3), [1.0, 0.6, 0.8]),  # on the boundary
+            (ConeBlock("psd", 2), svec(np.diag([1.0, -1.0]))),
+            (ConeBlock("psd", 2, hermitian=True), svec(np.array([[1, 1j], [-1j, 1]]))),
+        ],
+        ids=["nonneg-0", "nonneg-neg", "soc-minus-K", "soc-boundary", "psd", "hpsd"],
+    )
+    def test_scaling_raises_outside(self, block, outside):
+        inside = interior_point(block, np.random.default_rng(block.veclen))
+        outside = np.asarray(outside, dtype=float)
+        for x, z in ((outside, inside), (inside, outside)):
+            with pytest.raises((FloatingPointError, np.linalg.LinAlgError)):
+                nt_scaling(block, x, z)
+
+    def test_overlong_steps_back_off(self, monkeypatch):
+        # Steps 3x the true maximum leave the cone; each trial's scaling
+        # rejects it and the step shrinks until the trial is interior.
+        problem, c = mixed_program(3)
+        want = solve(problem, c)
+        rejected = []
+
+        def scaling(blk, x, z):
+            try:
+                return nt_scaling(blk, x, z)
+            except (FloatingPointError, np.linalg.LinAlgError):
+                rejected.append(blk.kind)
+                raise
+
+        monkeypatch.setattr(solver_module, "nt_scaling", scaling)
+        monkeypatch.setattr(solver_module, "max_step", lambda blk, x, dx: 3 * max_step(blk, x, dx))
+        s = solve(problem, c)
+        assert rejected
+        assert want.status == s.status == OPTIMAL
+        assert_interior(problem, s.x)
+        assert_interior(problem, s.z)
+        assert s.obj_primal == pytest.approx(want.obj_primal, rel=1e-7, abs=1e-7)
+
+    @pytest.mark.parametrize("good", [1, 4, 9])
+    def test_failed_trials_end_with_best_iterate(self, good, monkeypatch):
+        # The start point and the first good - 1 trial points scale and every
+        # later scaling fails: the good-th step's twelve trials fail, and the
+        # solve ends after good loop heads without scoring a trial point.
+        problem, c = mixed_program(3)
+        nb = len(problem.cones)
+        calls = []
+
+        def scaling(blk, x, z):
+            calls.append(blk)
+            if len(calls) > good * nb:
+                raise FloatingPointError("trial rejected")
+            return nt_scaling(blk, x, z)
+
+        monkeypatch.setattr(solver_module, "nt_scaling", scaling)
+        s = solve(problem, c, SolveOptions(tol_relaxed=1e-12))
+        assert s.status == MAX_ITER
+        assert s.n_iter == good and len(calls) == good * nb + 12
+        best, best_score = None, np.inf
+        for info in s.iterations:
+            score = max(info.pres, info.dres, info.relgap)
+            if score < 0.9 * best_score:
+                best, best_score = info, score
+        assert (s.pres, s.dres, s.gap) == (best.pres, best.dres, best.relgap)
+        assert_interior(problem, s.x)
+        assert_interior(problem, s.z)
 
 
 class TestSvecGather:

@@ -210,13 +210,18 @@ class TestSweep:
     @pytest.mark.parametrize(
         "axis, grid",
         [("gamma", [0.0, float("nan")]), ("sigma", [0.0, -5.0]), ("eta", [0.0, 1.5])]
-        + [("p", [0.05, 0.0])],
+        + [("p", [0.05, 0.0])]
+        + [("gamma", [0.0, "a"]), ("gamma", [None])],
     )
     def test_bad_grid_value_rejected_before_any_design(self, desk_scenario, axis, grid):
         calls = []
         with pytest.raises(ConfigError):
             sweep(desk_scenario, axis, grid, calls.append, samples=10, seed=1)
         assert calls == []
+
+    def test_numeric_strings_accepted(self, desk_scenario):
+        rows = sweep(desk_scenario, "gamma", ["-1", " 0.5"], design_tdma, samples=10, seed=1)
+        assert [r.value for r in rows] == [-1.0, 0.5]
 
     def test_points_rebuilt_from_config(self, desk_scenario):
         seen = []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import count_calls, desk_config
 
 from leobeam import robust_avg
 from leobeam.conic import solver
-from leobeam.errors import ConvergenceError, InfeasibleDesignError
+from leobeam.errors import ConfigError, ConvergenceError, InfeasibleDesignError
 from leobeam.robust_avg import (
     AvgSinrProblem,
     PenaltyConfig,
@@ -192,6 +194,30 @@ class TestPenaltyLoop:
         design = design_avg_sinr(sc, PenaltyConfig(max_iters=1))
         assert design.iterations == 1
         assert design.max_rank_gap <= 1e-6
+
+
+class TestPenaltyConfig:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"max_iters": 2.5}, "penalty.max_iters must be an integer, got 2.5"),
+            ({"max_iters": True}, "penalty.max_iters must be an integer, got True"),
+            ({"max_iters": -1}, "iters>=0"),
+            ({"growth": None}, "penalty.growth must be numeric and finite, got None"),
+            ({"rho0": "1"}, "penalty.rho0 must be numeric and finite, got '1'"),
+            ({"rank_gap_tol": float("inf")}, "penalty.rank_gap_tol must be numeric and finite"),
+            ({"rho0": 0.0}, "rho0>0"),
+            ({"growth": 1.0}, "growth>1"),
+            ({"rank_gap_tol": -1e-6}, "tol>0"),
+        ],
+    )
+    def test_bad_value_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            PenaltyConfig(**fields)
+
+    def test_numpy_numbers_and_zero_rounds_accepted(self):
+        pc = PenaltyConfig(rho0=np.float64(2.0), growth=np.int64(2), max_iters=np.int64(0))
+        assert pc.max_iters == 0
 
 
 class TestExtraction:
