@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InfeasibleDesignError
 from .network import BeamDesign, per_feed_power
-from .robust_avg import PenaltyConfig, design_avg_sinr, expected_channel_matrix
+from .robust_avg import PenaltyConfig, avg_constraint_coeffs, design_avg_sinr, expected_channel_matrix
 
 
 def design_nonrobust(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
@@ -51,15 +51,16 @@ def design_zfbf(scenario) -> BeamDesign:
     powers = np.zeros(scenario.beams)
     for user in scenario.users:
         m = user.region
-        margin = user.alpha - user.gamma_lin * user.weights[m]
-        gain = np.trace(expected_channel_matrix(user) @ np.outer(f[:, m], f[:, m].conj())).real
-        if margin <= 0 or gain <= 0:
+        # The own-region term of the average-SINR row at W_m = p f_m f_m^H.
+        coeffs, rhs = avg_constraint_coeffs(scenario, user)
+        gain = (f[:, m].conj() @ coeffs[m] @ f[:, m]).real
+        if gain <= 0:
             raise InfeasibleDesignError(
                 f"region {m}: SINR target exceeds the intra-region NOMA bound "
                 "under fixed zero-forcing directions",
                 family="zfbf-power",
             )
-        powers[m] = max(powers[m], user.gamma_lin * scenario.noise_power / (margin * gain))
+        powers[m] = max(powers[m], rhs / gain)
     beams = f * np.sqrt(powers)[None, :]
     if np.any(per_feed_power(beams) > scenario.power_caps + 1e-12):
         raise InfeasibleDesignError(

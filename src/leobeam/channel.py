@@ -73,10 +73,10 @@ class RainModel:
     mean_db: float = -2.6
     var_db2: float = 1.63
 
-    def validate(self):
-        if self.var_db2 < 0:
+    def __post_init__(self):
+        if not self.var_db2 >= 0:  # a NaN fails too
             raise ConfigError("rain variance must be nonnegative")
-        if self.mean_db > 0:
+        if not self.mean_db <= 0:
             raise ConfigError("rain mean attenuation must be <= 0 dB")
         if self.mean_db == 0 and self.var_db2 > 0:
             raise ConfigError("zero-mean rain with positive variance is not lognormal")
@@ -93,7 +93,6 @@ class RainModel:
 def sample_rain(model: RainModel, shape, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. amplitude attenuation factors: ``shape`` feeds, or (T, K) for T
     terminals, whose rows are the draws of T successive calls with K."""
-    model.validate()
     params = model.lognormal_params()
     if params is None:
         return np.ones(shape)
@@ -104,34 +103,40 @@ def sample_rain(model: RainModel, shape, rng: np.random.Generator) -> np.ndarray
 
 @dataclass(frozen=True)
 class PhaseErrorModel:
-    """Gaussian phase error: e ~ N(0, sigma^2 C) with unit-diagonal C."""
+    """Gaussian phase error: e ~ N(0, sigma^2 C) with unit-diagonal C, checked
+    when made.  ``cov`` is a read-only float copy of C's symmetric part, so a
+    caller changing its own array changes neither the model nor its check."""
 
     sigma_rad: float
     cov: np.ndarray | None = None  # None means identity
 
-    def validate(self, feeds: int | None = None):
-        if self.sigma_rad < 0:
+    def __post_init__(self):
+        if not self.sigma_rad >= 0:  # a NaN fails too
             raise ConfigError("phase error std dev must be nonnegative")
-        if self.cov is not None:
-            c = np.asarray(self.cov)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ConfigError("phase covariance must be square")
-            if feeds is not None and c.shape[0] != feeds:
-                raise ConfigError("phase covariance size must match feed count")
-            if not np.allclose(np.diag(c), 1.0, atol=1e-10):
-                raise ConfigError("phase covariance must have unit diagonal")
-            if np.linalg.eigvalsh(0.5 * (c + c.T)).min() < -1e-10:
-                raise ConfigError("phase covariance must be PSD")
+        if self.cov is None:
+            return
+        c = np.asarray(self.cov, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ConfigError("phase covariance must be square")
+        c = 0.5 * (c + c.T)
+        c.flags.writeable = False
+        object.__setattr__(self, "cov", c)
+        if not np.allclose(np.diag(c), 1.0, atol=1e-10):
+            raise ConfigError("phase covariance must have unit diagonal")
+        if np.linalg.eigvalsh(c).min() < -1e-10:
+            raise ConfigError("phase covariance must be PSD")
+
+    def sized_cov(self, feeds: int) -> np.ndarray | None:
+        """C, after checking that it has one row per feed; None for the identity."""
+        if self.cov is not None and len(self.cov) != feeds:
+            raise ConfigError("phase covariance size must match feed count")
+        return self.cov
 
     def factor(self, feeds: int) -> np.ndarray | None:
-        """Cholesky-type factor L with C = L L'; None for the identity.
-
-        Validates the model first, so a caller that factors once validates once.
-        """
-        self.validate(feeds)
-        if self.cov is None:
+        """Cholesky-type factor L with C = L L'; None for the identity."""
+        c = self.sized_cov(feeds)
+        if c is None:
             return None
-        c = 0.5 * (np.asarray(self.cov) + np.asarray(self.cov).T)
         try:
             return np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
@@ -150,12 +155,12 @@ def sample_phase_error(
     """Phase-error vectors (radians): one of length ``feeds``, or ``draws`` rows.
 
     A caller drawing repeatedly from one model passes ``fac``, its
-    ``model.factor(feeds)``, so a correlated covariance is validated and
-    factored once (None factors here), and may pass ``out``, a C-contiguous
+    ``model.factor(feeds)``, so a correlated covariance is factored once
+    (None factors here), and may pass ``out``, a C-contiguous
     float array of the draws' shape that receives the standard normals.  The
     result is written in place where it can be; use the returned array.
     """
-    if fac is None:
+    if fac is None and model.cov is not None:
         fac = model.factor(feeds)
     nu = rng.standard_normal(feeds if draws is None else (draws, feeds), out=out)
     if fac is not None:
@@ -170,14 +175,11 @@ def expected_phase_matrix(model: PhaseErrorModel, feeds: int) -> np.ndarray:
     exp(-sigma^2 (C_ll + C_ss - 2 C_ls) / 2), i.e. exp(-sigma^2) when C = I.
     The matrix is real symmetric and PSD (entrywise exp of a PSD matrix).
     """
-    model.validate(feeds)
     s2 = model.sigma_rad**2
-    if model.cov is None:
-        off = np.exp(-s2)
-        out = np.full((feeds, feeds), off)
+    c = model.sized_cov(feeds)
+    if c is None:
+        out = np.full((feeds, feeds), np.exp(-s2))
     else:
-        cov = np.asarray(model.cov)
-        c = 0.5 * (cov + cov.T)
         d = np.diag(c)
         var = d[:, None] + d[None, :] - 2.0 * c
         out = np.exp(-0.5 * s2 * var)

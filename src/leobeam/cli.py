@@ -148,22 +148,23 @@ def write_csv(path, header, rows):
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _uniform_or_list(values):
-    vals = [float(v) for v in values]
+def _uniform_or_list(value):
+    """A config field's one value, or its per-terminal list if they differ."""
+    vals = [float(v) for v in np.ravel(value)]
     return vals[0] if all(v == vals[0] for v in vals) else vals
 
 
 def write_design_csv(design, scenario, report, path):
-    """Per-design summary row; the outage design reports its outage target in
-    place of eta and adds its empirical outage."""
-    users = scenario.users
+    """Per-design summary row, targets as configured; the outage design
+    reports its outage target in place of eta and adds its empirical outage."""
+    config = scenario.config
     outage = design.algorithm == "outage"
     header = ["gamma_db", "sigma_deg", "p_outage" if outage else "eta"]
     header += ["total_power_w", "iters", "max_rank_gap"]
     row = [
-        _uniform_or_list(10.0 * np.log10(np.asarray([u.gamma_lin for u in users]))),
-        _uniform_or_list([np.rad2deg(u.sigma_rad) for u in users]),
-        _uniform_or_list([u.outage_prob if outage else u.eta for u in users]),
+        _uniform_or_list(config.gamma_db),
+        float(config.phase_sigma_deg),
+        _uniform_or_list(config.outage_prob if outage else config.sic_eta),
         design.total_power,
         design.iterations,
         design.max_rank_gap,

@@ -6,7 +6,6 @@ robust against.  Every estimate carries a normal-approximation standard error
 and is bit-reproducible from (design, scenario, samples, seed).
 """
 
-import numbers
 import threading
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 from .channel import sample_phase_error
 from .errors import ConfigError, ConvergenceError, LeobeamError
 from .network import BeamDesign, sinr_samples
+from .scenario import _is_int
 
 
 @dataclass
@@ -79,7 +79,7 @@ def evaluate(design: BeamDesign, scenario, samples: int = 10000, seed: int = 0):
     there chunked correlated draws may differ in the last bit.
     """
     for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        if not _is_int(value) or value < least:
             raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
     users = scenario.users
     streams = np.random.SeedSequence(seed).spawn(len(users))

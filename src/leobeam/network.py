@@ -36,7 +36,7 @@ def interference_weight(j: int, i: int, m: int, n: int, eta: float) -> float:
 class BeamDesign:
     """Per-region beam vectors with achieved-power metadata."""
 
-    beams: np.ndarray  # (K, M) complex, column m serves region m
+    beams: np.ndarray  # complex: (K, M), column m serves region m; TDMA (K, N), one per terminal
     lifted: list | None = None  # optional PSD matrices W_m backing the beams
     algorithm: str = ""
     iterations: int = 0

@@ -7,7 +7,6 @@ penalty on tr(W) - lambda_max(W), linearized at the current leading
 eigenvector each round.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
 from .errors import ConfigError, ConvergenceError, InfeasibleDesignError
 from .network import BeamDesign
 from .numerics import max_eigpair
-from .scenario import _is_real
+from .scenario import _is_int, _is_real
 
 
 @dataclass
@@ -34,7 +33,7 @@ class PenaltyConfig:
             value = getattr(self, key)
             if not _is_real(value):
                 raise ConfigError(f"penalty.{key} must be numeric and finite, got {value!r}")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+        if not _is_int(self.max_iters):
             raise ConfigError(f"penalty.max_iters must be an integer, got {self.max_iters!r}")
         if self.rho0 <= 0 or self.growth <= 1 or self.rank_gap_tol <= 0 or self.max_iters < 0:
             raise ConfigError("penalty config must satisfy rho0>0, growth>1, tol>0, iters>=0")

@@ -110,7 +110,7 @@ def taylor_terms(user, z: np.ndarray, fac: np.ndarray | None):
     identity.  Every factor C^1/2 U (U orthogonal) gives the same tr Q,
     ||Q||_F and ||r||, which is all the bound reads.
     """
-    sigma = user.sigma_rad
+    sigma = user.phase_model.sigma_rad
     f1 = taylor_quad_matrix(z.real)
     f2 = taylor_linear_vector(z.imag)
     if fac is None:
@@ -126,7 +126,7 @@ class OutageProblem(LiftedProblem):
     # Own __init__ so the benchmark tracer can time this design's assembly.
     def __init__(self, scenario):
         for u in scenario.users:
-            if u.sigma_rad > SMALL_SIGMA_GUARD_RAD:
+            if u.phase_model.sigma_rad > SMALL_SIGMA_GUARD_RAD:
                 warnings.warn(
                     "phase-error std dev above 15 deg; the second-order "
                     "expansion behind the outage bound degrades",

@@ -31,12 +31,15 @@ from .network import interference_weight, sic_order
 
 
 def _as_list(value, count, name):
-    if np.isscalar(value):
+    """The ``count`` entries of a list, tuple or array; any other value,
+    a 0-d array's included, repeated ``count`` times."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
         return [value] * count
-    value = list(value)
     if len(value) != count:
         raise ConfigError(f"{name} must be scalar or length {count}")
-    return value
+    return list(value)
 
 
 def _is_int(value) -> bool:
@@ -114,6 +117,7 @@ class NetworkConfig:
         return [int(n) for n in lst]
 
     def validate(self):
+        """ConfigError unless ``build_scenario`` can use every field."""
         for name in ("feeds", "beams", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -123,18 +127,16 @@ class NetworkConfig:
             raise ConfigError("feeds must divide evenly among beams")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        for n in self.users_per_region_list():
-            if n <= 0:
-                raise ConfigError("each region needs at least one terminal")
+        users_per = self.users_per_region_list()
+        if min(users_per) <= 0:
+            raise ConfigError("each region needs at least one terminal")
+        per_terminal = {
+            name: _as_list(getattr(self, name), sum(users_per), name)
+            for name in _PER_TERMINAL_FIELDS
+        }
         for name in _REAL_FIELDS + _PER_TERMINAL_FIELDS:
             value = getattr(self, name)
-            entries = [value]
-            if name in _PER_TERMINAL_FIELDS:
-                if isinstance(value, np.ndarray):
-                    entries = value.ravel().tolist()
-                elif isinstance(value, (list, tuple)):
-                    entries = value
-            if not all(_is_real(v) for v in entries):
+            if not all(_is_real(v) for v in per_terminal.get(name, [value])):
                 raise ConfigError(f"{name} must be numeric and finite, got {value!r}")
         for name in (
             "altitude_m",
@@ -151,7 +153,7 @@ class NetworkConfig:
             if not 0 < linear < np.inf:
                 raise ConfigError(f"{name} must give a finite, positive linear gain")
         with np.errstate(over="ignore", under="ignore"):
-            targets = np.power(10.0, np.asarray(self.gamma_db, dtype=float) / 10.0)
+            targets = np.power(10.0, np.asarray(per_terminal["gamma_db"], dtype=float) / 10.0)
         if not np.all((targets > 0) & (targets < np.inf)):
             raise ConfigError("gamma_db must give a finite, positive linear target")
         # The linear satellite gain is finite and positive, so this product
@@ -170,18 +172,15 @@ class NetworkConfig:
             )
         if not 0 < self.angle_3db_deg < 90:
             raise ConfigError("angle_3db_deg must lie in (0, 90)")
-        if self.phase_sigma_deg < 0:
-            raise ConfigError("phase_sigma_deg must be nonnegative")
+        # The rain and phase models check their own parameters.
+        RainModel(self.rain_mean_db, self.rain_var_db2)
         if self.phase_cov is not None:
             _check_reals(self.phase_cov, "phase_cov")
-        PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov).validate(self.feeds)
-        etas = self.sic_eta if not np.isscalar(self.sic_eta) else [self.sic_eta]
-        for eta in np.ravel(etas):
-            if not 0 <= eta <= 1:
-                raise ConfigError("SIC residual coefficient must lie in [0, 1]")
-        for p in np.atleast_1d(self.outage_prob).astype(float):
-            if not 0 < p < 1:
-                raise ConfigError("outage probability must lie in the open interval (0, 1)")
+        PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov).sized_cov(self.feeds)
+        if not all(0 <= eta <= 1 for eta in per_terminal["sic_eta"]):
+            raise ConfigError("SIC residual coefficient must lie in [0, 1]")
+        if not all(0 < p < 1 for p in per_terminal["outage_prob"]):
+            raise ConfigError("outage probability must lie in the open interval (0, 1)")
         if self.alpha_policy not in ("geometric", "rank", "explicit"):
             raise ConfigError("alpha_policy must be geometric, rank, or explicit")
         if self.alpha_policy == "geometric" and self.alpha_ratio <= 1:
@@ -197,9 +196,11 @@ class NetworkConfig:
             explicit = self.alpha_explicit
             if not isinstance(explicit, (list, tuple, np.ndarray)) or len(explicit) != self.beams:
                 raise ConfigError(f"alpha_explicit needs one list per region ({self.beams})")
-            for m, alphas in enumerate(explicit):
+            for m, (alphas, count) in enumerate(zip(explicit, users_per)):
                 _check_reals(alphas, "alpha_explicit")
                 arr = np.asarray(alphas, dtype=float)
+                if arr.shape != (count,):
+                    raise ConfigError("explicit alpha list has the wrong length")
                 if (arr < 0).any():
                     raise ConfigError("power split factors must be nonnegative")
                 if arr.sum() > 1.0 + 1e-12:
@@ -211,19 +212,15 @@ class NetworkConfig:
 def power_split(policy: str, count: int, ratio: float = 3.0, explicit=None):
     """Intra-region power allocation over SIC ranks (rank 0 = strongest).
 
-    Weaker terminals receive more power; factors sum to one.
+    Weaker terminals receive more power; factors sum to one.  The arguments
+    come from a validated config: an explicit split has ``count`` entries.
     """
     if policy == "explicit":
-        arr = np.asarray(explicit, dtype=float)
-        if arr.shape != (count,):
-            raise ConfigError("explicit alpha list has the wrong length")
-        return arr
+        return np.asarray(explicit, dtype=float)
     if policy == "rank":
         arr = np.arange(1, count + 1, dtype=float)
-    elif policy == "geometric":
+    else:  # geometric
         arr = ratio ** np.arange(count, dtype=float)
-    else:
-        raise ConfigError(f"unknown alpha policy {policy!r}")
     return arr / arr.sum()
 
 
@@ -245,13 +242,8 @@ class UserLink:
     eta: float
     gamma_lin: float
     outage_prob: float
-    sigma_rad: float
+    phase_model: PhaseErrorModel  # one per scenario, shared by its terminals
     weights: np.ndarray  # (M,)
-    phase_cov: np.ndarray | None = None
-
-    @property
-    def phase_model(self) -> PhaseErrorModel:
-        return PhaseErrorModel(self.sigma_rad, self.phase_cov)
 
 
 @dataclass
@@ -378,7 +370,7 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     rain_amp = sample_rain(rain, (total_users, k), rng_rain)
     phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=(total_users, k))
     channels = [assemble_channel(c_gain, *parts) for parts in zip(gains, rain_amp, phases)]
-    sigma = np.deg2rad(config.phase_sigma_deg)
+    phase_model = PhaseErrorModel(np.deg2rad(config.phase_sigma_deg), config.phase_cov)
 
     gammas = _as_list(config.gamma_db, total_users, "gamma_db")
     outages = _as_list(config.outage_prob, total_users, "outage_prob")
@@ -412,9 +404,8 @@ def build_scenario(config: NetworkConfig) -> Scenario:
                     eta=eta,
                     gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
                     outage_prob=float(outages[flat + rank]),
-                    sigma_rad=sigma,
+                    phase_model=phase_model,
                     weights=weights,
-                    phase_cov=config.phase_cov,
                 )
             )
         flat += count

@@ -407,6 +407,7 @@ def loop_build_scenario(config):
     """``build_scenario`` assembling each terminal's channel feed by feed."""
     from leobeam.channel import (
         BeamPattern,
+        PhaseErrorModel,
         RainModel,
         assemble_channel,
         beam_gain,
@@ -446,7 +447,7 @@ def loop_build_scenario(config):
     patterns = [BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3) for _ in range(m)]
     rain = RainModel(config.rain_mean_db, config.rain_var_db2)
     rain_params = rain.lognormal_params()
-    sigma = np.deg2rad(config.phase_sigma_deg)
+    phase_model = PhaseErrorModel(np.deg2rad(config.phase_sigma_deg), config.phase_cov)
 
     gammas = _as_list(config.gamma_db, total_users, "gamma_db")
     outages = _as_list(config.outage_prob, total_users, "outage_prob")
@@ -488,8 +489,7 @@ def loop_build_scenario(config):
                     eta=float(etas[flat + rank]),
                     gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
                     outage_prob=float(outages[flat + rank]),
-                    sigma_rad=sigma,
-                    phase_cov=config.phase_cov,
+                    phase_model=phase_model,
                 )
             )
         flat += users_per[bm]

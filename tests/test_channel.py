@@ -99,7 +99,7 @@ class TestRain:
 
     def test_rejects_amplifying_rain(self):
         with pytest.raises(ConfigError):
-            RainModel(mean_db=1.0).validate()
+            RainModel(mean_db=1.0)
 
 
 class TestPhaseError:
@@ -137,10 +137,18 @@ class TestPhaseError:
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_correlated_draw_validates_once(self, monkeypatch):
-        model = PhaseErrorModel(0.1, correlated_cov(12))
         eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        model = PhaseErrorModel(0.1, correlated_cov(12))
         sample_phase_error(model, 12, np.random.default_rng(0), 100)
         assert len(eigs) == 1
+
+    def test_model_keeps_its_own_cov(self):
+        c = correlated_cov(4)
+        model = PhaseErrorModel(0.1, c)
+        c[0, 1] = c[1, 0] = 5.0  # would fail the PSD check
+        assert model.cov[0, 1] == 0.3
+        with pytest.raises(ValueError):
+            model.cov[0, 1] = 5.0
 
     def test_cross_covariance_matches_model(self):
         k = 3

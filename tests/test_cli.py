@@ -38,6 +38,24 @@ class TestDesignCommand:
         assert manifest["status"] == "OPTIMAL"
         assert "time" not in json.dumps(manifest).lower()
 
+    @pytest.mark.parametrize(
+        "gamma_db, cell",
+        [(1.0, "1.0"), ([1.0, 2.0, 1.0, 3.0], "1.0;2.0;1.0;3.0")],
+        ids=["uniform", "per-terminal"],
+    )
+    def test_design_csv_reports_configured_values(self, tmp_path, gamma_db, cell):
+        # 1 dB and 3 deg do not round-trip through their linear and radian forms.
+        scenario = dict(SMALL["scenario"], gamma_db=gamma_db, phase_sigma_deg=3.0)
+        cfg = write_cfg(tmp_path, dict(SMALL, scenario=scenario))
+        out = tmp_path / "out"
+        assert main(["design", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "design.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["gamma_db"], row["sigma_deg"]) == (cell, "3.0")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["scenario"]["gamma_db"] == gamma_db
+        assert manifest["config"]["scenario"]["phase_sigma_deg"] == 3.0
+
     def test_outage_schema(self, tmp_path):
         doc = dict(SMALL)
         doc["design"] = {"algorithm": "outage"}

@@ -104,11 +104,15 @@ class TestChunking:
         for name in REPORT_ARRAYS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_one_factor_per_terminal(self, monkeypatch, correlated_scenario, alg1_design):
-        sc = correlated_scenario
+    def test_one_factor_per_terminal(
+        self, monkeypatch, desk_scenario, correlated_scenario, alg1_design
+    ):
+        # Identity or correlated, no chunk's draw asks the model for a factor.
         factors = count_calls(monkeypatch, PhaseErrorModel, "factor")
-        evaluate(alg1_design, sc, samples=3 * CHUNK_ELEMENTS // sc.feeds, seed=2)
-        assert len(factors) == len(sc.users)
+        for sc in (desk_scenario, correlated_scenario):
+            factors.clear()
+            evaluate(alg1_design, sc, samples=3 * CHUNK_ELEMENTS // sc.feeds, seed=2)
+            assert len(factors) == len(sc.users)
 
     def test_memory_does_not_grow_with_samples_times_feeds(self, desk_scenario, alg1_design):
         samples = 200_000

@@ -1,15 +1,17 @@
 """Property tests: random small scenarios against the designs' own rows."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import desk_config
 
-from leobeam.errors import ConvergenceError, InfeasibleDesignError
+from leobeam.errors import ConfigError, ConvergenceError, InfeasibleDesignError
 from leobeam.robust_avg import AvgSinrProblem, PenaltyConfig, avg_constraint_coeffs, design_avg_sinr
 from leobeam.robust_outage import OutageProblem, design_outage, mu_from_outage, soc_row_values
-from leobeam.scenario import build_scenario
+from leobeam.scenario import NetworkConfig, build_scenario
 
 small_scenarios = st.builds(
     desk_config,
@@ -89,3 +91,24 @@ def test_outage_design_meets_own_rows_or_raises(cfg):
     gaps = [np.trace(w).real - np.linalg.eigvalsh(w)[-1] for w in ws]
     assert max(gaps) <= config.rank_gap_tol + tol
     assert design.max_rank_gap <= config.rank_gap_tol
+
+
+# Negative, zero, NaN, a bool, a string, None, a nested list, and a list of
+# the wrong length for every list field (3 regions, 6 terminals).
+EDGE_VALUES = [-1, -1.5, 0, 0.0, float("nan"), True, "3", None, [[1.0]], [1.0, 2.0]]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([f.name for f in dataclasses.fields(NetworkConfig)]),
+    st.sampled_from(EDGE_VALUES),
+)
+def test_validate_covers_build(name, value):
+    """One desk field set to an edge value: validate() raises ConfigError or
+    build_scenario succeeds."""
+    cfg = desk_config(**{name: value})
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    build_scenario(cfg)

@@ -41,7 +41,7 @@ class TestExpectedChannelMatrix:
         d = expected_channel_matrix(u)
         rng = np.random.default_rng(42)
         s = 100_000
-        e = u.sigma_rad * rng.standard_normal((s, k))
+        e = u.phase_model.sigma_rad * rng.standard_normal((s, k))
         hs = u.channel.estimated[None, :] * np.exp(1j * e)
         emp = np.einsum("si,sj->ij", hs, hs.conj()) / s
         prod = hs[:, :, None] * hs[:, None, :].conj()

@@ -7,6 +7,7 @@ import pytest
 from conftest import correlated_cov, desk_config
 from oracles import vecq_outage_problem
 
+from leobeam.channel import PhaseErrorModel
 from leobeam.conic.cones import smat, svec
 from leobeam.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
 from leobeam.errors import ConfigError, InfeasibleDesignError
@@ -332,10 +333,12 @@ class TestPhaseCovariance:
         "cov", [np.eye(4), 0.5 * np.eye(12)], ids=["wrong-size", "half-diagonal"]
     )
     def test_design_outage_rejects(self, desk_scenario, cov):
-        users = [dataclasses.replace(u, phase_cov=cov) for u in desk_scenario.users]
-        sc = dataclasses.replace(desk_scenario, users=users)
+        # A half diagonal fails where the model is made, a wrong size where
+        # the design factors it for its feed count.
         with pytest.raises(ConfigError, match="phase covariance"):
-            design_outage(sc)
+            model = PhaseErrorModel(desk_scenario.users[0].phase_model.sigma_rad, cov)
+            users = [dataclasses.replace(u, phase_model=model) for u in desk_scenario.users]
+            design_outage(dataclasses.replace(desk_scenario, users=users))
 
 
 class TestInfeasibilityFamily:

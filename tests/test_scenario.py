@@ -110,7 +110,7 @@ class TestBuildScenario:
                 assert np.array_equal(u.channel.estimated, v.channel.estimated)
                 assert (u.region, u.rank, u.alpha) == (v.region, v.rank, v.alpha)
         assert sc.with_config(gamma_db=0.0).users[0].gamma_lin == pytest.approx(1.0)
-        assert sc.with_config(phase_sigma_deg=0.0).users[0].sigma_rad == 0.0
+        assert sc.with_config(phase_sigma_deg=0.0).users[0].phase_model.sigma_rad == 0.0
         assert sc.with_config(sic_eta=0.2).users[0].eta == 0.2
         assert sc.with_config(outage_prob=0.1).users[0].outage_prob == 0.1
         # originals untouched
@@ -152,12 +152,12 @@ class TestArrayAssembly:
             assert np.array_equal(u.channel.rain_power, v.channel.rain_power)
             assert u.channel.large_scale == v.channel.large_scale
             assert np.array_equal(u.weights, v.weights)
-            assert (u.alpha, u.eta, u.gamma_lin, u.outage_prob, u.sigma_rad) == (
+            assert (u.alpha, u.eta, u.gamma_lin, u.outage_prob, u.phase_model.sigma_rad) == (
                 v.alpha,
                 v.eta,
                 v.gamma_lin,
                 v.outage_prob,
-                v.sigma_rad,
+                v.phase_model.sigma_rad,
             )
 
     def test_offaxis_angle_batches_scalar_calls(self):
@@ -243,6 +243,38 @@ class TestValidation:
     def test_phase_cov_checked(self, cov):
         with pytest.raises(ConfigError, match="phase covariance"):
             NetworkConfig(phase_cov=cov).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"rain_var_db2": -1.0},
+            {"rain_mean_db": 1.0},
+            {"rain_mean_db": 0.0, "rain_var_db2": 1.0},
+            {"gamma_db": [3.0] * 5},
+            {"sic_eta": [0.05] * 5},
+            {"outage_prob": [0.05] * 5},
+            {"alpha_policy": "explicit", "alpha_explicit": [[0.2, 0.3, 0.5], [0.3, 0.6], [0.3, 0.6]]},
+        ],
+        ids=[
+            "negative-rain-variance",
+            "amplifying-rain",
+            "zero-mean-rain",
+            "short-gamma",
+            "short-eta",
+            "short-outage",
+            "long-alpha-row",
+        ],
+    )
+    def test_inputs_build_reads_are_checked(self, overrides):
+        # Each is a value that build_scenario cannot use.
+        with pytest.raises(ConfigError):
+            NetworkConfig(**overrides).validate()
+
+    def test_one_phase_model_per_scenario(self):
+        sc = build_scenario(desk_config(phase_cov=np.eye(12)))
+        model = sc.users[0].phase_model
+        assert all(u.phase_model is model for u in sc.users)
+        assert not model.cov.flags.writeable
 
 
 def test_channel_ensemble_round_trip(tmp_path):
