@@ -7,7 +7,7 @@ design time: the estimated phase vector is perturbed by a Gaussian error with
 per-terminal variance and normalized covariance.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,11 +104,13 @@ def sample_rain(model: RainModel, shape, rng: np.random.Generator) -> np.ndarray
 @dataclass(frozen=True)
 class PhaseErrorModel:
     """Gaussian phase error: e ~ N(0, sigma^2 C) with unit-diagonal C, checked
-    when made.  ``cov`` is a read-only float copy of C's symmetric part, so a
-    caller changing its own array changes neither the model nor its check."""
+    and factored when made.  ``cov`` is a read-only float copy of C's
+    symmetric part, so a caller changing its own array changes neither the
+    model, its check nor its factor."""
 
     sigma_rad: float
     cov: np.ndarray | None = None  # None means identity
+    _fac: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.sigma_rad >= 0:  # a NaN fails too
@@ -125,6 +127,13 @@ class PhaseErrorModel:
             raise ConfigError("phase covariance must have unit diagonal")
         if np.linalg.eigvalsh(c).min() < -1e-10:
             raise ConfigError("phase covariance must be PSD")
+        try:
+            fac = np.linalg.cholesky(c)
+        except np.linalg.LinAlgError:  # singular C
+            vals, vecs = np.linalg.eigh(c)
+            fac = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        fac.flags.writeable = False
+        object.__setattr__(self, "_fac", fac)
 
     def sized_cov(self, feeds: int) -> np.ndarray | None:
         """C, after checking that it has one row per feed; None for the identity."""
@@ -133,15 +142,10 @@ class PhaseErrorModel:
         return self.cov
 
     def factor(self, feeds: int) -> np.ndarray | None:
-        """Cholesky-type factor L with C = L L'; None for the identity."""
-        c = self.sized_cov(feeds)
-        if c is None:
-            return None
-        try:
-            return np.linalg.cholesky(c)
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(c)
-            return vecs * np.sqrt(np.clip(vals, 0.0, None))
+        """Cholesky-type factor L with C = L L' (read-only, computed when the
+        model was made), after the size check; None for the identity."""
+        self.sized_cov(feeds)
+        return self._fac
 
 
 def sample_phase_error(
@@ -150,22 +154,42 @@ def sample_phase_error(
     rng: np.random.Generator,
     draws: int | None = None,
     out: np.ndarray | None = None,
-    fac: np.ndarray | None = None,
 ) -> np.ndarray:
     """Phase-error vectors (radians): one of length ``feeds``, or ``draws`` rows.
 
-    A caller drawing repeatedly from one model passes ``fac``, its
-    ``model.factor(feeds)``, so a correlated covariance is factored once
-    (None factors here), and may pass ``out``, a C-contiguous
-    float array of the draws' shape that receives the standard normals.  The
-    result is written in place where it can be; use the returned array.
+    A caller drawing repeatedly may pass ``out``, a C-contiguous float array
+    of the draws' shape that receives the standard normals.  The result is
+    written in place where it can be; use the returned array.
     """
-    if fac is None and model.cov is not None:
-        fac = model.factor(feeds)
+    fac = model.factor(feeds)
     nu = rng.standard_normal(feeds if draws is None else (draws, feeds), out=out)
     if fac is not None:
         nu = nu @ fac.T
     return np.multiply(model.sigma_rad, nu, out=nu)
+
+
+def unit_phasors(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(j theta) written into the complex array ``out`` of theta's shape,
+    from one tan per entry instead of a cos and a sin.
+
+    With t = tan(theta/2) and r = 2/(1 + t^2), cos theta = r - 1 and
+    sin theta = t r; theta/2 is formed as 0.5 theta, which is exact.  Each
+    component is within a few 1e-16 of cos and sin, also near theta = +-pi,
+    where t is huge and r tiny; theta = 0 or -0 gives exactly 1 + 0j and a
+    NaN or infinite theta a NaN.  theta is overwritten with t and then r:
+    numpy's loops are fastest on contiguous operands, so t is copied to
+    ``out.imag`` and only the last two passes write the strided views of
+    ``out``.
+    """
+    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+    re, im = out.real, out.imag
+    np.copyto(im, t)
+    r = np.multiply(t, t, out=theta)
+    np.add(r, 1.0, out=r)
+    np.divide(2.0, r, out=r)
+    np.multiply(im, r, out=im)
+    np.subtract(r, 1.0, out=re)
+    return out
 
 
 def expected_phase_matrix(model: PhaseErrorModel, feeds: int) -> np.ndarray:

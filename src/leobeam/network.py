@@ -99,17 +99,36 @@ def sinr(user, h_true: np.ndarray, design: BeamDesign, scenario) -> SinrEntry:
     return SinrEntry(m, n, gamma, desired, intra, residual, inter, noise)
 
 
-def sinr_samples(user, h_samples: np.ndarray, design: BeamDesign, scenario) -> np.ndarray:
-    """Vectorized SINR over sampled true channels, shape (S, K) -> (S,).
+def folded_beams(user, beams: np.ndarray) -> np.ndarray:
+    """The terminal's frozen estimate folded into the conjugated beams:
+    est_k conj(w_k), (K, M) for a (K, M) design or (K,) for one column.
 
-    Same weights as :func:`sinr`, collapsed per region into the terminal's
-    weight row: the own region's t1 term first, then every other region's.
+    For a true channel h = est * q, conj(h^H w) = q @ folded, so the
+    received powers |h^H w|^2 of sampled phasors q take one product with
+    this and no per-sample channel (:func:`beam_powers`).
+    """
+    est = user.channel.estimated
+    return (est[:, None] if beams.ndim == 2 else est) * beams.conj()
+
+
+def beam_powers(phasors: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """|h^H w|^2 per sample (and beam) for h = est * phasors, from the
+    terminal's :func:`folded_beams`."""
+    y = phasors @ folded
+    return y.real**2 + y.imag**2
+
+
+def sinr_samples(user, phasors: np.ndarray, folded: np.ndarray, scenario) -> np.ndarray:
+    """Vectorized SINR over sampled phase-error phasors, shape (S, K) -> (S,).
+
+    ``folded`` is :func:`folded_beams` of the design's beams.  Same weights
+    as :func:`sinr`, collapsed per region into the terminal's weight row:
+    the own region's t1 term first, then every other region's.
     """
     m, weights = user.region, user.weights
-    powers = np.abs(h_samples.conj() @ design.beams) ** 2  # (S, M)
+    powers = beam_powers(phasors, folded)  # (S, M)
     denom = weights[m] * powers[:, m] + scenario.noise_power
     for j in range(len(weights)):
         if j != m:
             denom = denom + weights[j] * powers[:, j]
     return user.alpha * powers[:, m] / denom
-

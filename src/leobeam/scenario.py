@@ -116,8 +116,10 @@ class NetworkConfig:
             raise ConfigError(f"users_per_region entries must be integers, got {lst!r}")
         return [int(n) for n in lst]
 
-    def validate(self):
-        """ConfigError unless ``build_scenario`` can use every field."""
+    def validate(self) -> PhaseErrorModel:
+        """ConfigError unless ``build_scenario`` can use every field; returns
+        the phase model it checked, which the build shares among its
+        terminals, so a correlated C is checked and factored once."""
         for name in ("feeds", "beams", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -176,7 +178,8 @@ class NetworkConfig:
         RainModel(self.rain_mean_db, self.rain_var_db2)
         if self.phase_cov is not None:
             _check_reals(self.phase_cov, "phase_cov")
-        PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov).sized_cov(self.feeds)
+        phase_model = PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov)
+        phase_model.sized_cov(self.feeds)
         if not all(0 <= eta <= 1 for eta in per_terminal["sic_eta"]):
             raise ConfigError("SIC residual coefficient must lie in [0, 1]")
         if not all(0 < p < 1 for p in per_terminal["outage_prob"]):
@@ -207,6 +210,7 @@ class NetworkConfig:
                     raise ConfigError(
                         f"region {m}: power split factors sum to {arr.sum():.6f} > 1"
                     )
+        return phase_model
 
 
 def power_split(policy: str, count: int, ratio: float = 3.0, explicit=None):
@@ -336,7 +340,7 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     position uniforms, (T, K) rain normals and (T, K) phases.  A Generator
     fills an array in stream order, so these are one draw per terminal's values.
     """
-    config.validate()
+    phase_model = config.validate()
     k, m = config.feeds, config.beams
     users_per = config.users_per_region_list()
     total_users = sum(users_per)
@@ -370,7 +374,6 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     rain_amp = sample_rain(rain, (total_users, k), rng_rain)
     phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=(total_users, k))
     channels = [assemble_channel(c_gain, *parts) for parts in zip(gains, rain_amp, phases)]
-    phase_model = PhaseErrorModel(np.deg2rad(config.phase_sigma_deg), config.phase_cov)
 
     gammas = _as_list(config.gamma_db, total_users, "gamma_db")
     outages = _as_list(config.outage_prob, total_users, "outage_prob")

@@ -336,15 +336,20 @@ def vecq_outage_problem(scenario):
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo evaluation with every sample held at once: one (samples, K)
-# phase draw per terminal, one complex channel array, one SINR call.  The
-# chunked evaluator must reproduce its reports bit for bit.
+# phase draw per terminal, one phasor array, one SINR call.  With the
+# evaluator's own arithmetic (half-angle phasors, estimate folded into the
+# beams), the chunked evaluator must reproduce its reports bit for bit; with
+# the textbook arithmetic (exp(j theta), true channel h, |h^H w|^2), it must
+# agree to rounding.
 # ---------------------------------------------------------------------------
 
 
-def whole_array_evaluate(design, scenario, samples, seed):
-    """``evaluate`` drawing and scoring each terminal's samples in one piece."""
+def _one_piece_evaluate(design, scenario, samples, seed, gains):
+    """``evaluate`` with each terminal's samples drawn in one piece (C
+    factored here) and scored by ``gains(user, errs, beams)``: the SINR
+    samples for the design's (K, M) beams, or |h^H w|^2 per sample for a
+    TDMA terminal's own column (K,)."""
     from leobeam.evaluator import EvalReport
-    from leobeam.network import sinr_samples
 
     users = scenario.users
     streams = np.random.SeedSequence(seed).spawn(len(users))
@@ -355,17 +360,14 @@ def whole_array_evaluate(design, scenario, samples, seed):
         rng = np.random.default_rng(streams[idx])
         model = user.phase_model
         nu = rng.standard_normal((samples, k))
-        fac = model.factor(k)
-        if fac is not None:
-            nu = nu @ fac.T
+        if model.cov is not None:
+            nu = nu @ np.linalg.cholesky(model.cov).T
         errs = model.sigma_rad * nu
-        h = user.channel.estimated[None, :] * np.exp(1j * errs)
         if tdma:
-            w = design.beams[:, idx]
-            gammas = np.abs(h.conj() @ w) ** 2 / scenario.noise_power
+            gammas = gains(user, errs, design.beams[:, idx]) / scenario.noise_power
             target = design.metadata["slot_gamma_lin"][idx]
         else:
-            gammas = sinr_samples(user, h, design, scenario)
+            gammas = gains(user, errs, design.beams)
             target = user.gamma_lin
         mean = float(gammas.mean())
         out = float(np.mean(gammas < target))
@@ -385,6 +387,44 @@ def whole_array_evaluate(design, scenario, samples, seed):
         samples=samples,
         seed=seed,
     )
+
+
+def half_angle_phasors(errs):
+    """exp(j errs) as (r - 1) + j t r with t = tan(errs/2), r = 2/(1 + t^2)."""
+    t = np.tan(0.5 * errs)
+    r = 2.0 / (1.0 + t * t)
+    q = np.empty(errs.shape, dtype=complex)
+    q.real = r - 1.0
+    q.imag = t * r
+    return q
+
+
+def whole_array_evaluate(design, scenario, samples, seed):
+    """``evaluate``'s arithmetic, each terminal's samples in one piece."""
+    from leobeam.network import sinr_samples
+
+    def gains(user, errs, beams):
+        q = half_angle_phasors(errs)
+        est = user.channel.estimated
+        if beams.ndim == 1:
+            y = q @ (est * beams.conj())
+            return y.real**2 + y.imag**2
+        return sinr_samples(user, q, est[:, None] * beams.conj(), scenario)
+
+    return _one_piece_evaluate(design, scenario, samples, seed, gains)
+
+
+def exp_evaluate(design, scenario, samples, seed):
+    """``evaluate`` on true channels h = est * exp(j errs), scored as
+    |h^H w|^2 by :func:`loop_sinr_samples`, each terminal in one piece."""
+
+    def gains(user, errs, beams):
+        h = user.channel.estimated[None, :] * np.exp(1j * errs)
+        if beams.ndim == 2:
+            return loop_sinr_samples(user, h, beams, scenario)
+        return np.abs(h.conj() @ beams) ** 2
+
+    return _one_piece_evaluate(design, scenario, samples, seed, gains)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +601,11 @@ def loop_margin_scalars(scenario, user):
     return out
 
 
-def loop_sinr_samples(user, h_samples, design, scenario):
-    """SINR over sampled channels, own region's t1 first, then each t2."""
+def loop_sinr_samples(user, h_samples, beams, scenario):
+    """SINR over sampled true channels h (S, K) for (K, M) ``beams``: the
+    powers |h^H w|^2, then the own region's t1 first and each t2."""
     m = user.region
-    powers = np.abs(h_samples.conj() @ design.beams) ** 2
+    powers = np.abs(h_samples.conj() @ beams) ** 2
     denom = loop_intra_weight(scenario, user) * powers[:, m] + scenario.noise_power
     for j in range(scenario.beams):
         if j != m:

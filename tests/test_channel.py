@@ -14,6 +14,7 @@ from leobeam.channel import (
     large_scale_gain,
     sample_phase_error,
     sample_rain,
+    unit_phasors,
 )
 from leobeam.errors import ConfigError
 from leobeam.scenario import NetworkConfig
@@ -131,9 +132,9 @@ class TestPhaseError:
     def test_chunked_draws_equal_one_draw(self):
         model = PhaseErrorModel(0.1, correlated_cov(5))
         whole = sample_phase_error(model, 5, np.random.default_rng(2), 7)
-        rng, fac, buf = np.random.default_rng(2), model.factor(5), np.empty((3, 5))
+        rng, buf = np.random.default_rng(2), np.empty((3, 5))
         # chunks of two or more rows: a one-row product takes another BLAS path
-        parts = [sample_phase_error(model, 5, rng, n, buf[:n], fac).copy() for n in (3, 2, 2)]
+        parts = [sample_phase_error(model, 5, rng, n, buf[:n]).copy() for n in (3, 2, 2)]
         assert np.array_equal(np.concatenate(parts), whole)
 
     def test_correlated_draw_validates_once(self, monkeypatch):
@@ -161,10 +162,61 @@ class TestPhaseError:
         emp = np.cov(draws.T)
         assert np.allclose(emp, sigma**2 * c, rtol=0.01, atol=1e-4)
 
+    def test_model_holds_its_factor(self, monkeypatch):
+        choleskys = count_calls(monkeypatch, np.linalg, "cholesky")
+        model = PhaseErrorModel(0.1, correlated_cov(5))
+        assert model.factor(5) is model.factor(5)
+        assert np.array_equal(model.factor(5), np.linalg.cholesky(correlated_cov(5)))
+        assert not model.factor(5).flags.writeable
+        assert len(choleskys) == 2  # the model's own, then the test's
+        # A singular C has no Cholesky factor; its eigen factor still gives C.
+        singular = PhaseErrorModel(0.1, np.ones((3, 3)))
+        fac = singular.factor(3)
+        assert np.allclose(fac @ fac.T, np.ones((3, 3)), atol=1e-14)
+        assert PhaseErrorModel(0.1).factor(7) is None
+        with pytest.raises(ConfigError, match="size"):
+            model.factor(4)
+
     def test_non_psd_cov_rejected(self):
         c = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ConfigError):
             sample_phase_error(PhaseErrorModel(0.1, c), 2, np.random.default_rng(0))
+
+
+class TestUnitPhasors:
+    """exp(j theta) from tan(theta/2), against cos and sin."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi, np.pi - 1e-12, 1e-12 - np.pi, 1e4, -1e4]
+
+    @pytest.mark.parametrize("scale", [None, 0.087, 1.0, 1e4], ids=["edges", "5deg", "1", "1e4"])
+    def test_matches_cos_sin(self, scale):
+        if scale is None:
+            theta = np.array(self.EDGES)
+        else:
+            theta = scale * np.random.default_rng(11).standard_normal((500, 200))
+        q = unit_phasors(theta.copy(), np.empty(theta.shape, dtype=complex))
+        # r = 2/(1 + t^2) carries two roundings, so cos, sin and |q| are each
+        # within two units in the last place of 1.
+        assert np.max(np.abs(q.real - np.cos(theta))) <= 4.5e-16
+        assert np.max(np.abs(q.imag - np.sin(theta))) <= 4.5e-16
+        assert np.max(np.abs(np.abs(q) - 1.0)) <= 4.5e-16
+
+    def test_zero_nan_and_inf(self):
+        theta = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):  # tan(inf), like cos(inf), is invalid
+            q = unit_phasors(theta.copy(), np.empty(5, dtype=complex))
+        # Zero gives exactly 1 + 0j with the sign of sin theta.
+        assert q[0] == q[1] == 1.0 and np.array_equal(np.signbit(q.imag[:2]), [False, True])
+        assert np.all(np.isnan(q.real[2:])) and np.all(np.isnan(q.imag[2:]))
+
+    def test_in_place_on_chunk_views(self):
+        # The evaluator's use: a row slice of its float and complex buffers.
+        theta = 0.1 * np.random.default_rng(3).standard_normal((7, 5))
+        nu, out = np.empty((9, 5)), np.zeros((9, 5), dtype=complex)
+        nu[:7] = theta
+        assert np.shares_memory(unit_phasors(nu[:7], out[:7]), out)
+        assert np.allclose(out[:7], np.exp(1j * theta), rtol=0, atol=4.5e-16)
+        assert np.all(out[7:] == 0)
 
 
 class TestAssemblePerturb:

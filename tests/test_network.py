@@ -17,6 +17,7 @@ from leobeam.channel import assemble_channel
 from leobeam.cli import write_sinr_report
 from leobeam.network import (
     BeamDesign,
+    folded_beams,
     interference_weight,
     per_feed_power,
     sic_order,
@@ -153,9 +154,9 @@ class TestSinr:
         )
         design = BeamDesign(beams=beams)
         user = sc.users[3]
-        errs = rng.normal(0, 0.1, (5, sc.feeds))
-        h = user.channel.estimated[None, :] * np.exp(1j * errs)
-        vec = sinr_samples(user, h, design, sc)
+        q = np.exp(1j * rng.normal(0, 0.1, (5, sc.feeds)))
+        h = user.channel.estimated[None, :] * q
+        vec = sinr_samples(user, q, folded_beams(user, beams), sc)
         for s in range(5):
             assert vec[s] == pytest.approx(sinr(user, h[s], design, sc).gamma, rel=1e-12)
 
@@ -205,13 +206,16 @@ class TestWeightRow:
             assert np.array_equal(margin_scalars(scenario, u), [want[j] for j in sorted(want)])
 
     def test_sinr_samples(self, scenario):
+        # The folded product rounds differently from |h^H w|^2 on the true
+        # channel, so the two agree to rounding; a wrong weight is off by O(1).
         rng = np.random.default_rng(8)
         k, m = scenario.feeds, scenario.beams
-        design = BeamDesign(beams=rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m)))
+        beams = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
         for u in scenario.users:
-            h = u.channel.estimated * np.exp(1j * rng.normal(0, 0.1, (7, k)))
-            got = sinr_samples(u, h, design, scenario)
-            assert np.array_equal(got, loop_sinr_samples(u, h, design, scenario))
+            q = np.exp(1j * rng.normal(0, 0.1, (7, k)))
+            got = sinr_samples(u, q, folded_beams(u, beams), scenario)
+            want = loop_sinr_samples(u, u.channel.estimated * q, beams, scenario)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_rebuilt_scenario_carries_new_row(self):
         sc = build_scenario(desk_config())

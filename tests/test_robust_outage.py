@@ -4,14 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import correlated_cov, desk_config
+from conftest import correlated_cov, count_calls, desk_config
 from oracles import vecq_outage_problem
 
 from leobeam.channel import PhaseErrorModel
 from leobeam.conic.cones import smat, svec
 from leobeam.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
 from leobeam.errors import ConfigError, InfeasibleDesignError
-from leobeam.evaluator import evaluate
+from leobeam.evaluator import CHUNK_ELEMENTS, evaluate
 from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
 from leobeam.robust_outage import (
     OutageProblem,
@@ -339,6 +339,17 @@ class TestPhaseCovariance:
             model = PhaseErrorModel(desk_scenario.users[0].phase_model.sigma_rad, cov)
             users = [dataclasses.replace(u, phase_model=model) for u in desk_scenario.users]
             design_outage(dataclasses.replace(desk_scenario, users=users))
+
+
+    def test_one_factor_per_model(self, monkeypatch, desk_scenario):
+        # The solver factors its own blocks; count only factorizations of C.
+        cov = correlated_cov(desk_scenario.feeds)
+        choleskys = count_calls(monkeypatch, np.linalg, "cholesky")
+        sc = build_scenario(desk_config(phase_cov=cov))
+        design = design_outage(sc)
+        evaluate(design, sc, samples=3 * CHUNK_ELEMENTS // sc.feeds, seed=2)
+        of_cov = [a for (a, *_) in choleskys if a.shape == cov.shape and np.array_equal(a, cov)]
+        assert len(of_cov) == 1
 
 
 class TestInfeasibilityFamily:

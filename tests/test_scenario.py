@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import desk_config
+from conftest import correlated_cov, count_calls, desk_config
 from oracles import loop_build_scenario, scalar_offaxis_angle
 
 from leobeam.errors import ConfigError
@@ -275,6 +275,11 @@ class TestValidation:
         model = sc.users[0].phase_model
         assert all(u.phase_model is model for u in sc.users)
         assert not model.cov.flags.writeable
+
+    def test_correlated_cov_checked_once_per_build(self, monkeypatch):
+        eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        build_scenario(desk_config(phase_cov=correlated_cov(12)))
+        assert len(eigs) == 1
 
 
 def test_channel_ensemble_round_trip(tmp_path):
