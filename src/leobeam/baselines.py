@@ -9,7 +9,8 @@ import numpy as np
 
 from .errors import InfeasibleDesignError
 from .network import BeamDesign, per_feed_power
-from .robust_avg import PenaltyConfig, avg_constraint_coeffs, design_avg_sinr, expected_channel_matrix
+from .robust_avg import PenaltyConfig, avg_constraint_coeffs, design_avg_sinr
+from .robust_avg import expected_channel_matrix, extract_beams
 
 
 def design_nonrobust(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
@@ -84,18 +85,19 @@ def design_tdma(scenario) -> BeamDesign:
     """
     users = scenario.users
     n_total = len(users)
-    cols = []
+    pairs = []
     slot_targets = []
     for user in users:
         vals, vecs = np.linalg.eigh(expected_channel_matrix(user))
-        lam, v = vals[-1], vecs[:, -1]
-        slot = (1.0 + user.gamma_lin) ** n_total - 1.0
-        power = slot * scenario.noise_power / lam
-        pivot = np.argmax(np.abs(v))
-        v = v * np.exp(-1j * np.angle(v[pivot]))
-        cols.append(np.sqrt(power) * v)
+        # expm1/log1p keep targets far below 0 dB from cancelling to 0
+        with np.errstate(over="ignore"):
+            slot = float(np.expm1(n_total * np.log1p(user.gamma_lin)))
+            power = slot * scenario.noise_power / vals[-1]
+        if not np.isfinite(power):
+            raise InfeasibleDesignError("a TDMA slot power overflows", family="per-feed-power")
+        pairs.append((power, vecs[:, -1]))
         slot_targets.append(slot)
-    beams = np.column_stack(cols)
+    beams = extract_beams(pairs)
     # Each slot's beam transmits alone, so every column must meet the caps.
     if np.any(np.abs(beams) ** 2 > scenario.power_caps[:, None] + 1e-12):
         raise InfeasibleDesignError(

@@ -611,6 +611,9 @@ def _jordan_sq(cones, slices, lam):
 
 
 def _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap):
+    # A direction that is not finite (overflowed data) gets no step: the solve stalls.
+    if not all(np.isfinite(d).all() for d in (dx, dz, dtau, dkap)):
+        return 0.0
     a = np.inf
     for blk, sl in zip(cones, slices):
         a = min(a, max_step(blk, x[sl], dx[sl]), max_step(blk, z[sl], dz[sl]))

@@ -167,18 +167,12 @@ def rank_gaps(ws):
     return gaps, pairs
 
 
-def extract_beams(ws, rank_gap_tol: float) -> np.ndarray:
-    """Leading-eigenpair extraction w = sqrt(lambda) v, refused above tolerance.
+def extract_beams(pairs) -> np.ndarray:
+    """Beams w = sqrt(lambda) v, one column per leading eigenpair (lambda, v).
 
     The global phase is fixed so the largest-magnitude entry is real positive,
     making extracted designs reproducible.
     """
-    gaps, pairs = rank_gaps(ws)
-    if np.max(gaps) > rank_gap_tol:
-        raise ConvergenceError(
-            f"rank gap {np.max(gaps):.3e} above tolerance {rank_gap_tol:.1e}; "
-            "extraction refused"
-        )
     cols = []
     for lam, v in pairs:
         w = np.sqrt(max(lam, 0.0)) * v
@@ -189,12 +183,16 @@ def extract_beams(ws, rank_gap_tol: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def run_penalty_loop(problem, config: PenaltyConfig):
-    """Shared rank-one recovery loop; returns (ws, iterations, gaps, history).
+def run_penalty_loop(
+    problem: LiftedProblem, algorithm: str, config: PenaltyConfig | None = None
+) -> BeamDesign:
+    """Shared rank-one recovery: relaxation, penalty rounds, beam extraction.
 
     Each solve's rank gaps are computed once, at the head of the round that
-    follows it; rho grows before every penalty step after the first.
+    follows it; rho grows before every penalty step after the first.  The
+    beams come from the eigenpairs of the round that meets the tolerance.
     """
+    config = config or PenaltyConfig()
     ws, _ = solve_sdr_init(problem, options=config.solver)
     rho = config.rho0
     history = []
@@ -208,7 +206,15 @@ def run_penalty_loop(problem, config: PenaltyConfig):
         obj = float(sum(np.trace(w).real for w in ws))
         history.append({"power": obj, "max_gap": gap, "rho": rho})
         if gap <= config.rank_gap_tol:
-            return ws, iterations, gaps, history
+            return BeamDesign(
+                beams=extract_beams(pairs),
+                lifted=ws,
+                algorithm=algorithm,
+                iterations=iterations,
+                max_rank_gap=gap,
+                status="OPTIMAL",
+                metadata={"history": history},
+            )
         # five rounds of rho growth without halving the gap means the
         # tolerance is unreachable at this solve accuracy
         stagnant = stagnant + 1 if gap > 0.5 * prev_gap else 0
@@ -222,24 +228,6 @@ def run_penalty_loop(problem, config: PenaltyConfig):
     )
 
 
-def design_lifted(
-    problem: LiftedProblem, algorithm: str, config: PenaltyConfig | None
-) -> BeamDesign:
-    """Penalty loop and beam extraction on an assembled lifted problem."""
-    config = config or PenaltyConfig()
-    ws, iterations, gaps, history = run_penalty_loop(problem, config)
-    beams = extract_beams(ws, config.rank_gap_tol)
-    return BeamDesign(
-        beams=beams,
-        lifted=ws,
-        algorithm=algorithm,
-        iterations=iterations,
-        max_rank_gap=float(np.max(gaps)),
-        status="OPTIMAL",
-        metadata={"history": history},
-    )
-
-
 def design_avg_sinr(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
     """Full noncritical design: relaxation, penalty loop, beam extraction."""
-    return design_lifted(AvgSinrProblem(scenario), "avg", config)
+    return run_penalty_loop(AvgSinrProblem(scenario), "avg", config)

@@ -18,7 +18,7 @@ import numpy as np
 from .conic.cones import smat, svec
 from .errors import ConfigError
 from .network import BeamDesign
-from .robust_avg import LiftedProblem, PenaltyConfig, design_lifted
+from .robust_avg import LiftedProblem, PenaltyConfig, run_penalty_loop
 
 # Above this phase-error std dev (radians) the second-order expansion the
 # outage bound rests on degrades noticeably; warn but proceed.
@@ -125,13 +125,12 @@ class OutageProblem(LiftedProblem):
 
     # Own __init__ so the benchmark tracer can time this design's assembly.
     def __init__(self, scenario):
-        for u in scenario.users:
-            if u.phase_model.sigma_rad > SMALL_SIGMA_GUARD_RAD:
-                warnings.warn(
-                    "phase-error std dev above 15 deg; the second-order "
-                    "expansion behind the outage bound degrades",
-                    stacklevel=2,
-                )
+        if any(u.phase_model.sigma_rad > SMALL_SIGMA_GUARD_RAD for u in scenario.users):
+            warnings.warn(
+                "phase-error std dev above 15 deg; the second-order "
+                "expansion behind the outage bound degrades",
+                stacklevel=2,
+            )
         super().__init__(scenario)
 
     def add_terminal_rows(self, idx, user):
@@ -182,4 +181,4 @@ def soc_row_values(scenario, user, ws):
 
 def design_outage(scenario, config: PenaltyConfig | None = None) -> BeamDesign:
     """Full critical design: SOC relaxation, penalty loop, beam extraction."""
-    return design_lifted(OutageProblem(scenario), "outage", config)
+    return run_penalty_loop(OutageProblem(scenario), "outage", config)

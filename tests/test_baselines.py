@@ -132,6 +132,23 @@ class TestTdma:
             design_tdma(sc)
         assert info.value.family == "per-feed-power"
 
+    def test_overflowing_slot_target_is_infeasible(self, desk_scenario):
+        # at 600 dB the slot target (1 + 1e60)^6 - 1 passes the float range
+        with pytest.raises(InfeasibleDesignError) as info:
+            design_tdma(desk_scenario.with_config(gamma_db=600.0))
+        assert info.value.family == "per-feed-power"
+
+    def test_tiny_slot_target_does_not_cancel(self, desk_scenario):
+        # at -300 dB (1 + gamma)^6 - 1 rounds to 0; the target is 6 gamma
+        sc = desk_scenario.with_config(gamma_db=-300.0)
+        d = design_tdma(sc)
+        n = len(sc.users)
+        for u, slot in zip(sc.users, d.metadata["slot_gamma_lin"]):
+            assert slot == pytest.approx(n * u.gamma_lin, rel=1e-12)
+        assert d.total_power > 0
+        report = evaluate(d, sc, samples=2_000, seed=5)
+        assert report.min_mean_over_target == pytest.approx(1.0, rel=0.2)
+
     def test_desk_slots_meet_feed_caps(self, desk_scenario):
         d = design_tdma(desk_scenario)
         # the largest per-slot feed power is about 0.375 W against 10 W caps

@@ -19,6 +19,7 @@ from leobeam.robust_avg import (
     rank_gaps,
     solve_sdr_init,
 )
+from leobeam.robust_outage import design_outage
 from leobeam.scenario import build_scenario
 
 # Many terminals on few feeds: the relaxation is not rank-one, and one
@@ -166,7 +167,8 @@ class TestPenaltyLoop:
         assert design.total_power >= relaxed - 1e-6
 
     def test_one_rank_gap_pass_per_solve(self, monkeypatch):
-        # relaxation, one penalty solve, then extraction: three passes
+        # relaxation, then one penalty solve, whose eigenpairs give the beams:
+        # two passes
         calls = []
 
         def counting(ws):
@@ -176,7 +178,7 @@ class TestPenaltyLoop:
         monkeypatch.setattr(robust_avg, "rank_gaps", counting)
         design = design_avg_sinr(build_scenario(PENALTY_CFG))
         assert design.iterations == 1
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_one_preparation_per_design(self, monkeypatch):
         # relaxation and one penalty round share one equilibration and plan
@@ -224,17 +226,23 @@ class TestExtraction:
     def test_scaled_projector(self):
         u = np.array([1.0, 1j, -1.0]) / np.sqrt(3.0)
         w = 4.0 * np.outer(u, u.conj())
-        beams = extract_beams([w], rank_gap_tol=1e-9)
+        _, pairs = rank_gaps([w])
+        beams = extract_beams(pairs)
         col = beams[:, 0]
         assert np.linalg.norm(col) == pytest.approx(2.0, abs=1e-9)
         phase = col[np.argmax(np.abs(col))]
         assert phase.imag == pytest.approx(0.0, abs=1e-12)
         assert abs(np.vdot(col, 2.0 * u)) == pytest.approx(4.0, abs=1e-8)
 
-    def test_refuses_high_rank(self):
-        w = np.diag([2.0, 1.0]).astype(complex)
-        with pytest.raises(ConvergenceError, match="extraction refused"):
-            extract_beams([w], rank_gap_tol=1e-6)
+    def test_beams_are_extraction_of_lifted(self, alg1_design, alg2_design):
+        # the loop builds the beams from the eigenpairs of the lifted
+        # matrices it returns, bit for bit
+        one_round = design_avg_sinr(build_scenario(PENALTY_CFG))
+        assert one_round.iterations == 1
+        for design in (alg1_design, alg2_design, one_round):
+            gaps, pairs = rank_gaps(design.lifted)
+            assert np.array_equal(design.beams, extract_beams(pairs))
+            assert design.max_rank_gap == gaps.max()
 
     def test_norm_matches_top_eigenvalue(self, alg1_design):
         for m, w in enumerate(alg1_design.lifted):
@@ -268,6 +276,14 @@ class TestDesign:
         assert alg1_design.max_rank_gap <= 1e-6
         assert alg1_design.total_power > 0
         assert np.all(alg1_design.per_feed <= desk_scenario.power_caps + 1e-8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("design", [design_avg_sinr, design_outage])
+    def test_overflowing_cap_stops_typed(self, desk_scenario, design):
+        # ||b||^2 overflows at a 1e200 W cap, so the first direction is not
+        # finite: the solve stalls with no finite iterate, not a LinAlgError
+        with pytest.raises(ConvergenceError, match="no iterate with finite residuals"):
+            design(desk_scenario.with_config(feed_power_cap_w=1e200))
 
     def test_power_monotone_in_gamma(self, desk_scenario):
         lo = design_avg_sinr(desk_scenario.with_config(gamma_db=1.0)).total_power

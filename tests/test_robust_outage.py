@@ -463,5 +463,7 @@ class TestDesignOutage:
         assert tight.total_power >= loose.total_power
 
     def test_large_sigma_warns(self, desk_scenario):
-        with pytest.warns(UserWarning, match="15 deg"):
+        # the terminals share one phase model, so one warning, not one each
+        with pytest.warns(UserWarning, match="15 deg") as record:
             OutageProblem(desk_scenario.with_config(phase_sigma_deg=20.0))
+        assert len(record) == 1
