@@ -1,7 +1,9 @@
 """Cone block primitives for the interior-point solver.
 
 Blocks are nonnegative orthants, second-order cones, and PSD cones over
-either field: real symmetric or complex Hermitian matrices.  PSD blocks live
+either field: real symmetric or complex Hermitian matrices.  The solver
+works on units (``ConeUnit``): each PSD block alone, and each run of
+adjacent nonnegative or second-order blocks at once.  PSD blocks live
 in scaled-vector (svec) coordinates whose Euclidean inner product equals the
 trace inner product tr(XY):
 
@@ -205,16 +207,16 @@ class PsdRows:
             out[self.single[part]] = scaling.apply_W_cols(mats)
 
 
-def row_operand(block: ConeBlock, cols: np.ndarray):
-    """One block's columns of A in the form its scaling's W is applied to.
+def row_operand(unit: "ConeUnit", cols: np.ndarray):
+    """One unit's columns of A in the form its scaling's W is applied to.
 
-    PSD rows become a ``PsdRows`` over ``cols`` itself, other blocks keep
-    their columns.  A does not change within a solve, so the solver builds
-    these once.
+    PSD rows become a ``PsdRows`` over ``cols`` itself, an orthant keeps its
+    columns.  A does not change within a solve, so the solver builds these
+    once.
     """
-    if block.kind != PSD:
+    if unit.kind != PSD:
         return cols
-    lay = _layout(block.size)
+    lay = _layout(unit.size)
     nre = lay.sc.size
     touched = cols[:, :nre] != 0
     if cols.shape[1] > nre:
@@ -231,7 +233,7 @@ def row_operand(block: ConeBlock, cols: np.ndarray):
         coef = coef + 1j * imag[np.arange(single.size), pos]  # smat's arithmetic
     return PsdRows(
         cols,
-        block.size,
+        unit.size,
         np.flatnonzero(~one),
         single,
         lay.k[pos],
@@ -250,34 +252,87 @@ def interior_margin(block: ConeBlock, v: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(smat(v, block.size)).min())
 
 
-def _jdet(v):
-    """v'Jv, J = diag(1, -I), as (v0 - ||v1||)(v0 + ||v1||): accurate near the boundary."""
-    r = np.linalg.norm(v[1:])
-    return (v[0] - r) * (v[0] + r)
+class ConeUnit:
+    """Adjacent cone blocks that the solver scales, steps and multiplies in
+    one call: a PSD block alone, or a maximal run of nonnegative blocks (one
+    orthant) or of second-order blocks (a product of Lorentz cones).
+
+    ``size`` reads as ``ConeBlock.size`` does: the matrix order of a PSD
+    unit, the vector length of a run.  A run of second-order blocks holds
+    each block's ``sizes`` and ``heads``, its first coordinate in the unit;
+    ``tails`` is 0.0 at the heads and 1.0 elsewhere, and ``jsign`` is
+    J = diag(1, -I) of every block as a vector.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        self.kind = blocks[0].kind
+        self.sizes = np.array([blk.veclen for blk in blocks])
+        self.veclen = int(self.sizes.sum())
+        self.size = blocks[0].size if self.kind == PSD else self.veclen
+        self.heads = np.cumsum(self.sizes) - self.sizes
+        self.tails = np.ones(self.veclen)
+        self.tails[self.heads] = 0.0
+        self.jsign = 1.0 - 2.0 * self.tails
+
+    def spread(self, per_block):
+        """One value per block, repeated over the block's coordinates."""
+        return np.repeat(per_block, self.sizes)
+
+    def block_sums(self, v):
+        """Sums of v over each block's coordinates."""
+        return np.add.reduceat(v, self.heads)
 
 
-def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx still in the cone (x strictly inside)."""
-    if block.kind == NONNEG:
+def cone_units(cones):
+    """The cone list as units, in order (see ``ConeUnit``)."""
+    runs = []
+    for blk in cones:
+        if runs and blk.kind != PSD and runs[-1][-1].kind == blk.kind:
+            runs[-1].append(blk)
+        else:
+            runs.append([blk])
+    return [ConeUnit(run) for run in runs]
+
+
+def _jdet(unit, v):
+    """v'Jv per second-order block, as (v0 - ||v1||)(v0 + ||v1||): accurate
+    near the boundary."""
+    v0 = v[unit.heads]
+    tail = v * unit.tails
+    r = np.sqrt(unit.block_sums(tail * tail))
+    return (v0 - r) * (v0 + r)
+
+
+def max_step(unit: ConeUnit, x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha with x + alpha*dx still in the unit (x strictly inside)."""
+    if unit.kind == NONNEG:
         neg = dx < 0
         if not neg.any():
             return np.inf
         return float((-x[neg] / dx[neg]).min())
-    if block.kind == SOC:
-        # With a = sqrt(x'Jx) and xb = x / a, x + t dx = a Hyp(xb) (e + t rho)
-        # for rho = J Hyp(xb) J dx / a (Hyp as in _SocScaling), and Hyp(xb)
-        # maps the cone onto itself: the ray leaves it where
-        # t (||rho1|| - rho0) = 1.  Here rho0 = s / a and ||rho1|| = u / a;
-        # for s > 0, u - s is taken as -dx'J dx / (u + s), free of cancellation.
-        a = np.sqrt(_jdet(x))
-        xb = x / a
-        s = xb[0] * dx[0] - xb[1:] @ dx[1:]
-        u = np.linalg.norm(dx[1:] - (s + dx[0]) / (xb[0] + 1.0) * xb[1:])
-        rate = (u - s if s <= 0 else -_jdet(dx) / (u + s)) / a
-        return float(1.0 / rate) if rate > 0 else np.inf
+    if unit.kind == SOC:
+        # Per block, with a = sqrt(x'Jx) and xb = x / a, x + t dx =
+        # a Hyp(xb) (e + t rho) for rho = J Hyp(xb) J dx / a (Hyp as in
+        # _SocRunScaling), and Hyp(xb) maps the cone onto itself: the ray
+        # leaves it where t (||rho1|| - rho0) = 1.  Here rho0 = s / a and
+        # ||rho1|| = u / a; for s > 0, u - s is taken as
+        # -dx'J dx / (u + s), free of cancellation.  The run's step is the
+        # least over its blocks, 1 / the largest positive rate.
+        h = unit.heads
+        a = np.sqrt(_jdet(unit, x))
+        xb = x / unit.spread(a)
+        xt = xb * unit.tails
+        s = xb[h] * dx[h] - unit.block_sums(xt * dx)
+        v = dx * unit.tails - unit.spread((s + dx[h]) / (xb[h] + 1.0)) * xt
+        u = np.sqrt(unit.block_sums(v * v))
+        up = s > 0
+        rate = np.where(up, -_jdet(unit, dx) / np.where(up, u + s, 1.0), u - s) / a
+        top = rate.max()
+        return float(1.0 / top) if top > 0 else np.inf
     # psd
     # Eigenvalues of L^-1 dX L^-H with X = L L^H; one solve inverts L.
-    d = block.size
+    d = unit.size
     linv = np.linalg.solve(np.linalg.cholesky(smat(x, d)), np.eye(d))
     g = linv @ smat(dx, d) @ linv.conj().T
     lam_min = np.linalg.eigvalsh(g)[0]
@@ -286,24 +341,24 @@ def max_step(block: ConeBlock, x: np.ndarray, dx: np.ndarray) -> float:
     return float(-1.0 / lam_min)
 
 
-def jordan_mul(block: ConeBlock, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if block.kind == NONNEG:
+def jordan_mul(unit: ConeUnit, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if unit.kind == NONNEG:
         return a * b
-    if block.kind == SOC:
-        out = np.empty_like(a)
-        out[0] = a @ b
-        out[1:] = a[0] * b[1:] + b[0] * a[1:]
+    if unit.kind == SOC:
+        # per block (a'b, a0 b1 + b0 a1)
+        h = unit.heads
+        out = unit.spread(a[h]) * b + unit.spread(b[h]) * a
+        out[h] = unit.block_sums(a * b)
         return out
-    d = block.size
+    d = unit.size
     am, bm = smat(a, d), smat(b, d)
     return svec(0.5 * (am @ bm + bm @ am))
 
 
 class _NonnegScaling:
-    def __init__(self, block, x, z):
+    def __init__(self, unit, x, z):
         if not (x.min() > 0 and z.min() > 0):
             raise FloatingPointError("nonnegative iterate left the interior")
-        self.block = block
         self.w = np.sqrt(x / z)
         self.lam = np.sqrt(x * z)
 
@@ -325,73 +380,79 @@ class _NonnegScaling:
         return d / self.lam
 
 
-class _SocScaling:
-    # W = beta * Hyp(wbar) with the hyperbolic Householder matrix
-    # Hyp(w) = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]; Hyp(w)^2 = 2 w w' - J.
-    def __init__(self, block, x, z):
-        self.block = block
-        jx, jz = _jdet(x), _jdet(z)
-        if not (x[0] > 0 and z[0] > 0 and jx > 0 and jz > 0):
+class _SocRunScaling:
+    # Block b: W_b = beta_b Hyp(wbar_b) with the hyperbolic Householder
+    # matrix Hyp(w) = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]];
+    # Hyp(w)^2 = 2 w w' - J.  Per-block scalars are held once per block and
+    # spread over the run's coordinates; per-block dot products are segment
+    # sums (ConeUnit.block_sums).
+    def __init__(self, unit, x, z):
+        self.unit = unit
+        h = unit.heads
+        jx, jz = _jdet(unit, x), _jdet(unit, z)
+        if not (x[h].min() > 0 and z[h].min() > 0 and jx.min() > 0 and jz.min() > 0):
             raise FloatingPointError("second-order cone iterate left the interior")
-        xb = x / np.sqrt(jx)
-        zb = z / np.sqrt(jz)
-        gamma = np.sqrt(0.5 * (1.0 + xb @ zb))
-        wbar = xb.copy()
-        wbar[0] += zb[0]
-        wbar[1:] -= zb[1:]
-        wbar /= 2.0 * gamma
-        self.wbar = wbar
+        xb = x / unit.spread(np.sqrt(jx))
+        zb = z / unit.spread(np.sqrt(jz))
+        gamma = np.sqrt(0.5 * (1.0 + unit.block_sums(xb * zb)))
+        self.wbar = (xb + unit.jsign * zb) / unit.spread(2.0 * gamma)
+        self.w1 = self.wbar * unit.tails
         self.beta = (jx / jz) ** 0.25
+        self.bs = unit.spread(self.beta)
         self.lam = self.apply_W(z)
-
-    def _J(self, v):
-        out = -v
-        out[..., 0] = v[..., 0]
-        return out
+        self.lam_det = _jdet(unit, self.lam)
 
     def _hyp(self, v):
-        # v: (dim,) or (dim, ncols)
-        w0, w1 = self.wbar[0], self.wbar[1:]
-        out = np.empty_like(v)
-        out[0] = w0 * v[0] + w1 @ v[1:]
-        out[1:] = (
-            np.multiply.outer(w1, v[0])
-            + v[1:]
-            + np.multiply.outer(w1, w1 @ v[1:]) / (1.0 + w0)
-        )
+        # per block, Hyp(w) v = (w0 v0 + w1'v1, v1 + w1 (v0 + w1'v1 / (1 + w0)))
+        unit, h = self.unit, self.unit.heads
+        w0 = self.wbar[h]
+        s = unit.block_sums(self.w1 * v)
+        out = v + self.w1 * unit.spread(v[h] + s / (1.0 + w0))
+        out[h] = w0 * v[h] + s
         return out
 
     def apply_W(self, v):
-        return self.beta * self._hyp(v)
+        return self.bs * self._hyp(v)
 
     def apply_Winv(self, v):
-        return self._J(self._hyp(self._J(v))) / self.beta
+        js = self.unit.jsign
+        return js * self._hyp(js * v) / self.bs
 
     apply_WinvT = apply_Winv  # W is symmetric
 
     def apply_H(self, v):
-        # W^2 = beta^2 (2 wbar wbar' - J)
-        return self.beta**2 * (2.0 * self.wbar * (self.wbar @ v) - self._J(v))
+        # W^2 = beta^2 (2 wbar wbar' - J), per block
+        unit = self.unit
+        wv = unit.spread(unit.block_sums(self.wbar * v))
+        return self.bs**2 * (2.0 * self.wbar * wv - unit.jsign * v)
 
-    def apply_W_cols(self, cols):
-        # cols: (ncols, dim); W is symmetric, so cols W = (W cols')'
-        return self.beta * self._hyp(cols.T).T
+    def block_W_cols(self, j, cols):
+        """cols W_j' for the run's block j: cols (ncols, dim) are its own
+        columns of A, and W_j is symmetric."""
+        at = self.unit.heads[j]
+        w = self.wbar[at : at + cols.shape[1]]
+        s = cols[:, 1:] @ w[1:]
+        out = np.empty_like(cols)
+        out[:, 0] = w[0] * cols[:, 0] + s
+        out[:, 1:] = cols[:, 1:] + np.multiply.outer(cols[:, 0] + s / (1.0 + w[0]), w[1:])
+        return self.beta[j] * out
 
     def lam_div(self, dvec):
-        lam = self.lam
-        u0 = (lam[0] * dvec[0] - lam[1:] @ dvec[1:]) / _jdet(lam)
-        out = np.empty_like(dvec)
-        out[0] = u0
-        out[1:] = (dvec[1:] - u0 * lam[1:]) / lam[0]
+        # per block, u = lam \ d: u0 = (lam0 d0 - lam1'd1) / lam'J lam,
+        # u1 = (d1 - u0 lam1) / lam0
+        unit, h, lam = self.unit, self.unit.heads, self.lam
+        u0 = (lam[h] * dvec[h] - unit.block_sums(lam * unit.tails * dvec)) / self.lam_det
+        out = (dvec - unit.spread(u0) * lam) / unit.spread(lam[h])
+        out[h] = u0
         return out
 
 
 class _PsdScaling:
     # W(V) = R^H V R.  With X = L1 L1^H, Z = L2 L2^H and L2^H L1 = U S V^H,
     # R = L1 V S^-1/2 gives R^H Z R = R^-1 X R^-H = S (the NT point).
-    def __init__(self, block, x, z):
-        self.block = block
-        d = block.size
+    def __init__(self, unit, x, z):
+        self.unit = unit
+        d = unit.size
         l1 = np.linalg.cholesky(smat(x, d))
         l2 = np.linalg.cholesky(smat(z, d))
         u, s, vh = np.linalg.svd(l2.conj().T @ l1)
@@ -405,31 +466,33 @@ class _PsdScaling:
         self.lam = svec(np.diag(s).astype(self.R.dtype))
 
     def apply_W(self, v):
-        return svec(self.Rh @ smat(v, self.block.size) @ self.R)
+        return svec(self.Rh @ smat(v, self.unit.size) @ self.R)
 
     def apply_WinvT(self, v):
-        return svec(self.Rm @ smat(v, self.block.size) @ self.RmH)
+        return svec(self.Rm @ smat(v, self.unit.size) @ self.RmH)
 
     def apply_Winv(self, v):
-        return svec(self.RmH @ smat(v, self.block.size) @ self.Rm)
+        return svec(self.RmH @ smat(v, self.unit.size) @ self.Rm)
 
     def apply_H(self, v):
-        return svec(self.T @ smat(v, self.block.size) @ self.T)
+        return svec(self.T @ smat(v, self.unit.size) @ self.T)
 
     def apply_W_cols(self, mats):
         # mats: (ncols, d, d), one chunk of rows from PsdRows.write_W_cols
         return svec(self.Rh @ mats @ self.R)
 
     def lam_div(self, dvec):
-        d = self.block.size
+        d = self.unit.size
         dm = smat(dvec, d)
         denom = 0.5 * (self.sig[:, None] + self.sig[None, :])
         return svec(dm / denom)
 
 
-def nt_scaling(block: ConeBlock, x: np.ndarray, z: np.ndarray):
-    if block.kind == NONNEG:
-        return _NonnegScaling(block, x, z)
-    if block.kind == SOC:
-        return _SocScaling(block, x, z)
-    return _PsdScaling(block, x, z)
+def nt_scaling(unit: ConeUnit, x: np.ndarray, z: np.ndarray):
+    """The unit's NT scaling at (x, z); raises FloatingPointError or
+    LinAlgError unless x and z are strictly inside every block of it."""
+    if unit.kind == NONNEG:
+        return _NonnegScaling(unit, x, z)
+    if unit.kind == SOC:
+        return _SocRunScaling(unit, x, z)
+    return _PsdScaling(unit, x, z)

@@ -23,6 +23,7 @@ from ..errors import ConvergenceError
 from .cones import (
     SOC as SOC_KIND,
     PsdRows,
+    cone_units,
     identity_element,
     jordan_mul,
     max_step,
@@ -61,8 +62,10 @@ class ConicProblem:
     equilibrates A in place (``_equilibrate``), so a caller that keeps using
     its array passes a copy.  A rejected A is left unscaled.  The problem
     holds the equilibrated As and bs with their row and column factors, the
-    column factors to replay on each c, the cone slices, the Schur plan,
-    the cone identity e and the barrier degree nu.  No solve writes any of
+    column factors to replay on each c, the cone slices, the cone units
+    (``cones.ConeUnit``: each PSD block alone, each run of adjacent
+    nonnegative or second-order blocks as one) with their column slices,
+    the Schur plan, the cone identity e and the barrier degree nu.  No solve writes any of
     it, so one problem serves every objective posed over its constraints.
 
     Products with As (``matvec``, ``rmatvec``) read the second-order
@@ -90,21 +93,27 @@ class ConicProblem:
         self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(
             A, self.b, self.slices
         )
-        self.schur = _SchurPlan(cones, self.slices, self.As)
+        self.units = cone_units(cones)
+        self.unit_slices = []
+        n = 0
+        for unit in self.units:
+            self.unit_slices.append(slice(n, n + unit.veclen))
+            n += unit.veclen
+        self.schur = _SchurPlan(self.units, self.unit_slices, self.As)
         self.e = np.concatenate([identity_element(blk) for blk in cones])
         self.nu = sum(blk.degree for blk in cones)
         self.runs = []  # column slices of the maximal runs of non-SOC blocks
-        for blk, sl in zip(cones, self.slices):
-            if blk.kind != SOC_KIND:
+        for unit, sl in zip(self.units, self.unit_slices):
+            if unit.kind != SOC_KIND:
                 if self.runs and self.runs[-1].stop == sl.start:
                     sl = slice(self.runs.pop().start, sl.stop)
                 self.runs.append(sl)
         # Row, column and value of each nonzero of As in the SOC columns.
         rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-        for i, r_b, sub in self.schur.soc:
+        for _, _, start, r_b, sub in self.schur.soc:
             r, k = np.nonzero(sub)
             rows.append(r_b[r])
-            cols.append(self.slices[i].start + k)
+            cols.append(start + k)
             vals.append(sub[r, k])
         self.soc_rows, self.soc_cols, self.soc_vals = map(np.concatenate, (rows, cols, vals))
 
@@ -190,38 +199,41 @@ class ConicSolution:
 
 
 class _SchurPlan:
-    """How each cone block of the equilibrated A enters S = A H A'.
+    """How each cone unit of the equilibrated A enters S = A H A'.
 
-    Nonnegative and PSD blocks fill the columns of one dense G = A W' (in
+    Orthants and PSD blocks fill the columns of one dense G = A W' (in
     cone order), and S starts as G G', so numpy takes its symmetric syrk
     path.  A PSD block's rows are read from its own columns of As as G is
     written (``PsdRows``), one bounded chunk at a time, so the plan holds
     only their index and coefficient vectors and a view of As.  A
     second-order block's columns are nonzero only on its own rows r_b (an
     outage SOC touches its terminal's 13 or 79 rows of 558 at desk scale),
-    so it adds G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead.
-    The nonzeros of these A[r_b, b] are all of the SOC columns' nonzeros,
-    and the problem's products with As read them from there.
+    so it adds G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead,
+    W_b being block b's part of its run's scaling.  The nonzeros of these
+    A[r_b, b] are all of the SOC columns' nonzeros, and the problem's
+    products with As read them from there.
     """
 
-    def __init__(self, cones, slices, As):
+    def __init__(self, units, slices, As):
         self.m = As.shape[0]
-        self.dense = []  # (block index, G column slice, row_operand)
-        self.soc = []  # (block index, rows r_b, As[r_b, b])
+        self.dense = []  # (unit index, G column slice, row_operand)
+        self.soc = []  # (unit index, block in the run, first column, rows r_b, As[r_b, b])
         width = 0
-        for i, (blk, sl) in enumerate(zip(cones, slices)):
+        for i, (unit, sl) in enumerate(zip(units, slices)):
             cols = As[:, sl]
-            if blk.kind == SOC_KIND:
-                rows = np.flatnonzero((cols != 0).any(axis=1))
-                self.soc.append((i, rows, cols[rows]))
+            if unit.kind == SOC_KIND:
+                for j, (head, size) in enumerate(zip(unit.heads, unit.sizes)):
+                    sub = cols[:, head : head + size]
+                    rows = np.flatnonzero((sub != 0).any(axis=1))
+                    self.soc.append((i, j, sl.start + head, rows, sub[rows]))
                 continue
-            op = row_operand(blk, cols)
-            self.dense.append((i, slice(width, width + blk.veclen), op))
-            width += blk.veclen
+            op = row_operand(unit, cols)
+            self.dense.append((i, slice(width, width + unit.veclen), op))
+            width += unit.veclen
         self.width = width
 
     def assemble(self, scalings):
-        """S = A H A' at the iterate whose per-block NT scalings are given."""
+        """S = A H A' at the iterate whose per-unit NT scalings are given."""
         G = np.empty((self.m, self.width))
         for i, gsl, op in self.dense:
             if isinstance(op, PsdRows):
@@ -230,8 +242,8 @@ class _SchurPlan:
                 G[:, gsl] = scalings[i].apply_W_cols(op)
         S = G @ G.T
         del G
-        for i, rows, cols in self.soc:
-            Gb = scalings[i].apply_W_cols(cols)
+        for i, j, _, rows, cols in self.soc:
+            Gb = scalings[i].block_W_cols(j, cols)
             S[np.ix_(rows, rows)] += Gb @ Gb.T
         return S
 
@@ -277,19 +289,19 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
     c0 = np.asarray(c, dtype=float)
     cs, cscale = problem.scale_objective(c0)
     Av, Aty = problem.matvec, problem.rmatvec
-    bs, slices = problem.bs, problem.slices
+    bs, units, slices = problem.bs, problem.units, problem.unit_slices
     schur, e, nu = problem.schur, problem.e, problem.nu
     b0 = problem.b
     m = problem.m
-    cones = problem.cones
 
     x = e.copy()
     z = e.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
-    bnorm = 1.0 + np.linalg.norm(b0)
-    cnorm = 1.0 + np.linalg.norm(c0)
+    with np.errstate(over="ignore"):  # overflowed data: see _metrics
+        bnorm = 1.0 + np.linalg.norm(b0)
+        cnorm = 1.0 + np.linalg.norm(c0)
 
     log = []
     status, cert = MAX_ITER, None
@@ -308,9 +320,9 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             timings[phase] += time.perf_counter() - t0
 
     def scale_at(x, z):
-        """Per-block NT scalings at (x, z); raises FloatingPointError or
+        """Per-unit NT scalings at (x, z); raises FloatingPointError or
         LinAlgError unless every block of x and z is strictly interior."""
-        return [nt_scaling(blk, x[sl], z[sl]) for blk, sl in zip(cones, slices)]
+        return [nt_scaling(unit, x[sl], z[sl]) for unit, sl in zip(units, slices)]
 
     with timed("nt_scaling"):
         scalings = scale_at(x, z)
@@ -329,6 +341,10 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma)
         )
         current = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
+        # Residuals that are not finite (overflowed data) end the solve: no
+        # step from here can be scored.
+        if not (np.isfinite(pres) and np.isfinite(dres) and np.isfinite(relgap)):
+            break
         score = max(pres, dres, relgap)
         if score < 0.9 * best_score:
             best_score = score
@@ -365,20 +381,20 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
 
         lam = np.concatenate([sc.lam for sc in scalings])
 
-        def per_block(op, v):
-            """Apply the scaling method named ``op`` to each block of v."""
+        def per_unit(op, v):
+            """Apply the scaling method named ``op`` to each unit of v."""
             out = np.empty_like(v)
             for sc, sl in zip(scalings, slices):
                 out[sl] = getattr(sc, op)(v[sl])
             return out
 
         # Schur complement S = A H A' (H = W'W), assembled from each block's
-        # own rows: G G' over the nonnegative and PSD columns (G = A W', its
+        # own rows: G G' over the orthant and PSD columns (G = A W', its
         # PSD rows expanded per chunk from As or their compact form), plus
         # each SOC block's G_b G_b' on the rows it touches.
         with timed("schur_assembly"):
             S = schur.assemble(scalings)
-            AHc = Av(per_block("apply_H", cs))
+            AHc = Av(per_unit("apply_H", cs))
 
         # One factor per iteration, with a tiny ridge if needed, reused by
         # every solve below; S goes.
@@ -395,10 +411,10 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
 
         q1 = schur_solve(AHc + bs)
         Atq1 = Aty(q1)
-        p1 = per_block("apply_H", Atq1 - cs)
+        p1 = per_unit("apply_H", Atq1 - cs)
         # cs'p1 - bs'q1 = -p1'H^-1 p1: summed as a square, the tau pivot
         # keeps its sign where the difference would cancel.
-        den = -float(np.sum(per_block("apply_WinvT", p1) ** 2)) - kappa / tau
+        den = -float(np.sum(per_unit("apply_WinvT", p1) ** 2)) - kappa / tau
 
         def newton(rp, rd, rg, g, dk):
             """Solve the linearized system for (dx, dy, dz, dtau, dkap):
@@ -406,10 +422,10 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
                 cs'dx - bs'dy + dkap = rg,    W^-T dx + W dz = g,
                 kappa dtau + tau dkap = dk,
             eliminating dz and dx onto the Schur complement."""
-            w1 = per_block("apply_Winv", g) + rd
-            q2 = schur_solve(rp - Av(per_block("apply_H", w1)))
+            w1 = per_unit("apply_Winv", g) + rd
+            q2 = schur_solve(rp - Av(per_unit("apply_H", w1)))
             Atq2 = Aty(q2)
-            p2 = per_block("apply_H", Atq2 + w1)
+            p2 = per_unit("apply_H", Atq2 + w1)
             dtau = (rg - float(cs @ p2) + float(bs @ q2) - dk / tau) / den
             dy = q2 + dtau * q1
             dx = p2 + dtau * p1
@@ -423,19 +439,19 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
                 rhs[0] - (Av(dx) - bs * dtau),
                 rhs[1] - (cs * dtau - Aty(dy) - dz),
                 rhs[2] - (float(cs @ dx) - float(bs @ dy) + dkap),
-                rhs[3] - (per_block("apply_WinvT", dx) + per_block("apply_W", dz)),
+                rhs[3] - (per_unit("apply_WinvT", dx) + per_unit("apply_W", dz)),
                 rhs[4] - (kappa * dtau + tau * dkap),
             )
 
         def directions(sig, eta_corr, dkappa_corr):
-            dc_vec = sig * mu * e - _jordan_sq(cones, slices, lam)
+            dc_vec = sig * mu * e - _jordan_sq(units, slices, lam)
             if eta_corr is not None:
                 dc_vec -= eta_corr
             rhs = (
                 -(1.0 - sig) * r_p,
                 -(1.0 - sig) * r_d,
                 -(1.0 - sig) * r_g,
-                per_block("lam_div", dc_vec),
+                per_unit("lam_div", dc_vec),
                 sig * mu - tau * kappa - dkappa_corr,
             )
             # One step of iterative refinement on the whole system, kept only
@@ -451,7 +467,7 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
         # Predictor (affine scaling) direction.
         dx_a, dy_a, dz_a, dtau_a, dkap_a = directions(0.0, None, 0.0)
         with timed("step_search"):
-            a_aff = _step_len(cones, slices, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
+            a_aff = _step_len(units, slices, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
         a_aff = min(1.0, a_aff)
         mu_aff = (
             (x + a_aff * dx_a) @ (z + a_aff * dz_a)
@@ -462,21 +478,21 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
         # Corrector uses scaled-space products of the affine direction.
         eta = np.concatenate(
             [
-                jordan_mul(blk, sc.apply_WinvT(dx_a[sl]), sc.apply_W(dz_a[sl]))
-                for blk, sc, sl in zip(cones, scalings, slices)
+                jordan_mul(unit, sc.apply_WinvT(dx_a[sl]), sc.apply_W(dz_a[sl]))
+                for unit, sc, sl in zip(units, scalings, slices)
             ]
         )
         dx, dy, dz, dtau, dkap = directions(sigma, eta, dtau_a * dkap_a)
 
         with timed("step_search"):
-            a_max = _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
+            a_max = _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
         alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha < 1e-6:
             # Recenter: a pure centering step is better conditioned and
             # restores interior margin after a degenerate combined step.
             dx, dy, dz, dtau, dkap = directions(1.0, None, 0.0)
             with timed("step_search"):
-                a_max = _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
+                a_max = _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
             alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha <= 1e-10:
             break  # stalled; report best iterate
@@ -527,14 +543,16 @@ def _metrics(problem, cscale, c, b, x, y, z, tau, r_p, r_d):
     r_d = -As'y - z + tau cs, with no product by A: As = diag(dr) A diag(dc),
     bs = dr b and cs = dc c / cscale give A xo - b = r_p / (tau dr) and
     A'yo + zo - c = -cscale r_d / (tau dc).  The objectives are taken on the
-    unscaled vectors.
+    unscaled vectors.  Data whose norms overflow make them inf or nan
+    without a warning, and the loop head ends the solve on them.
     """
     xo, yo, zo = _unscaled(problem, cscale, x / tau, y / tau, z / tau)
-    pres = np.linalg.norm(r_p / (tau * problem.dr)) / (1.0 + np.linalg.norm(b))
-    dres = cscale * np.linalg.norm(r_d / (tau * problem.dc)) / (1.0 + np.linalg.norm(c))
-    pobj = float(c @ xo)
-    dobj = float(b @ yo)
-    relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pres = np.linalg.norm(r_p / (tau * problem.dr)) / (1.0 + np.linalg.norm(b))
+        dres = cscale * np.linalg.norm(r_d / (tau * problem.dc)) / (1.0 + np.linalg.norm(c))
+        pobj = float(c @ xo)
+        dobj = float(b @ yo)
+        relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return xo, yo, zo, pres, dres, pobj, dobj, relgap
 
 
@@ -604,19 +622,19 @@ def _norm(parts):
     return float(np.sqrt(sum(np.vdot(p, p) for p in parts)))
 
 
-def _jordan_sq(cones, slices, lam):
+def _jordan_sq(units, slices, lam):
     return np.concatenate(
-        [jordan_mul(blk, lam[sl], lam[sl]) for blk, sl in zip(cones, slices)]
+        [jordan_mul(unit, lam[sl], lam[sl]) for unit, sl in zip(units, slices)]
     )
 
 
-def _step_len(cones, slices, x, dx, z, dz, tau, dtau, kappa, dkap):
+def _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap):
     # A direction that is not finite (overflowed data) gets no step: the solve stalls.
     if not all(np.isfinite(d).all() for d in (dx, dz, dtau, dkap)):
         return 0.0
     a = np.inf
-    for blk, sl in zip(cones, slices):
-        a = min(a, max_step(blk, x[sl], dx[sl]), max_step(blk, z[sl], dz[sl]))
+    for unit, sl in zip(units, slices):
+        a = min(a, max_step(unit, x[sl], dx[sl]), max_step(unit, z[sl], dz[sl]))
     if dtau < 0:
         a = min(a, -tau / dtau)
     if dkap < 0:

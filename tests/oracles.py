@@ -277,18 +277,44 @@ def solve_conic_admm(c, A, b, cones, rho=1.0, iters=40000, over_relax=1.7, tol=1
 # ---------------------------------------------------------------------------
 
 
-def dense_schur(cones, A, scalings):
-    """S = G G' with G = A W' on every column (H = W'W per block)."""
-    from leobeam.conic.cones import PSD, smat
+def dense_schur(units, A, scalings):
+    """S = G G' with G = A W' on every column (H = W'W per unit).  A run of
+    second-order blocks takes W row by row through its whole-run
+    ``apply_W`` (W is symmetric), on every row of A."""
+    from leobeam.conic.cones import PSD, SOC, smat
 
     G = np.empty(A.shape)
     pos = 0
-    for blk, sc in zip(cones, scalings):
-        sl = slice(pos, pos + blk.veclen)
+    for unit, sc in zip(units, scalings):
+        sl = slice(pos, pos + unit.veclen)
         cols = A[:, sl]
-        G[:, sl] = sc.apply_W_cols(smat(cols, blk.size) if blk.kind == PSD else cols)
-        pos += blk.veclen
+        if unit.kind == SOC:
+            G[:, sl] = np.array([sc.apply_W(row) for row in cols])
+        else:
+            G[:, sl] = sc.apply_W_cols(smat(cols, unit.size) if unit.kind == PSD else cols)
+        pos += unit.veclen
     return G @ G.T
+
+
+def dense_soc_nt(x, z):
+    """(W, lam) of one second-order block's NT scaling at strictly interior
+    (x, z), built as a dense matrix from the textbook formulas: with
+    J = diag(1, -I), xb = x / sqrt(x'Jx), zb = z / sqrt(z'Jz),
+    gamma = sqrt((1 + xb'zb) / 2) and wbar = (xb + J zb) / (2 gamma),
+    W = beta Hyp(wbar), beta = (x'Jx / z'Jz)^(1/4), where
+    Hyp(w) = [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]].  lam = W z."""
+    n = x.size
+    J = np.diag(np.concatenate([[1.0], -np.ones(n - 1)]))
+    jx, jz = x @ J @ x, z @ J @ z
+    xb, zb = x / np.sqrt(jx), z / np.sqrt(jz)
+    gamma = np.sqrt((1.0 + xb @ zb) / 2.0)
+    w = (xb + J @ zb) / (2.0 * gamma)
+    hyp = np.empty((n, n))
+    hyp[0, 0] = w[0]
+    hyp[0, 1:] = hyp[1:, 0] = w[1:]
+    hyp[1:, 1:] = np.eye(n - 1) + np.outer(w[1:], w[1:]) / (1.0 + w[0])
+    W = (jx / jz) ** 0.25 * hyp
+    return W, W @ z
 
 
 # ---------------------------------------------------------------------------

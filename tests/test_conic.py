@@ -9,6 +9,7 @@ import pytest
 from conftest import correlated_cov, count_calls, desk_config
 from oracles import (
     dense_schur,
+    dense_soc_nt,
     embed_hermitian,
     fancy_smat,
     fancy_svec,
@@ -35,7 +36,9 @@ from leobeam.conic import (
 )
 from leobeam.conic.cones import (
     CHUNK_ELEMENTS,
+    ConeUnit,
     PsdRows,
+    cone_units,
     identity_element,
     interior_margin,
     jordan_mul,
@@ -149,7 +152,6 @@ class TestCannedProblems:
         with pytest.raises(ConvergenceError):
             solve(*soc_pythagorean())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_finite_iterate_raises_convergence_error(self):
         # finite data that the constructor accepts but that overflows every residual
         p, c = soc_pythagorean()
@@ -316,13 +318,13 @@ class TestHermitianCone:
         assert e.shape == (blk.veclen,)
         assert np.allclose(smat(e, d), np.eye(d))
         x = svec(random_hermitian(np.random.default_rng(d), d))
-        assert np.allclose(jordan_mul(blk, e, x), x, rtol=0, atol=1e-14)
+        assert np.allclose(jordan_mul(ConeUnit([blk]), e, x), x, rtol=0, atol=1e-14)
 
     def test_jordan_mul(self):
         rng = np.random.default_rng(15)
         blk = ConeBlock("psd", 4, hermitian=True)
         x, y = random_hermitian(rng, 4), random_hermitian(rng, 4)
-        got = smat(jordan_mul(blk, svec(x), svec(y)), 4)
+        got = smat(jordan_mul(ConeUnit([blk]), svec(x), svec(y)), 4)
         assert np.allclose(got, 0.5 * (x @ y + y @ x), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("hermitian", [False, True])
@@ -332,7 +334,7 @@ class TestHermitianCone:
         x = interior_point(blk, rng)
         d = random_hermitian(rng, 4)
         dx = svec(d if hermitian else d.real)
-        alpha = max_step(blk, x, dx)
+        alpha = max_step(ConeUnit([blk]), x, dx)
         assert np.isfinite(alpha) and alpha > 0
         eig = np.linalg.eigvalsh(smat(x + alpha * dx, 4))
         assert abs(eig.min()) <= 1e-10 * np.abs(eig).max()
@@ -372,6 +374,18 @@ class TestSocStep:
             dx[1:] = x1 * rng.uniform(-3, 3) + dx[1:] * 10.0 ** rng.uniform(-9, 0)
         return x, dx, rel, kind == 1
 
+    @staticmethod
+    def in_run(x, dx, rng):
+        """(unit, xs, dxs): x and dx as one block of a run, between a
+        size-1 block and a larger one whose directions stay in the cone, so
+        the run's step is x's own."""
+        n = int(rng.integers(2, 80))
+        x1, dx1 = np.ones(1), np.zeros(1)
+        xn = interior_point(ConeBlock("soc", n), rng)
+        dxn = 0.5 * interior_point(ConeBlock("soc", n), rng)
+        unit = ConeUnit([ConeBlock("soc", 1), ConeBlock("soc", x.size), ConeBlock("soc", n)])
+        return unit, np.concatenate([x1, x, xn]), np.concatenate([dx1, dx, dxn])
+
     def test_step_against_exact_oracle(self):
         # No gross error on any draw: an infinite step only when dx lies in
         # the cone (the ray never leaves it), otherwise x + t/2 dx inside and
@@ -379,12 +393,13 @@ class TestSocStep:
         # is also within 1e-6 relative of the exit point, except for
         # directions near the cone's boundary: there the exit point is set
         # by the last bits of dx0 - ||dx1|| and moves with any rounding.
+        # Each draw is the middle block of a run of three.
         rng = np.random.default_rng(11)
         gross, inaccurate, accurate = [], [], 0
         for i in range(2000):
             x, dx, rel, near_recession = self.draw(rng)
             assert self.in_cone(x, dx, 0) and x[0] > np.linalg.norm(x[1:])
-            t = max_step(ConeBlock("soc", x.size), x, dx)
+            t = max_step(*self.in_run(x, dx, rng))
             if t == np.inf:
                 if not self.in_cone(dx, x, 0):  # dx itself in the cone
                     gross.append(i)
@@ -399,6 +414,79 @@ class TestSocStep:
                     inaccurate.append(i)
         assert gross == [] and inaccurate == []
         assert accurate > 500
+
+
+class TestConeUnits:
+    """The solver's units: each PSD block alone, each run of adjacent
+    nonnegative or second-order blocks as one, scaled in one call."""
+
+    RUNS = [(1, 79), (13, 1, 79, 2), (79, 13) * 3 + (1,)]
+
+    def test_grouping(self):
+        psd, h = ConeBlock("psd", 2), ConeBlock("psd", 3, hermitian=True)
+        n2, n3 = ConeBlock("nonneg", 2), ConeBlock("nonneg", 3)
+        s3, s1 = ConeBlock("soc", 3), ConeBlock("soc", 1)
+        units = cone_units([psd, h, n2, n3, s3, s1, s3, n2, psd, s1])
+        want = [(psd,), (h,), (n2, n3), (s3, s1, s3), (n2,), (psd,), (s1,)]
+        assert [u.blocks for u in units] == want
+        assert [u.size for u in units] == [2, 3, 5, 7, 2, 2, 1]
+        assert units[3].heads.tolist() == [0, 3, 4]
+        assert units[3].tails.tolist() == [0, 1, 1, 0, 0, 1, 1]
+
+    def test_desk_outage_program(self, desk_scenario):
+        # 3 W blocks, the slacks as one orthant, the 12 SOC blocks as one run
+        p = OutageProblem(desk_scenario).problem
+        assert [u.kind for u in p.units] == ["psd"] * 3 + ["nonneg", "soc"]
+        assert sorted(p.units[-1].sizes.tolist()) == [13] * 6 + [79] * 6
+
+    @pytest.mark.parametrize("sizes", RUNS, ids=lambda s: "-".join(map(str, s)))
+    def test_run_scaling_against_dense_blocks(self, sizes):
+        # W z = W^-T x = lam and H = W^2, per block, against each block's W
+        # built densely from the textbook NT formulas (oracles.dense_soc_nt).
+        rng = np.random.default_rng(len(sizes))
+        blocks = [ConeBlock("soc", n) for n in sizes]
+        unit = ConeUnit(blocks)
+        x = np.concatenate([interior_point(b, rng) for b in blocks])
+        z = np.concatenate([interior_point(b, rng) for b in blocks])
+        sc = nt_scaling(unit, x, z)
+        eye = np.eye(unit.veclen)
+        W = np.column_stack([sc.apply_W(e) for e in eye])
+        H = np.column_stack([sc.apply_H(e) for e in eye])
+        Winv = np.column_stack([sc.apply_Winv(e) for e in eye])
+        want_W, want_lam = np.zeros_like(W), np.empty(unit.veclen)
+        for j, (head, n) in enumerate(zip(unit.heads, unit.sizes)):
+            seg = slice(head, head + n)
+            Wb, lam = dense_soc_nt(x[seg], z[seg])
+            WinvT_x = np.linalg.solve(Wb.T, x[seg])
+            assert np.allclose(WinvT_x, lam, rtol=0, atol=1e-12 * abs(lam).max())
+            want_W[seg, seg], want_lam[seg] = Wb, lam
+            C = rng.normal(size=(5, n))
+            G = C @ Wb
+            assert np.allclose(sc.block_W_cols(j, C), G, rtol=0, atol=1e-12 * abs(G).max())
+        tol = 1e-12 * abs(want_lam).max()
+        assert np.allclose(sc.lam, want_lam, rtol=0, atol=tol)
+        assert np.allclose(sc.apply_W(z), want_lam, rtol=0, atol=tol)
+        assert np.allclose(sc.apply_WinvT(x), want_lam, rtol=0, atol=tol)
+        assert np.allclose(W, want_W, rtol=0, atol=1e-12 * abs(want_W).max())
+        want_H = want_W @ want_W
+        assert np.allclose(H, want_H, rtol=0, atol=1e-12 * abs(want_H).max())
+        assert np.allclose(Winv @ want_W, eye, rtol=0, atol=1e-12)
+        # lam \ d inverts the Jordan product with lam
+        d = rng.normal(size=unit.veclen)
+        assert np.allclose(jordan_mul(unit, sc.lam, sc.lam_div(d)), d, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", RUNS, ids=lambda s: "-".join(map(str, s)))
+    def test_run_equals_its_blocks(self, sizes):
+        # Jordan products and steps on a run: each block's own, bit for bit.
+        rng = np.random.default_rng(10 + len(sizes))
+        blocks = [ConeBlock("soc", n) for n in sizes]
+        unit = ConeUnit(blocks)
+        x, a, b = (np.concatenate([interior_point(blk, rng) for blk in blocks]) for _ in "xab")
+        dx = rng.normal(size=unit.veclen)
+        alone = [(ConeUnit([blk]), slice(h, h + blk.size)) for blk, h in zip(blocks, unit.heads)]
+        prods = np.concatenate([jordan_mul(u, a[sl], b[sl]) for u, sl in alone])
+        assert jordan_mul(unit, a, b).tobytes() == prods.tobytes()
+        assert max_step(unit, x, dx) == min(max_step(u, x[sl], dx[sl]) for u, sl in alone)
 
 
 def mixed_program(seed):
@@ -432,11 +520,22 @@ class TestInteriorGuard:
         ids=["nonneg-0", "nonneg-neg", "soc-minus-K", "soc-boundary", "psd", "hpsd"],
     )
     def test_scaling_raises_outside(self, block, outside):
-        inside = interior_point(block, np.random.default_rng(block.veclen))
+        # alone, and as the last block of a run of its kind
+        rng = np.random.default_rng(block.veclen)
+        inside = interior_point(block, rng)
         outside = np.asarray(outside, dtype=float)
         for x, z in ((outside, inside), (inside, outside)):
             with pytest.raises((FloatingPointError, np.linalg.LinAlgError)):
-                nt_scaling(block, x, z)
+                nt_scaling(ConeUnit([block]), x, z)
+        if block.kind == "psd":
+            return
+        first = ConeBlock(block.kind, 4)
+        unit = ConeUnit([first, block])
+        x0, z0 = interior_point(first, rng), interior_point(first, rng)
+        nt_scaling(unit, np.concatenate([x0, inside]), np.concatenate([z0, inside]))
+        for x, z in ((outside, inside), (inside, outside)):
+            with pytest.raises(FloatingPointError):
+                nt_scaling(unit, np.concatenate([x0, x]), np.concatenate([z0, z]))
 
     def test_overlong_steps_back_off(self, monkeypatch):
         # Steps 3x the true maximum leave the cone; each trial's scaling
@@ -445,15 +544,15 @@ class TestInteriorGuard:
         want = solve(problem, c)
         rejected = []
 
-        def scaling(blk, x, z):
+        def scaling(unit, x, z):
             try:
-                return nt_scaling(blk, x, z)
+                return nt_scaling(unit, x, z)
             except (FloatingPointError, np.linalg.LinAlgError):
-                rejected.append(blk.kind)
+                rejected.append(unit.kind)
                 raise
 
         monkeypatch.setattr(solver_module, "nt_scaling", scaling)
-        monkeypatch.setattr(solver_module, "max_step", lambda blk, x, dx: 3 * max_step(blk, x, dx))
+        monkeypatch.setattr(solver_module, "max_step", lambda u, x, dx: 3 * max_step(u, x, dx))
         s = solve(problem, c)
         assert rejected
         assert want.status == s.status == OPTIMAL
@@ -467,14 +566,14 @@ class TestInteriorGuard:
         # later scaling fails: the good-th step's twelve trials fail, and the
         # solve ends after good loop heads without scoring a trial point.
         problem, c = mixed_program(3)
-        nb = len(problem.cones)
+        nb = len(problem.units)
         calls = []
 
-        def scaling(blk, x, z):
-            calls.append(blk)
+        def scaling(unit, x, z):
+            calls.append(unit)
             if len(calls) > good * nb:
                 raise FloatingPointError("trial rejected")
-            return nt_scaling(blk, x, z)
+            return nt_scaling(unit, x, z)
 
         monkeypatch.setattr(solver_module, "nt_scaling", scaling)
         s = solve(problem, c, SolveOptions(tol_relaxed=1e-12))
@@ -713,11 +812,16 @@ class TestSchurKernels:
         ids=lambda b: f"{'h' if b.hermitian else ''}{b.kind}{b.size}",
     )
     def test_w_cols_gram_equals_schur_term(self, block):
-        # H = W'W, so (A W')(A W')' = A H A' row by row.
+        # H = W'W, so (A W')(A W')' = A H A' row by row.  A second-order
+        # block is a run of one, its G from the block's part of the scaling.
         rng = np.random.default_rng(block.veclen)
-        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        unit = ConeUnit([block])
+        sc = nt_scaling(unit, interior_point(block, rng), interior_point(block, rng))
         A = rng.normal(size=(7, block.veclen))
-        G = sc.apply_W_cols(smat(A, block.size) if block.kind == "psd" else A)
+        if block.kind == "soc":
+            G = sc.block_W_cols(0, A)
+        else:
+            G = sc.apply_W_cols(smat(A, block.size) if block.kind == "psd" else A)
         AHAt = A @ np.column_stack([sc.apply_H(row) for row in A])
         assert G.shape == A.shape
         assert np.allclose(G, np.array([sc.apply_W(row) for row in A]), rtol=1e-12, atol=1e-12)
@@ -730,7 +834,7 @@ class TestSchurKernels:
         # compact form, is bit for bit G from the whole (rows, d, d) stack.
         block = ConeBlock("psd", d, hermitian=hermitian)
         rng = np.random.default_rng(d + hermitian)
-        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        sc = nt_scaling(ConeUnit([block]), interior_point(block, rng), interior_point(block, rng))
         coef = complex(rng.normal(), rng.normal()) if hermitian and d > 1 else rng.normal()
 
         def entry(k, l, c):
@@ -749,7 +853,7 @@ class TestSchurKernels:
         if hermitian and d > 1:
             rows.append(entry(0, d - 1, 1j * abs(coef)))  # imaginary part only
         A = np.array(rows)
-        op = row_operand(block, A)
+        op = row_operand(ConeUnit([block]), A)
         if d == 1:
             assert op.single.tolist() == [0, 1, 3, 4]
         else:
@@ -770,7 +874,7 @@ class TestSchurKernels:
             picks = rng.integers(len(pairs), size=300)
             coefs = rng.normal(size=300) + 1j * rng.normal(size=300)
             A = np.array([entry(*pairs[i], c) for i, c in zip(picks, coefs)])
-        op = row_operand(block, A)
+        op = row_operand(ConeUnit([block]), A)
         assert op.stacked.size == 0 and op.single.size == len(A)
         assert op.ndiag == (len(A) if d == 60 else 0)
         G = np.full(A.shape, np.nan)
@@ -788,12 +892,12 @@ class TestSchurKernels:
         # is bit for bit G from the whole stack.
         block = ConeBlock("psd", d, hermitian=True)
         rng = np.random.default_rng(d + len(kind))
-        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
+        sc = nt_scaling(ConeUnit([block]), interior_point(block, rng), interior_point(block, rng))
         chunk = max(1, CHUNK_ELEMENTS // d**2)
         assert chunk == {60: 18, 12: 455}[d]
         n = chunks * chunk + extra
         A = rows_of_kind(kind, d, n, rng)
-        op = row_operand(block, A)
+        op = row_operand(ConeUnit([block]), A)
         assert op.chunk == chunk and op.dtype == complex
         assert op.stacked.size == (n if kind == "multi" else 0)
         assert op.ndiag == (n if kind == "diag" else 0)
@@ -831,16 +935,16 @@ def rows_of_kind(kind, d, n, rng):
 
 
 def ipm_scalings(problem, c, monkeypatch, iterations):
-    """Per-block NT scalings at the given iterations of a solve of ``problem``."""
+    """Per-unit NT scalings at the given iterations of a solve of ``problem``."""
     seen = []
 
-    def recorded(blk, x, z):
-        seen.append((blk, x.copy(), z.copy()))
-        return nt_scaling(blk, x, z)
+    def recorded(unit, x, z):
+        seen.append((unit, x.copy(), z.copy()))
+        return nt_scaling(unit, x, z)
 
     monkeypatch.setattr(solver_module, "nt_scaling", recorded)
     solve(problem, c)
-    nb = len(problem.cones)
+    nb = len(problem.units)
     return [
         [nt_scaling(*args) for args in seen[nb * it : nb * (it + 1)]]
         for it in iterations
@@ -867,7 +971,7 @@ class TestStructuredSchur:
         assert len(iterates) == 4
         for scalings in iterates:
             S = plan.assemble(scalings)
-            ref = dense_schur(problem.cones, As, scalings)
+            ref = dense_schur(problem.units, As, scalings)
             assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
         # The one-entry rows the plan holds compact: feed caps, and for the
         # outage program with identity covariance the off-diagonal Q rows.
@@ -1002,8 +1106,9 @@ class TestSchurPlanMemory:
         # is a few chunks of (d, d) matrices, not the whole block's rows.
         block = ConeBlock("psd", d, hermitian=True)
         rng = np.random.default_rng(d + len(kind))
-        sc = nt_scaling(block, interior_point(block, rng), interior_point(block, rng))
-        op = row_operand(block, rows_of_kind(kind, d, 10 * (CHUNK_ELEMENTS // d**2), rng))
+        sc = nt_scaling(ConeUnit([block]), interior_point(block, rng), interior_point(block, rng))
+        rows = rows_of_kind(kind, d, 10 * (CHUNK_ELEMENTS // d**2), rng)
+        op = row_operand(ConeUnit([block]), rows)
         G = np.empty(op.cols.shape)
         started = not tracemalloc.is_tracing()
         tracemalloc.start()

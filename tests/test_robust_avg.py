@@ -277,7 +277,6 @@ class TestDesign:
         assert alg1_design.total_power > 0
         assert np.all(alg1_design.per_feed <= desk_scenario.power_caps + 1e-8)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("design", [design_avg_sinr, design_outage])
     def test_overflowing_cap_stops_typed(self, desk_scenario, design):
         # ||b||^2 overflows at a 1e200 W cap, so the first direction is not
