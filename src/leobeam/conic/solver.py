@@ -37,12 +37,14 @@ DUAL_INFEASIBLE = "DUAL_INFEASIBLE"
 MAX_ITER = "MAX_ITER"
 
 # Keys of ConicSolution.timings: seconds per solver phase, summed over
-# iterations.  ``factor`` is the Cholesky factor of S and the inverses of
-# its diagonal blocks; ``schur_solve`` is the substitutions with them.
+# iterations.  ``factor`` is the left-looking pass that writes the Cholesky
+# factor L of S over S and inverts L's diagonal blocks; ``schur_solve`` is
+# the substitutions with them.
 PHASES = ("nt_scaling", "schur_assembly", "factor", "schur_solve", "step_search")
-# Order of the diagonal blocks of the Schur factor L that are inverted, each
-# by one LAPACK solve; a Schur system of this order or less is one block,
-# solved as Linv'(Linv r).
+# Width of the column panels of the Schur factor L: each diagonal block is
+# factored and inverted by one LAPACK call each.  A Schur system of this
+# order or less is one block, whose factor and inverse are numpy's
+# cholesky and solve of the whole S, solved as Linv'(Linv r).
 _SCHUR_BLOCK = 96
 # Relative residuals and gap at or below which an iterate is OPTIMAL.
 TOL = 1e-8
@@ -110,7 +112,7 @@ class ConicProblem:
                 self.runs.append(sl)
         # Row, column and value of each nonzero of As in the SOC columns.
         rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-        for _, _, start, r_b, sub in self.schur.soc:
+        for _, _, start, r_b, sub, _ in self.schur.soc:
             r, k = np.nonzero(sub)
             rows.append(r_b[r])
             cols.append(start + k)
@@ -209,15 +211,18 @@ class _SchurPlan:
     second-order block's columns are nonzero only on its own rows r_b (an
     outage SOC touches its terminal's 13 or 79 rows of 558 at desk scale),
     so it adds G_b G_b' into S[r_b, r_b] with G_b = A[r_b, b] W_b' instead,
-    W_b being block b's part of its run's scaling.  The nonzeros of these
-    A[r_b, b] are all of the SOC columns' nonzeros, and the problem's
-    products with As read them from there.
+    W_b being block b's part of its run's scaling.  The plan holds r_b as
+    its runs of consecutive rows (a desk outage block has one or two) and
+    adds the term through one basic slice of S per pair of runs.  The
+    nonzeros of these A[r_b, b] are all of the SOC columns' nonzeros, and
+    the problem's products with As read them from there.
     """
 
     def __init__(self, units, slices, As):
         self.m = As.shape[0]
         self.dense = []  # (unit index, G column slice, row_operand)
-        self.soc = []  # (unit index, block in the run, first column, rows r_b, As[r_b, b])
+        # (unit index, block in the run, first column, rows r_b, As[r_b, b], runs of r_b)
+        self.soc = []
         width = 0
         for i, (unit, sl) in enumerate(zip(units, slices)):
             cols = As[:, sl]
@@ -225,7 +230,7 @@ class _SchurPlan:
                 for j, (head, size) in enumerate(zip(unit.heads, unit.sizes)):
                     sub = cols[:, head : head + size]
                     rows = np.flatnonzero((sub != 0).any(axis=1))
-                    self.soc.append((i, j, sl.start + head, rows, sub[rows]))
+                    self.soc.append((i, j, sl.start + head, rows, sub[rows], _runs(rows)))
                 continue
             op = row_operand(unit, cols)
             self.dense.append((i, slice(width, width + unit.veclen), op))
@@ -242,10 +247,22 @@ class _SchurPlan:
                 G[:, gsl] = scalings[i].apply_W_cols(op)
         S = G @ G.T
         del G
-        for i, j, _, rows, cols in self.soc:
+        for i, j, _, _, cols, runs in self.soc:
             Gb = scalings[i].block_W_cols(j, cols)
-            S[np.ix_(rows, rows)] += Gb @ Gb.T
+            g = Gb @ Gb.T
+            for p, lp in runs:
+                for q, lq in runs:
+                    S[p, q] += g[lp, lq]
         return S
+
+
+def _runs(rows):
+    """(rows of S, rows of the block) of each run of consecutive entries of
+    the increasing index array ``rows``, as a pair of slices."""
+    edges = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1), rows.size]
+    return [
+        (slice(rows[a], rows[b - 1] + 1), slice(a, b)) for a, b in zip(edges, edges[1:]) if b > a
+    ]
 
 
 def _equilibrate(A, b, slices):
@@ -396,14 +413,12 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             S = schur.assemble(scalings)
             AHc = Av(per_unit("apply_H", cs))
 
-        # One factor per iteration, with a tiny ridge if needed, reused by
-        # every solve below; S goes.
+        # One factor per iteration, written over S with a tiny ridge if
+        # needed, reused by every solve below.
         with timed("factor"):
-            L = _cholesky(S)
-            del S
-            if L is None:
-                break
-            factor = _SchurFactor(L)
+            factor = _factor(S)
+        if factor is None:
+            break
 
         def schur_solve(rhs):
             with timed("schur_solve"):
@@ -569,41 +584,65 @@ def _bincount(index, weights, size):
     return np.bincount(index, weights, size).astype(float, copy=False)
 
 
-def _cholesky(S):
-    """L with S + ridge I = L L', or None if four attempts fail.
+def _factor(S):
+    """The factor of S + ridge I, written over S, or None if four attempts
+    fail.
 
-    The ridge is 0 unless a Cholesky fails.  After the first failure it is
+    The ridge is 0 unless a pass fails.  After the first failure it is
     1e-12 (1 + tr(S)/m), S's trace taken before any ridge, and 100 times
-    the last ridge after each later one.  Each retry writes the ridge onto
-    the diagonal S had at the start, so S is changed in place.
+    the last ridge after each later one.  Before each retry S's lower
+    triangle is restored from its strict upper one, which no pass writes,
+    and the ridge is written onto the diagonal S had at the start.  This
+    needs S exactly symmetric, as G G' and the SOC blocks' Gram terms are.
     """
     m = S.shape[0]
     diag, trace = S.diagonal().copy(), np.trace(S)
     ridge = 0.0
     for _ in range(4):
         try:
-            return np.linalg.cholesky(S)
+            return _SchurFactor(S)
         except np.linalg.LinAlgError:
             ridge = max(1e-12 * (1.0 + trace / max(m, 1)), ridge * 100 or 1e-12)
+            np.copyto(S, S.T, where=np.tri(m, k=-1, dtype=bool))
             np.fill_diagonal(S, diag + ridge)
     return None
 
 
 class _SchurFactor:
-    """S = L L', solved by blocked forward and back substitution.
+    """S = L L', factored in place and solved by blocked forward and back
+    substitution.
 
-    The diagonal blocks of L, of order ``_SCHUR_BLOCK``, are inverted by one
-    LAPACK solve each; between them the substitutions take products with
-    the strips of L left of and below each block.  A system of order
-    ``_SCHUR_BLOCK`` or less is one block, whose solve is Linv'(Linv r) with
-    Linv = ``np.linalg.solve(L, I)``.
+    One left-looking pass over column panels of width ``_SCHUR_BLOCK``
+    reads S's lower triangle and writes L over it.  For the panel b that
+    starts at row i, P = S[i:, b] - L[i:, :i] L[b, :i]' (one gemm); P's top
+    block is factored by numpy's cholesky, giving L[b, b], and inverted by
+    one LAPACK solve; then L[b.stop:, b] = P[n:] Linv_b'.  The substitutions
+    take products with the inverses and with the strips of L left of and
+    below each block; S's strict upper triangle is left as it was.  A
+    system of order ``_SCHUR_BLOCK`` or less is one block, factored by
+    ``np.linalg.cholesky(S)`` and solved as Linv'(Linv r) with
+    Linv = ``np.linalg.solve(L, I)``.  A panel whose block is not positive
+    definite raises ``np.linalg.LinAlgError``, with S's lower triangle
+    partly overwritten (see ``_factor``).
     """
 
-    def __init__(self, L):
-        m = L.shape[0]
-        self.L = L
+    def __init__(self, S):
+        m = S.shape[0]
+        self.L = S
         self.blocks = [slice(i, min(i + _SCHUR_BLOCK, m)) for i in range(0, m, _SCHUR_BLOCK)]
-        self.inv = [np.linalg.solve(L[b, b], np.eye(b.stop - b.start)) for b in self.blocks]
+        self.inv = []
+        for b in self.blocks:
+            i, n = b.start, b.stop - b.start
+            if i:
+                P = S[i:, :i] @ S[b, :i].T
+                np.subtract(S[i:, b], P, out=P)
+            else:
+                P = S[:, b]
+            D = np.linalg.cholesky(P[:n])
+            Dinv = np.linalg.solve(D, np.eye(n))
+            S[b.stop :, b] = P[n:] @ Dinv.T
+            np.copyto(S[b, b], D, where=np.tri(n, dtype=bool))
+            self.inv.append(Dinv)
 
     def solve(self, r):
         """x with L L' x = r: forward for L y = r, then back for L' x = y,

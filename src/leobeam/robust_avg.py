@@ -7,6 +7,7 @@ penalty on tr(W) - lambda_max(W), linearized at the current leading
 eigenvector each round.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,7 @@ class LiftedProblem:
     family: str  # constraint family that infeasibility certificates name
 
     def __init__(self, scenario):
+        check_memory(*self.program_shape(scenario))
         self.scenario = scenario
         k, m = scenario.feeds, scenario.beams
         bld = ConeProgramBuilder()
@@ -91,6 +93,22 @@ class LiftedProblem:
     def add_terminal_rows(self, idx, user):
         """Emit terminal ``idx``'s rows; its main row takes -row_slack[idx]."""
         raise NotImplementedError
+
+    @staticmethod
+    def terminal_shape(k):
+        """(rows, columns) that ``add_terminal_rows`` adds per terminal at
+        k feeds: its rows and the columns of the cone variables it adds."""
+        raise NotImplementedError
+
+    @classmethod
+    def program_shape(cls, scenario):
+        """(m, n) of the program ``__init__`` builds for the scenario,
+        counted without building it: the terminal rows and the k feed caps;
+        the beams' order-k PSD blocks (k^2 columns each), the row and feed
+        slacks and each terminal's own cone variables."""
+        k, terminals = scenario.feeds, len(scenario.users)
+        rows, cols = cls.terminal_shape(k)
+        return terminals * rows + k, scenario.beams * k * k + terminals * (1 + cols) + k
 
     def solve(self, objective_matrices=None, options=None):
         """Solve with per-region Hermitian objective matrices (default: identity)."""
@@ -119,6 +137,27 @@ class LiftedProblem:
         return self.family if user_w >= feed_w else "per-feed-power"
 
 
+def physical_memory():
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(m, n):
+    """Raise ConfigError if an m x n program cannot fit in physical memory:
+    the dense path holds A (8 m n bytes) and the Schur matrix, which the
+    factor is written over (8 m^2 bytes), at once."""
+    need, have = 8 * m * (n + m), physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"the program has {m:,} rows and {n:,} columns: its A and Schur "
+            f"matrix take {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
+            "of physical memory"
+        )
+
+
 class AvgSinrProblem(LiftedProblem):
     """One linear average-SINR trace row per terminal."""
 
@@ -127,6 +166,10 @@ class AvgSinrProblem(LiftedProblem):
     # Own __init__ so the benchmark tracer can time this design's assembly.
     def __init__(self, scenario):
         super().__init__(scenario)
+
+    @staticmethod
+    def terminal_shape(k):
+        return 1, 0
 
     def add_terminal_rows(self, idx, user):
         coeffs, rhs = avg_constraint_coeffs(self.scenario, user)

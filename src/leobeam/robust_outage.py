@@ -133,6 +133,13 @@ class OutageProblem(LiftedProblem):
             )
         super().__init__(scenario)
 
+    @staticmethod
+    def terminal_shape(k):
+        # The Bernstein row and the k + k(k+1)/2 SOC coupling rows; the two
+        # SOC blocks, of sizes k + 1 and k(k+1)/2 + 1.
+        nq = k * (k + 1) // 2
+        return 1 + k + nq, k + nq + 2
+
     def add_terminal_rows(self, idx, user):
         scenario, bld = self.scenario, self.builder
         k = scenario.feeds

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import count_calls
 
-from leobeam import cli
+from leobeam import cli, robust_avg
 from leobeam.cli import main
 from leobeam.errors import ConvergenceError, InfeasibleDesignError
 from leobeam.scenario import build_scenario
@@ -360,6 +360,18 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"gamma_db of terminal {terminal} makes its outage constraint" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_program_past_physical_memory_rejected(self, tmp_path, capsys, monkeypatch):
+        # The full-scale outage design (60 feeds, 10 beams, 3 per region)
+        # needs about 68 GB for A and S: refused before any row is built,
+        # on a machine of 16 GiB whatever the host has.
+        monkeypatch.setattr(robust_avg, "physical_memory", lambda: 16 * 2**30)
+        doc = dict(SMALL, scenario={"feeds": 60, "beams": 10, "users_per_region": 3})
+        out = tmp_path / "o"
+        argv = ["design", "--config", write_cfg(tmp_path, doc), "--algorithm", "outage"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "56,790 rows and 92,850 columns" in capsys.readouterr().err
         assert not out.exists()
 
     def test_outage_rows_overflow_in_sweep_rejected(self, tmp_path, capsys):

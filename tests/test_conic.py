@@ -1,3 +1,4 @@
+import copy
 import re
 import time
 import tracemalloc
@@ -53,7 +54,7 @@ from leobeam.conic import solver as solver_module
 from leobeam.conic.solver import (
     _SCHUR_BLOCK,
     PHASES,
-    _cholesky,
+    _factor,
     _SchurFactor,
     _unscaled,
 )
@@ -731,8 +732,8 @@ class TestSchurKernels:
         # lower triangular and matches the block's explicit inverse.
         rng = np.random.default_rng(k)
         g = rng.normal(size=(k, k))
-        L = np.linalg.cholesky(g @ g.T / k + np.eye(k))
-        factor = _SchurFactor(L)
+        factor = _SchurFactor(g @ g.T / k + np.eye(k))
+        L = np.tril(factor.L)
         assert len(factor.blocks) == -(-k // _SCHUR_BLOCK)
         for b, Dinv in zip(factor.blocks, factor.inv):
             n = b.stop - b.start
@@ -750,26 +751,60 @@ class TestSchurKernels:
         g = rng.normal(size=(m, m))
         S = g @ g.T / m + np.eye(m)
         r = rng.normal(size=m)
-        x = _SchurFactor(_cholesky(S.copy())).solve(r)
+        x = _factor(S.copy()).solve(r)
         assert np.linalg.norm(S @ x - r) <= 1e-12 * np.linalg.norm(r)
         want = np.linalg.solve(S, r)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("m", [1, 18, 30, 90, _SCHUR_BLOCK])
     def test_one_block_solve_gives_inverse_bits(self, m):
-        # At order <= 96 the solve is Linv'(Linv r) with Linv the LAPACK
-        # inverse of L: the arithmetic of an explicit inverse, so such
-        # programs keep their bits (avg-full's Schur order is 90, desk avg's
-        # 18, gamma-sweep's 30).
+        # At order <= 96 the factor is numpy's cholesky of S, written over
+        # S's lower triangle, and the solve is Linv'(Linv r) with Linv the
+        # LAPACK inverse of L: the arithmetic of an explicit inverse, so
+        # such programs keep their bits (avg-full's Schur order is 90, desk
+        # avg's 18, gamma-sweep's 30).
         rng = np.random.default_rng(m + 1)
         g = rng.normal(size=(m, m))
-        L = np.linalg.cholesky(g @ g.T / m + np.eye(m))
-        factor = _SchurFactor(L)
+        S = g @ g.T / m + np.eye(m)
+        factor = _SchurFactor(S.copy())
         assert len(factor.blocks) == 1
+        L = np.linalg.cholesky(S)
         Linv = np.linalg.solve(L, np.eye(m))
+        assert np.tril(factor.L).tobytes() == L.tobytes()
+        assert np.array_equal(np.triu(factor.L, 1), np.triu(S, 1))
+        assert factor.inv[0].tobytes() == Linv.tobytes()
         for _ in range(3):
             r = rng.normal(size=m)
             assert factor.solve(r).tobytes() == (Linv.T @ (Linv @ r)).tobytes()
+
+    @pytest.mark.parametrize("m", [_SCHUR_BLOCK + 1, 2 * _SCHUR_BLOCK + 1, 558, 954])
+    def test_multi_block_factor(self, m):
+        # Above order 96 the left-looking pass gives numpy's L to rounding,
+        # in S's lower triangle, and leaves S's strict upper one as it was.
+        rng = np.random.default_rng(m + 2)
+        g = rng.normal(size=(m, m))
+        S = g @ g.T / m + np.eye(m)
+        factor = _SchurFactor(S.copy())
+        want = np.linalg.cholesky(S)
+        assert np.abs(np.tril(factor.L) - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(np.triu(factor.L, 1), np.triu(S, 1))
+        r = rng.normal(size=m)
+        x = factor.solve(r)
+        assert np.linalg.norm(S @ x - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(x - np.linalg.solve(S, r)) <= 1e-12 * np.linalg.norm(x)
+
+    @staticmethod
+    def explicit_ridge(S):
+        """(L, ridge) of numpy's cholesky of S + ridge I, the ridge taken as
+        ``_factor`` takes it, or (None, last ridge) if four attempts fail."""
+        m = S.shape[0]
+        ridge = 0.0
+        for _ in range(4):
+            try:
+                return np.linalg.cholesky(S + ridge * np.eye(m)), ridge
+            except np.linalg.LinAlgError:
+                ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
+        return None, ridge
 
     def test_ridge_sequence(self):
         # An indefinite S: the first ridge is 1e-12 (1 + tr(S)/m) with S's
@@ -782,20 +817,49 @@ class TestSchurKernels:
         lam[0] = -1e-11 * (1.0 + lam.sum() / m)  # between the first two ridges
         S = (q * lam) @ q.T
         S = (S + S.T) / 2
-
-        def explicit_ridge(S):
-            ridge = 0.0
-            for _ in range(4):
-                try:
-                    return np.linalg.cholesky(S + ridge * np.eye(m)), ridge
-                except np.linalg.LinAlgError:
-                    ridge = max(1e-12 * (1.0 + np.trace(S) / max(m, 1)), ridge * 100 or 1e-12)
-            return None, ridge
-
-        want, ridge = explicit_ridge(S)
+        want, ridge = self.explicit_ridge(S)
         assert ridge == 1e-12 * (1.0 + np.trace(S) / m) * 100  # the second ridge
-        assert _cholesky(S.copy()).tobytes() == want.tobytes()
-        assert _cholesky(-np.eye(3)) is None
+        assert np.tril(_factor(S.copy()).L).tobytes() == want.tobytes()
+        assert _factor(-np.eye(3)) is None
+
+    def test_late_panel_retry(self, monkeypatch):
+        # S is positive definite on its first 299 rows and its last pivot
+        # lies between the first two ridges' negatives, so the first two
+        # attempts fail in the last panel, after three panels of L are
+        # written over S.  Each retry restores S's lower triangle, and the
+        # factor is that of S + ridge I with the explicit oracle's ridge.
+        # The near-singular row is the last, with small couplings, so L is
+        # well determined and the oracle's L is a fair reference.
+        m = 300
+        rng = np.random.default_rng(6)
+        g = rng.normal(size=(m - 1, m - 1))
+        A = g @ g.T / m + np.eye(m - 1)
+        b = 1e-3 * rng.normal(size=m - 1)
+        S = np.empty((m, m))
+        S[:-1, :-1] = A
+        S[-1, :-1] = S[:-1, -1] = b
+        S[-1, -1] = b @ np.linalg.solve(A, b) - 1e-11 * (1.0 + np.trace(A) / m)
+        want, ridge = self.explicit_ridge(S)
+        assert ridge == 1e-12 * (1.0 + np.trace(S) / m) * 100
+        outcomes = []  # "+" for each panel factored, "-" for one that fails
+        cholesky = np.linalg.cholesky
+
+        def recorded(a):
+            try:
+                out = cholesky(a)
+            except np.linalg.LinAlgError:
+                outcomes.append("-")
+                raise
+            outcomes.append("+")
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        L = np.tril(_factor(S.copy()).L)
+        monkeypatch.undo()
+        assert "".join(outcomes) == "+++-+++-++++"
+        assert np.abs(L - want).max() <= 1e-12 * np.abs(want).max()
+        # The ridge on L L''s diagonal, to rounding: the oracle's, not the first.
+        assert np.allclose(np.einsum("ij,ij->i", L, L) - np.diag(S), ridge, rtol=1e-4, atol=0)
 
     @pytest.mark.parametrize(
         "block",
@@ -1006,6 +1070,24 @@ class TestStructuredSchur:
                 op.write_W_cols(scalings[i], G)
                 want = scalings[i].apply_W_cols(smat(op.cols, op.d))
                 assert G.tobytes() == want.tobytes()
+
+    def test_soc_runs_give_ix_bits_at_ipm_iterates(self, monkeypatch):
+        # Each SOC block's term, added through one basic slice of S per pair
+        # of runs of its rows r_b, is bit for bit the np.ix_ form on r_b.
+        # At desk each 13-block's rows are one run, each 79-block's two.
+        problem, c = design_program(OutageProblem, build_scenario(desk_config()))
+        plan = problem.schur
+        assert [len(runs) for *_, runs in plan.soc] == [1, 2] * 6
+        dense_only = copy.copy(plan)
+        dense_only.soc = []
+        iterates = ipm_scalings(problem, c, monkeypatch, (0, 2, 4))
+        assert len(iterates) == 3
+        for scalings in iterates:
+            want = dense_only.assemble(scalings)
+            for i, j, _, rows, cols, _ in plan.soc:
+                Gb = scalings[i].block_W_cols(j, cols)
+                want[np.ix_(rows, rows)] += Gb @ Gb.T
+            assert plan.assemble(scalings).tobytes() == want.tobytes()
 
 
 class TestSplitProducts:

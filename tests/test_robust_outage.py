@@ -12,7 +12,9 @@ from leobeam.conic.cones import smat, svec
 from leobeam.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
 from leobeam.errors import ConfigError, InfeasibleDesignError
 from leobeam.evaluator import CHUNK_ELEMENTS, evaluate
-from leobeam.robust_avg import AvgSinrProblem, design_avg_sinr
+from leobeam import robust_avg
+from leobeam.conic import ConeProgramBuilder
+from leobeam.robust_avg import AvgSinrProblem, check_memory, design_avg_sinr, physical_memory
 from leobeam.robust_outage import (
     OutageProblem,
     bernstein_tail_bound,
@@ -467,3 +469,34 @@ class TestDesignOutage:
         with pytest.warns(UserWarning, match="15 deg") as record:
             OutageProblem(desk_scenario.with_config(phase_sigma_deg=20.0))
         assert len(record) == 1
+
+
+class TestSizeGuard:
+    """A program whose A and Schur matrix cannot fit in physical memory is
+    refused before any of its rows is built."""
+
+    @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem])
+    @pytest.mark.parametrize("feeds", [12, 18])
+    def test_shape_estimate_equals_built_program(self, design, feeds):
+        scenario = build_scenario(desk_config(feeds=feeds))
+        p = design(scenario).problem
+        assert design.program_shape(scenario) == (p.m, p.n)
+
+    def test_full_scale_outage_refused_before_any_row(self, monkeypatch):
+        # m = 30 (1 + 60 + 1830) + 60 and n = 10 * 60^2 + 30 (1 + 61 + 1831)
+        # + 60: A and S take 8 m (n + m) = 67.98 GB, past a 16 GiB machine.
+        monkeypatch.setattr(robust_avg, "physical_memory", lambda: 16 * 2**30)
+        calls = count_calls(monkeypatch, ConeProgramBuilder, "add_eq")
+        scenario = build_scenario(desk_config(feeds=60, beams=10, users_per_region=3))
+        assert OutageProblem.program_shape(scenario) == (56_790, 92_850)
+        with pytest.raises(ConfigError, match=r"56,790 rows and 92,850 columns.* 68\.0 GB"):
+            OutageProblem(scenario)
+        assert calls == []
+
+    def test_this_machine(self):
+        # The host's memory is read, and the benchmark's full-scale average
+        # design (order 90, 36,090 columns: 26 MB) fits in it.
+        scenario = build_scenario(desk_config(feeds=60, beams=10, users_per_region=3))
+        assert AvgSinrProblem.program_shape(scenario) == (90, 36_090)
+        assert physical_memory() > 0
+        check_memory(90, 36_090)
