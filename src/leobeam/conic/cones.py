@@ -243,15 +243,6 @@ def row_operand(unit: "ConeUnit", cols: np.ndarray):
     )
 
 
-def interior_margin(block: ConeBlock, v: np.ndarray) -> float:
-    """Distance-to-boundary proxy; positive iff strictly interior."""
-    if block.kind == NONNEG:
-        return float(v.min()) if v.size else np.inf
-    if block.kind == SOC:
-        return float(v[0] - np.linalg.norm(v[1:]))
-    return float(np.linalg.eigvalsh(smat(v, block.size)).min())
-
-
 class ConeUnit:
     """Adjacent cone blocks that the solver scales, steps and multiplies in
     one call: a PSD block alone, or a maximal run of nonnegative blocks (one

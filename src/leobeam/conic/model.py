@@ -72,7 +72,9 @@ class ConeProgramBuilder:
         if rows is None:
             d, rows = d[None], 1
         if d.shape == (rows, cone.veclen):
-            return d.real  # raw svec coefficients
+            # Raw svec coefficients, copied off a complex d: a view would
+            # keep all of d, its imaginary zeros too, until the build.
+            return np.ascontiguousarray(d.real)
         if cone.kind == PSD and d.shape == (rows, cone.size, cone.size):
             return svec(0.5 * (d + d.conj().swapaxes(-1, -2)))
         raise ValueError(

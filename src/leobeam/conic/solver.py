@@ -82,25 +82,18 @@ class ConicProblem:
         self.cones = cones
         if not cones:
             raise ValueError("at least one cone block required")
-        self.slices = []
-        n = 0
-        for blk in cones:
-            self.slices.append(slice(n, n + blk.veclen))
-            n += blk.veclen
+        self.slices = _slices([blk.veclen for blk in cones])
+        self.m, self.n = self.b.shape[0], self.slices[-1].stop
         A = np.asarray(A, dtype=float)
-        if A.shape != (self.m, n):
-            raise ValueError(f"A must be {self.m}x{n}, got {A.shape}")
+        if A.shape != (self.m, self.n):
+            raise ValueError(f"A must be {self.m}x{self.n}, got {A.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(self.b))):
             raise ValueError("problem data must be finite")
         self.As, self.bs, self.dr, self.dc, self.col_factors = _equilibrate(
             A, self.b, self.slices
         )
         self.units = cone_units(cones)
-        self.unit_slices = []
-        n = 0
-        for unit in self.units:
-            self.unit_slices.append(slice(n, n + unit.veclen))
-            n += unit.veclen
+        self.unit_slices = _slices([unit.veclen for unit in self.units])
         self.schur = _SchurPlan(self.units, self.unit_slices, self.As)
         self.e = np.concatenate([identity_element(blk) for blk in cones])
         self.nu = sum(blk.degree for blk in cones)
@@ -124,14 +117,6 @@ class ConicProblem:
         """A new array holding the unscaled A, rebuilt from the equilibrated
         As: each entry within a few ulp."""
         return self.As / self.dr[:, None] / self.dc
-
-    @property
-    def n(self):
-        return self.dc.shape[0]
-
-    @property
-    def m(self):
-        return self.b.shape[0]
 
     def matvec(self, v):
         """As @ v (see the class docstring)."""
@@ -256,6 +241,12 @@ class _SchurPlan:
         return S
 
 
+def _slices(sizes):
+    """Consecutive slices of the given lengths, from 0."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - size, end) for size, end in zip(sizes, ends)]
+
+
 def _runs(rows):
     """(rows of S, rows of the block) of each run of consecutive entries of
     the increasing index array ``rows``, as a pair of slices."""
@@ -300,20 +291,16 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
     identical inputs.
 
     The work on A, b and the cones is the problem's, made when it was
-    built, and the solve only reads it; c is checked and scaled here.
+    built, and the solve only reads it; c is checked and scaled here.  Each
+    iteration builds one ``_NewtonSystem`` at its iterate, and the
+    predictor, corrector and any recentering direction all come from it.
     """
     opts = opts or SolveOptions()
     c0 = np.asarray(c, dtype=float)
     cs, cscale = problem.scale_objective(c0)
-    Av, Aty = problem.matvec, problem.rmatvec
-    bs, units, slices = problem.bs, problem.units, problem.unit_slices
-    schur, e, nu = problem.schur, problem.e, problem.nu
-    b0 = problem.b
-    m = problem.m
+    bs, b0, nu = problem.bs, problem.b, problem.nu
 
-    x = e.copy()
-    z = e.copy()
-    y = np.zeros(m)
+    x, z, y = problem.e.copy(), problem.e.copy(), np.zeros(problem.m)
     tau, kappa = 1.0, 1.0
 
     with np.errstate(over="ignore"):  # overflowed data: see _metrics
@@ -322,41 +309,22 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
 
     log = []
     status, cert = MAX_ITER, None
-    best = None
-    best_score = np.inf
-    stall = 0
-    no_progress = 0
+    best, best_score = None, np.inf
+    stall = no_progress = 0
     timings = dict.fromkeys(PHASES, 0.0)
-
-    @contextmanager
-    def timed(phase):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            timings[phase] += time.perf_counter() - t0
-
-    def scale_at(x, z):
-        """Per-unit NT scalings at (x, z); raises FloatingPointError or
-        LinAlgError unless every block of x and z is strictly interior."""
-        return [nt_scaling(unit, x[sl], z[sl]) for unit, sl in zip(units, slices)]
-
-    with timed("nt_scaling"):
-        scalings = scale_at(x, z)
-    alpha = 0.0
-    sigma = 0.0
+    with _timed(timings, "nt_scaling"):
+        scalings = _scale_at(problem, x, z)
+    alpha = sigma = 0.0
     for it in range(ITER_LIMIT):
-        r_p = Av(x) - bs * tau
-        r_d = -Aty(y) - z + cs * tau
+        r_p = problem.matvec(x) - bs * tau
+        r_d = -problem.rmatvec(y) - z + cs * tau
         r_g = float(cs @ x - bs @ y + kappa)
-        mu = (x @ z + tau * kappa) / (nu + 1.0)
+        mu = _mu(nu, x, z, tau, kappa)
 
         xo, yo, zo, pres, dres, pobj, dobj, relgap = _metrics(
             problem, cscale, c0, b0, x, y, z, tau, r_p, r_d
         )
-        log.append(
-            IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma)
-        )
+        log.append(IterateInfo(it, pobj, dobj, pres, dres, relgap, mu, tau, kappa, alpha, sigma))
         current = (xo, yo, zo, pobj, dobj, relgap, pres, dres)
         # Residuals that are not finite (overflowed data) end the solve: no
         # step from here can be scored.
@@ -396,119 +364,29 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
             status, cert, best = DUAL_INFEASIBLE, xu / -cx, current
             break
 
-        lam = np.concatenate([sc.lam for sc in scalings])
-
-        def per_unit(op, v):
-            """Apply the scaling method named ``op`` to each unit of v."""
-            out = np.empty_like(v)
-            for sc, sl in zip(scalings, slices):
-                out[sl] = getattr(sc, op)(v[sl])
-            return out
-
-        # Schur complement S = A H A' (H = W'W), assembled from each block's
-        # own rows: G G' over the orthant and PSD columns (G = A W', its
-        # PSD rows expanded per chunk from As or their compact form), plus
-        # each SOC block's G_b G_b' on the rows it touches.
-        with timed("schur_assembly"):
-            S = schur.assemble(scalings)
-            AHc = Av(per_unit("apply_H", cs))
-
-        # One factor per iteration, written over S with a tiny ridge if
-        # needed, reused by every solve below.
-        with timed("factor"):
-            factor = _factor(S)
-        if factor is None:
+        system = _NewtonSystem(problem, cs, scalings, tau, kappa, timings)
+        if system.factor is None:
             break
-
-        def schur_solve(rhs):
-            with timed("schur_solve"):
-                return factor.solve(rhs)
-
-        q1 = schur_solve(AHc + bs)
-        Atq1 = Aty(q1)
-        p1 = per_unit("apply_H", Atq1 - cs)
-        # cs'p1 - bs'q1 = -p1'H^-1 p1: summed as a square, the tau pivot
-        # keeps its sign where the difference would cancel.
-        den = -float(np.sum(per_unit("apply_WinvT", p1) ** 2)) - kappa / tau
-
-        def newton(rp, rd, rg, g, dk):
-            """Solve the linearized system for (dx, dy, dz, dtau, dkap):
-                As dx - bs dtau = rp,    -As' dy - dz + cs dtau = rd,
-                cs'dx - bs'dy + dkap = rg,    W^-T dx + W dz = g,
-                kappa dtau + tau dkap = dk,
-            eliminating dz and dx onto the Schur complement."""
-            w1 = per_unit("apply_Winv", g) + rd
-            q2 = schur_solve(rp - Av(per_unit("apply_H", w1)))
-            Atq2 = Aty(q2)
-            p2 = per_unit("apply_H", Atq2 + w1)
-            dtau = (rg - float(cs @ p2) + float(bs @ q2) - dk / tau) / den
-            dy = q2 + dtau * q1
-            dx = p2 + dtau * p1
-            dz = cs * dtau - (Atq2 + dtau * Atq1) - rd
-            dkap = (dk - kappa * dtau) / tau
-            return dx, dy, dz, dtau, dkap
-
-        def newton_residual(rhs, d):
-            dx, dy, dz, dtau, dkap = d
-            return (
-                rhs[0] - (Av(dx) - bs * dtau),
-                rhs[1] - (cs * dtau - Aty(dy) - dz),
-                rhs[2] - (float(cs @ dx) - float(bs @ dy) + dkap),
-                rhs[3] - (per_unit("apply_WinvT", dx) + per_unit("apply_W", dz)),
-                rhs[4] - (kappa * dtau + tau * dkap),
-            )
-
-        def directions(sig, eta_corr, dkappa_corr):
-            dc_vec = sig * mu * e - _jordan_sq(units, slices, lam)
-            if eta_corr is not None:
-                dc_vec -= eta_corr
-            rhs = (
-                -(1.0 - sig) * r_p,
-                -(1.0 - sig) * r_d,
-                -(1.0 - sig) * r_g,
-                per_unit("lam_div", dc_vec),
-                sig * mu - tau * kappa - dkappa_corr,
-            )
-            # One step of iterative refinement on the whole system, kept only
-            # if it shrinks the residual: in the ill-conditioned endgame the
-            # eliminated solve drifts from the equations it stands for.
-            d = newton(*rhs)
-            res = newton_residual(rhs, d)
-            refined = tuple(u + v for u, v in zip(d, newton(*res)))
-            if _norm(newton_residual(rhs, refined)) < _norm(res):
-                return refined
-            return d
-
+        point, res = (x, z, tau, kappa), (r_p, r_d, r_g)
         # Predictor (affine scaling) direction.
-        dx_a, dy_a, dz_a, dtau_a, dkap_a = directions(0.0, None, 0.0)
-        with timed("step_search"):
-            a_aff = _step_len(units, slices, x, dx_a, z, dz_a, tau, dtau_a, kappa, dkap_a)
-        a_aff = min(1.0, a_aff)
-        mu_aff = (
-            (x + a_aff * dx_a) @ (z + a_aff * dz_a)
-            + (tau + a_aff * dtau_a) * (kappa + a_aff * dkap_a)
-        ) / (nu + 1.0)
+        d_aff, a_aff = _search(system, point, res, mu, 0.0)
+        dx_a, _, dz_a, dtau_a, dkap_a = d_aff
+        a = min(1.0, a_aff)
+        mu_aff = _mu(nu, x + a * dx_a, z + a * dz_a, tau + a * dtau_a, kappa + a * dkap_a)
         sigma = min(max((mu_aff / mu) ** 3, 1e-8), 1.0 - 1e-8)
 
         # Corrector uses scaled-space products of the affine direction.
-        eta = np.concatenate(
-            [
-                jordan_mul(unit, sc.apply_WinvT(dx_a[sl]), sc.apply_W(dz_a[sl]))
-                for unit, sc, sl in zip(units, scalings, slices)
-            ]
+        eta = _jordan(
+            problem, system.per_unit("apply_WinvT", dx_a), system.per_unit("apply_W", dz_a)
         )
-        dx, dy, dz, dtau, dkap = directions(sigma, eta, dtau_a * dkap_a)
-
-        with timed("step_search"):
-            a_max = _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
+        d, a_max = _search(system, point, res, mu, sigma, eta, dtau_a * dkap_a)
         alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
         if alpha < 1e-6:
             # Recenter: a pure centering step is better conditioned and
             # restores interior margin after a degenerate combined step.
-            dx, dy, dz, dtau, dkap = directions(1.0, None, 0.0)
-            with timed("step_search"):
-                a_max = _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap)
+            d, a_max = _search(system, point, res, mu, 1.0)
             alpha = min(1.0, FRAC_TO_BOUNDARY * a_max)
+        del system  # its factor: the next iteration assembles S without it
         if alpha <= 1e-10:
             break  # stalled; report best iterate
         stall = stall + 1 if alpha < 1e-6 else 0
@@ -516,33 +394,151 @@ def solve(problem: ConicProblem, c, opts: SolveOptions | None = None) -> ConicSo
         # The trial point's NT scalings, which the next iteration uses, are
         # its interior test: a block's scaling raises unless the point is
         # strictly inside it, and then the step shrinks (a_max is rounded).
-        with timed("nt_scaling"):
+        dx, dy, dz, dtau, dkap = d
+        with _timed(timings, "nt_scaling"):
             for _ in range(12):
                 xn = x + alpha * dx
                 zn = z + alpha * dz
                 try:
-                    scalings = scale_at(xn, zn)
+                    scalings = _scale_at(problem, xn, zn)
                     break
                 except (FloatingPointError, np.linalg.LinAlgError):
                     alpha *= 0.8
             else:
                 break  # no interior trial point; report the best iterate
-        x = xn
-        y = y + alpha * dy
-        z = zn
+        x, y, z = xn, y + alpha * dy, zn
         tau += alpha * dtau
         kappa += alpha * dkap
 
     if best is None:
-        raise ConvergenceError(
-            f"no iterate with finite residuals in {len(log)} iterations"
-        )
+        raise ConvergenceError(f"no iterate with finite residuals in {len(log)} iterations")
     xo, yo, zo, pobj, dobj, relgap, pres, dres = best
     if status == MAX_ITER and max(pres, dres, relgap) <= opts.tol_relaxed:
         status = OPTIMAL
-    return ConicSolution(
-        status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings
+    return ConicSolution(status, xo, yo, zo, pobj, dobj, relgap, pres, dres, log, cert, timings)
+
+
+class _NewtonSystem:
+    """The linearized system at one iterate, for (dx, dy, dz, dtau, dkap):
+        As dx - bs dtau = rp,    -As' dy - dz + cs dtau = rd,
+        cs'dx - bs'dy + dkap = rg,    W^-T dx + W dz = g,
+        kappa dtau + tau dkap = dk,
+    with dz and dx eliminated onto the Schur complement S = As H As'
+    (H = W'W), which is assembled and factored here, once, for every
+    direction of the iteration.  ``factor`` is None when no ridge makes S
+    factor, and then nothing else is set.
+    """
+
+    def __init__(self, problem, cs, scalings, tau, kappa, timings):
+        self.problem, self.cs, self.scalings = problem, cs, scalings
+        self.tau, self.kappa, self.timings = tau, kappa, timings
+        # S is G G' over the orthant and PSD columns (G = A W') plus each
+        # SOC block's G_b G_b' on its own rows; L is written over it.
+        with _timed(timings, "schur_assembly"):
+            S = problem.schur.assemble(scalings)
+            AHc = problem.matvec(self.per_unit("apply_H", cs))
+        with _timed(timings, "factor"):
+            self.factor = _factor(S)
+        if self.factor is None:
+            return
+        self.q1 = self.schur_solve(AHc + problem.bs)
+        self.Atq1 = problem.rmatvec(self.q1)
+        self.p1 = self.per_unit("apply_H", self.Atq1 - cs)
+        # cs'p1 - bs'q1 = -p1'H^-1 p1: summed as a square, the tau pivot
+        # keeps its sign where the difference would cancel.
+        self.den = -float(np.sum(self.per_unit("apply_WinvT", self.p1) ** 2)) - kappa / tau
+        lam = np.concatenate([sc.lam for sc in scalings])
+        self.lam_sq = _jordan(problem, lam, lam)
+
+    def per_unit(self, op, v):
+        """Apply the scaling method named ``op`` to each unit of v."""
+        out = np.empty_like(v)
+        for sc, sl in zip(self.scalings, self.problem.unit_slices):
+            out[sl] = getattr(sc, op)(v[sl])
+        return out
+
+    def schur_solve(self, rhs):
+        with _timed(self.timings, "schur_solve"):
+            return self.factor.solve(rhs)
+
+    def solve(self, rhs):
+        """The system's solution at rhs = (rp, rd, rg, g, dk)."""
+        rp, rd, rg, g, dk = rhs
+        p, cs, bs = self.problem, self.cs, self.problem.bs
+        w1 = self.per_unit("apply_Winv", g) + rd
+        q2 = self.schur_solve(rp - p.matvec(self.per_unit("apply_H", w1)))
+        Atq2 = p.rmatvec(q2)
+        p2 = self.per_unit("apply_H", Atq2 + w1)
+        dtau = (rg - float(cs @ p2) + float(bs @ q2) - dk / self.tau) / self.den
+        dy = q2 + dtau * self.q1
+        dx = p2 + dtau * self.p1
+        dz = cs * dtau - (Atq2 + dtau * self.Atq1) - rd
+        dkap = (dk - self.kappa * dtau) / self.tau
+        return dx, dy, dz, dtau, dkap
+
+    def residual(self, rhs, d):
+        """rhs minus the system's left side at d."""
+        p, cs, bs = self.problem, self.cs, self.problem.bs
+        dx, dy, dz, dtau, dkap = d
+        return (
+            rhs[0] - (p.matvec(dx) - bs * dtau),
+            rhs[1] - (cs * dtau - p.rmatvec(dy) - dz),
+            rhs[2] - (float(cs @ dx) - float(bs @ dy) + dkap),
+            rhs[3] - (self.per_unit("apply_WinvT", dx) + self.per_unit("apply_W", dz)),
+            rhs[4] - (self.kappa * dtau + self.tau * dkap),
+        )
+
+    def direction(self, rhs):
+        """``solve(rhs)`` after one step of iterative refinement on the
+        whole system, kept only if it shrinks the residual: in the
+        ill-conditioned endgame the eliminated solve drifts from the
+        equations it stands for."""
+        d = self.solve(rhs)
+        res = self.residual(rhs, d)
+        refined = tuple(u + v for u, v in zip(d, self.solve(res)))
+        if _norm(self.residual(rhs, refined)) < _norm(res):
+            return refined
+        return d
+
+
+def _search(system, point, res, mu, sig, eta=None, dk_corr=0.0):
+    """(direction, longest step in the cones) from point = (x, z, tau,
+    kappa), whose residuals are res = (r_p, r_d, r_g), toward the centre
+    sig mu; a corrector also passes its second-order terms."""
+    dc_vec = sig * mu * system.problem.e - system.lam_sq
+    if eta is not None:
+        dc_vec -= eta
+    rhs = (
+        *(-(1.0 - sig) * r for r in res),
+        system.per_unit("lam_div", dc_vec),
+        sig * mu - system.tau * system.kappa - dk_corr,
     )
+    d = system.direction(rhs)
+    with _timed(system.timings, "step_search"):
+        return d, _step_len(system.problem, point, d)
+
+
+@contextmanager
+def _timed(timings, phase):
+    """Adds the seconds the block takes to timings[phase] (see PHASES)."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[phase] += time.perf_counter() - t0
+
+
+def _scale_at(problem, x, z):
+    """Per-unit NT scalings at (x, z); raises FloatingPointError or
+    LinAlgError unless every block of x and z is strictly interior."""
+    return [
+        nt_scaling(unit, x[sl], z[sl]) for unit, sl in zip(problem.units, problem.unit_slices)
+    ]
+
+
+def _mu(nu, x, z, tau, kappa):
+    """The complementarity measure (x'z + tau kappa) / (nu + 1)."""
+    return (x @ z + tau * kappa) / (nu + 1.0)
 
 
 def _unscaled(problem, cscale, x, y, z):
@@ -661,21 +657,22 @@ def _norm(parts):
     return float(np.sqrt(sum(np.vdot(p, p) for p in parts)))
 
 
-def _jordan_sq(units, slices, lam):
+def _jordan(problem, a, b):
+    """The Jordan product a o b, unit by unit."""
     return np.concatenate(
-        [jordan_mul(unit, lam[sl], lam[sl]) for unit, sl in zip(units, slices)]
+        [jordan_mul(unit, a[sl], b[sl]) for unit, sl in zip(problem.units, problem.unit_slices)]
     )
 
 
-def _step_len(units, slices, x, dx, z, dz, tau, dtau, kappa, dkap):
+def _step_len(problem, point, d):
+    """Longest step along d = (dx, dy, dz, dtau, dkap) from
+    point = (x, z, tau, kappa) that stays in the cones."""
+    x, z, tau, kappa = point
+    dx, _, dz, dtau, dkap = d
     # A direction that is not finite (overflowed data) gets no step: the solve stalls.
-    if not all(np.isfinite(d).all() for d in (dx, dz, dtau, dkap)):
+    if not all(np.isfinite(v).all() for v in (dx, dz, dtau, dkap)):
         return 0.0
     a = np.inf
-    for unit, sl in zip(units, slices):
+    for unit, sl in zip(problem.units, problem.unit_slices):
         a = min(a, max_step(unit, x[sl], dx[sl]), max_step(unit, z[sl], dz[sl]))
-    if dtau < 0:
-        a = min(a, -tau / dtau)
-    if dkap < 0:
-        a = min(a, -kappa / dkap)
-    return a
+    return min([a] + [-v / dv for v, dv in ((tau, dtau), (kappa, dkap)) if dv < 0])

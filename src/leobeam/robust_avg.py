@@ -74,7 +74,9 @@ class LiftedProblem:
     family: str  # constraint family that infeasibility certificates name
 
     def __init__(self, scenario):
-        check_memory(*self.program_shape(scenario))
+        # A terminal's own cone variables are second-order blocks.
+        soc = len(scenario.users) * self.terminal_shape(scenario.feeds)[1]
+        check_memory(*self.program_shape(scenario), soc)
         self.scenario = scenario
         k, m = scenario.feeds, scenario.beams
         bld = ConeProgramBuilder()
@@ -145,16 +147,33 @@ def physical_memory():
         return None
 
 
-def check_memory(m, n):
-    """Raise ConfigError if an m x n program cannot fit in physical memory:
-    the dense path holds A (8 m n bytes) and the Schur matrix, which the
-    factor is written over (8 m^2 bytes), at once."""
-    need, have = 8 * m * (n + m), physical_memory()
+# Bytes kept back for the interpreter, numpy and the scenario: a process
+# that has built the desk scenario holds about 37 MB.
+RESERVE_BYTES = 40 * 2**20
+
+
+def design_bytes(m, n, soc=0):
+    """Bytes a design of an m x n program, ``soc`` of whose columns are
+    second-order, holds at its peak: ``RESERVE_BYTES``, A (8 m n) and, in
+    each iteration, the Schur matrix S (8 m^2, its factor written over it)
+    beside the G = A W' it is assembled from, whose columns are the orthant
+    and PSD ones (8 m (n - soc)).  The builder's row blocks, alive beside A
+    while it is built, hold 8 bytes per row and PSD column, fewer than G.
+    """
+    return RESERVE_BYTES + 8 * m * (n + m + n - soc)
+
+
+def check_memory(m, n, soc=0):
+    """Raise ConfigError if a design of an m x n program, ``soc`` of whose
+    columns are second-order, cannot fit in physical memory (see
+    ``design_bytes``)."""
+    need, have = design_bytes(m, n, soc), physical_memory()
     if have is not None and need > have:
         raise ConfigError(
             f"the program has {m:,} rows and {n:,} columns: its A and Schur "
-            f"matrix take {need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB "
-            "of physical memory"
+            f"matrix take {8 * m * (n + m) / 1e9:.1f} GB and a design holds "
+            f"{need / 1e9:.1f} GB, more than the {have / 1e9:.1f} GB of "
+            "physical memory"
         )
 
 

@@ -3,7 +3,8 @@
 These deliberately take different routes from the production code: arbitrary
 precision series for the Bessel functions, a dense LAPACK eigendecomposition
 for eigenpairs, a first-order ADMM method for cone programs, the Schur
-complement from one dense G = A W' over every column, the real
+complement from one dense G = A W' over every column, a Newton direction
+from one dense solve of the whole linearized system, the real
 [[A, -B], [B, A]] embedding of Hermitian PSD variables, the outage program
 with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
 every sample held at once, scenario assembly one terminal and one feed at a
@@ -191,6 +192,18 @@ def project_cone(v, cones):
     return out
 
 
+def interior_margin(block, v):
+    """Distance-to-boundary proxy of v in one ``ConeBlock``; positive iff
+    strictly interior."""
+    from leobeam.conic.cones import NONNEG, SOC, smat
+
+    if block.kind == NONNEG:
+        return float(v.min()) if v.size else np.inf
+    if block.kind == SOC:
+        return float(v[0] - np.linalg.norm(v[1:]))
+    return float(np.linalg.eigvalsh(smat(v, block.size)).min())
+
+
 def random_feasible_problem(rng):
     """Random mixed-cone program with a strictly feasible primal-dual pair.
 
@@ -199,7 +212,7 @@ def random_feasible_problem(rng):
     (problem, c, cones-as-(kind,size)-pairs).
     """
     from leobeam.conic import ConeBlock, ConicProblem
-    from leobeam.conic.cones import identity_element, interior_margin
+    from leobeam.conic.cones import identity_element
 
     kinds = []
     for _ in range(int(rng.integers(1, 4))):
@@ -294,6 +307,37 @@ def dense_schur(units, A, scalings):
             G[:, sl] = sc.apply_W_cols(smat(cols, unit.size) if unit.kind == PSD else cols)
         pos += unit.veclen
     return G @ G.T
+
+
+def dense_newton(As, bs, cs, units, scalings, tau, kappa, rhs):
+    """(dx, dy, dz, dtau, dkap) from one dense solve of the whole linearized
+    system, with no elimination:
+        As dx - bs dtau = rp,    -As' dy - dz + cs dtau = rd,
+        cs'dx - bs'dy + dkap = rg,    W^-T dx + W dz = g,
+        kappa dtau + tau dkap = dk,
+    for rhs = (rp, rd, rg, g, dk).  W is block diagonal, each unit's block
+    built column by column from its scaling's ``apply_W`` on the unit
+    vectors, and W^-T is the transpose of W's dense inverse."""
+    m, n = As.shape
+    W = np.zeros((n, n))
+    pos = 0
+    for unit, sc in zip(units, scalings):
+        sl = slice(pos, pos + unit.veclen)
+        W[sl, sl] = np.column_stack([sc.apply_W(e) for e in np.eye(unit.veclen)])
+        pos += unit.veclen
+    # Unknowns (dx, dy, dz, dtau, dkap) in columns, equations in rows, both in order.
+    N = 2 * n + m + 2
+    X, Y, Z, T, K = slice(0, n), slice(n, n + m), slice(n + m, N - 2), N - 2, N - 1
+    e1, e2, e3, e4, e5 = slice(0, m), slice(m, m + n), m + n, slice(m + n + 1, N - 1), N - 1
+    M = np.zeros((N, N))
+    M[e1, X], M[e1, T] = As, -bs
+    M[e2, Y], M[e2, Z], M[e2, T] = -As.T, -np.eye(n), cs
+    M[e3, X], M[e3, Y], M[e3, K] = cs, -bs, 1.0
+    M[e4, X], M[e4, Z] = np.linalg.inv(W).T, W
+    M[e5, T], M[e5, K] = kappa, tau
+    rp, rd, rg, g, dk = rhs
+    sol = np.linalg.solve(M, np.concatenate([rp, rd, [rg], g, [dk]]))
+    return sol[X], sol[Y], sol[Z], sol[T], sol[K]
 
 
 def dense_soc_nt(x, z):

@@ -9,12 +9,14 @@ import pytest
 
 from conftest import correlated_cov, count_calls, desk_config
 from oracles import (
+    dense_newton,
     dense_schur,
     dense_soc_nt,
     embed_hermitian,
     fancy_smat,
     fancy_svec,
     hermitian_from_embedding,
+    interior_margin,
     random_feasible_problem,
     random_hermitian,
     random_hermitian_program,
@@ -41,7 +43,6 @@ from leobeam.conic.cones import (
     PsdRows,
     cone_units,
     identity_element,
-    interior_margin,
     jordan_mul,
     max_step,
     nt_scaling,
@@ -1085,6 +1086,49 @@ class TestStructuredSchur:
                 Gb = scalings[i].block_W_cols(j, cols)
                 want[np.ix_(rows, rows)] += Gb @ Gb.T
             assert plan.assemble(scalings).tobytes() == want.tobytes()
+
+
+def newton_systems(problem, c, monkeypatch):
+    """The arguments of the Newton system each iteration of a solve builds."""
+    seen = []
+    newton_system = solver_module._NewtonSystem
+
+    class Recorded(newton_system):
+        def __init__(self, *args):
+            seen.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver_module, "_NewtonSystem", Recorded)
+    solve(problem, c)
+    monkeypatch.setattr(solver_module, "_NewtonSystem", newton_system)
+    return seen
+
+
+class TestNewtonSystem:
+    """One iteration's Newton system, built directly at IPM iterates of the
+    desk programs: its direction solves the whole linearized system, as one
+    dense solve of it does (``oracles.dense_newton``)."""
+
+    @pytest.mark.parametrize("it", [2, 7])
+    @pytest.mark.parametrize("design", [OutageProblem, AvgSinrProblem], ids=["outage", "avg"])
+    def test_direction_matches_dense_solve(self, desk_scenario, design, it, monkeypatch):
+        problem, c = design_program(design, desk_scenario)
+        args = newton_systems(problem, c, monkeypatch)[it]
+        _, cs, scalings, tau, kappa, _ = args
+        system = solver_module._NewtonSystem(*args)
+        rng = np.random.default_rng(it)
+        m, n = problem.m, problem.n
+        rhs = (rng.normal(size=m), rng.normal(size=n), rng.normal(), rng.normal(size=n), 0.5)
+        got = system.direction(rhs)
+        want = dense_newton(problem.As, problem.bs, cs, problem.units, scalings, tau, kappa, rhs)
+        norm = solver_module._norm  # of a tuple of vectors and scalars as one vector
+        assert norm([u - v for u, v in zip(got, want)]) <= 1e-10 * norm(want)
+        # The residual is the dense system's: it vanishes at the dense
+        # solution to rounding, and the refined direction's is no larger
+        # than that of the plain elimination.
+        assert norm(system.residual(rhs, want)) <= 1e-12 * norm(want)
+        plain = system.solve(rhs)
+        assert norm(system.residual(rhs, got)) <= norm(system.residual(rhs, plain))
 
 
 class TestSplitProducts:

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +18,13 @@ from leobeam.errors import ConfigError, InfeasibleDesignError
 from leobeam.evaluator import CHUNK_ELEMENTS, evaluate
 from leobeam import robust_avg
 from leobeam.conic import ConeProgramBuilder
-from leobeam.robust_avg import AvgSinrProblem, check_memory, design_avg_sinr, physical_memory
+from leobeam.robust_avg import (
+    AvgSinrProblem,
+    check_memory,
+    design_avg_sinr,
+    design_bytes,
+    physical_memory,
+)
 from leobeam.robust_outage import (
     OutageProblem,
     bernstein_tail_bound,
@@ -492,6 +502,32 @@ class TestSizeGuard:
         with pytest.raises(ConfigError, match=r"56,790 rows and 92,850 columns.* 68\.0 GB"):
             OutageProblem(scenario)
         assert calls == []
+
+    @pytest.mark.parametrize("feeds", [12, 18])
+    def test_count_near_measured_peak(self, feeds):
+        # A fresh process designs the outage program and reports its peak
+        # RSS, which the count must be within 25% of.  The peak is VmHWM,
+        # not ru_maxrss: Linux carries a parent's ru_maxrss over a vfork
+        # and exec, so the child's would read this test process's peak.
+        code = (
+            "import sys\n"
+            "from leobeam.robust_outage import design_outage\n"
+            "from leobeam.scenario import NetworkConfig, build_scenario\n"
+            "design_outage(build_scenario(NetworkConfig(feeds=int(sys.argv[1]))))\n"
+            "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
+            "print(1024 * int(hwm[0].split()[1]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(robust_avg.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(feeds)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        peak = int(run.stdout)
+        scenario = build_scenario(desk_config(feeds=feeds))
+        m, n = OutageProblem.program_shape(scenario)
+        soc = len(scenario.users) * OutageProblem.terminal_shape(feeds)[1]
+        assert abs(design_bytes(m, n, soc) - peak) <= 0.25 * peak
 
     def test_this_machine(self):
         # The host's memory is read, and the benchmark's full-scale average
