@@ -50,10 +50,6 @@ class BeamDesign:
         """Time-averaged total transmit power."""
         return float(self.duty_cycle * np.sum(np.abs(self.beams) ** 2))
 
-    @property
-    def per_feed(self) -> np.ndarray:
-        return per_feed_power(self.beams)
-
 
 def per_feed_power(beams: np.ndarray) -> np.ndarray:
     """Per-feed transmit power: entry k is sum_m |w_m(k)|^2."""

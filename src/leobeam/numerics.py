@@ -16,6 +16,9 @@ from .errors import ConvergenceError
 _SERIES_CUTOFF = 12.0
 _SERIES_MAX_TERMS = 80
 _ASYM_MAX_TERMS = 60
+# max_eigpair's residual tolerance (times ||m||_F) and its cap on power steps.
+_EIG_TOL = 1e-9
+_EIG_MAX_STEPS = 50000
 
 
 def _bessel_series_scalar(order: int, x: float) -> float:
@@ -78,12 +81,12 @@ def bessel_j(order: int, x):
     return float(out) if xs.ndim == 0 else out
 
 
-def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_steps: int = 50000):
+def max_eigpair(m: np.ndarray):
     """Largest eigenvalue and unit eigenvector of a Hermitian matrix.
 
     Shifted power iteration; the shift makes the dominant eigenvalue of
     m + shift*I the one of largest algebraic value of m.  Converges on the
-    residual ||m v - rho v|| <= tol * ||m||_F, which also handles repeated
+    residual ||m v - rho v|| <= _EIG_TOL * ||m||_F, which also handles repeated
     top eigenvalues.
     """
     m = np.asarray(m)
@@ -99,7 +102,7 @@ def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_steps: int = 50000):
     # Deterministic start with spread phases so no eigenvector is orthogonal
     # to it by construction.
     v = np.exp(1j * 0.7 * np.arange(k)) / np.sqrt(k)
-    for _ in range(max_steps):
+    for _ in range(_EIG_MAX_STEPS):
         u = m @ v + shift * v
         nu = np.linalg.norm(u)
         if nu == 0.0:
@@ -109,9 +112,9 @@ def max_eigpair(m: np.ndarray, tol: float = 1e-9, max_steps: int = 50000):
         v = u / nu
         rho = np.real(np.vdot(v, m @ v))
         resid = np.linalg.norm(m @ v - rho * v)
-        if resid <= tol * scale:
+        if resid <= _EIG_TOL * scale:
             return float(rho), v
     raise ConvergenceError(
-        f"power iteration did not reach residual {tol:g}*||m|| in {max_steps} steps"
+        f"power iteration did not reach residual {_EIG_TOL:g}*||m|| in {_EIG_MAX_STEPS} steps"
     )
 

@@ -40,20 +40,6 @@ def taylor_linear_vector(b_skew: np.ndarray) -> np.ndarray:
     return 2.0 * np.asarray(b_skew, dtype=float).sum(axis=-1)
 
 
-def taylor_quadratic(z: np.ndarray, theta: np.ndarray) -> float:
-    """Second-order expansion of x^H Z x at x = exp(j theta).
-
-    Exact at theta = 0 (the constant term is the all-ones quadratic form);
-    the remainder is third order in ||theta||.
-    """
-    z = np.asarray(z)
-    theta = np.asarray(theta, dtype=float)
-    const = float(z.sum().real)
-    quad = theta @ taylor_quad_matrix(z.real) @ theta
-    lin = theta @ taylor_linear_vector(z.imag)
-    return const + quad + lin
-
-
 def mu_from_outage(p: float) -> float:
     """Bound parameter making the two Bernstein branch calibrations coincide.
 
@@ -66,21 +52,7 @@ def mu_from_outage(p: float) -> float:
     return float(0.5 * (g + np.sqrt(g * g + 2.0)))
 
 
-def bernstein_tail_bound(q_mat: np.ndarray, r_vec: np.ndarray, s: float, mu: float):
-    """Lemma-style tail bound on Pr{e'Qe + 2 e'r + s <= 0} for e ~ N(0, I)."""
-    tau = s + float(np.trace(q_mat))
-    t_scale = mu * np.linalg.norm(q_mat, "fro") + np.linalg.norm(r_vec) / np.sqrt(2.0)
-    if t_scale == 0.0:
-        return 0.0 if tau > 0 else 1.0
-    if tau <= 0:
-        return 1.0
-    lam_mu = (1.0 - 0.5 / mu**2) * mu
-    if tau <= 2.0 * lam_mu * t_scale:
-        return float(np.exp(-(tau**2) / (4.0 * t_scale**2)))
-    return float(np.exp(-tau * lam_mu / t_scale + lam_mu**2))
-
-
-def margin_scalars(scenario, user) -> np.ndarray:
+def margin_scalars(user) -> np.ndarray:
     """Per-region scalars of the SINR margin form Z(W) = sum_j beta_j * zeta(W_j):
     alpha/gamma at the own region, less the terminal's weight row."""
     own = np.arange(len(user.weights)) == user.region
@@ -93,10 +65,10 @@ def margin_form(user, t: np.ndarray) -> np.ndarray:
     return t * np.outer(h.conj(), h)
 
 
-def margin_matrix(scenario, user, ws) -> np.ndarray:
+def margin_matrix(user, ws) -> np.ndarray:
     """Numeric Z for given W matrices: q^H Z q >= sigma0^2 iff SINR >= gamma
     (under the fixed-weight interference accounting)."""
-    betas = margin_scalars(scenario, user)
+    betas = margin_scalars(user)
     return margin_form(user, sum(beta * w for beta, w in zip(betas, ws)))
 
 
@@ -157,7 +129,7 @@ class OutageProblem(LiftedProblem):
         # times the largest entry of lin, r and mu q is, rounded as below,
         # the largest coefficient of the rows, so these say if any overflows.
         with np.errstate(over="ignore", invalid="ignore"):
-            betas = margin_scalars(scenario, user)
+            betas = margin_scalars(user)
             big = np.abs(betas).max()
             peaks = big * np.abs(lin).max(), big * np.abs(r).max(), big * mu * np.abs(q).max()
         if not np.isfinite(peaks).all():
@@ -180,7 +152,7 @@ class OutageProblem(LiftedProblem):
 
 def soc_row_values(scenario, user, ws):
     """(Q, r, s) of one terminal at numeric W matrices, for bound checking."""
-    z = margin_matrix(scenario, user, ws)
+    z = margin_matrix(user, ws)
     q, r = taylor_terms(user, z, user.phase_model.factor(scenario.feeds))
     s = float(z.sum().real) - scenario.noise_power
     return q, r, s

@@ -110,16 +110,15 @@ class NetworkConfig:
     outage_prob: float | list = 0.05
     seed: int = 20260810
 
-    def users_per_region_list(self):
-        lst = _as_list(self.users_per_region, self.beams, "users_per_region")
-        if not all(_is_int(n) for n in lst):
-            raise ConfigError(f"users_per_region entries must be integers, got {lst!r}")
-        return [int(n) for n in lst]
+    def validate(self):
+        """ConfigError unless ``build_scenario`` can use every field.
 
-    def validate(self) -> PhaseErrorModel:
-        """ConfigError unless ``build_scenario`` can use every field; returns
-        the phase model it checked, which the build shares among its
-        terminals, so a correlated C is checked and factored once."""
+        Returns what it derived to check them, for the build to use: the
+        terminal count per region, the per-terminal lists of gamma_db,
+        outage_prob and sic_eta (keyed by field name), the rain model and
+        the phase model, which the build shares among its terminals, so a
+        correlated C is checked and factored once.
+        """
         for name in ("feeds", "beams", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -129,7 +128,10 @@ class NetworkConfig:
             raise ConfigError("feeds must divide evenly among beams")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        users_per = self.users_per_region_list()
+        users_per = _as_list(self.users_per_region, self.beams, "users_per_region")
+        if not all(_is_int(n) for n in users_per):
+            raise ConfigError(f"users_per_region entries must be integers, got {users_per!r}")
+        users_per = [int(n) for n in users_per]
         if min(users_per) <= 0:
             raise ConfigError("each region needs at least one terminal")
         per_terminal = {
@@ -175,7 +177,7 @@ class NetworkConfig:
         if not 0 < self.angle_3db_deg < 90:
             raise ConfigError("angle_3db_deg must lie in (0, 90)")
         # The rain and phase models check their own parameters.
-        RainModel(self.rain_mean_db, self.rain_var_db2)
+        rain = RainModel(self.rain_mean_db, self.rain_var_db2)
         if self.phase_cov is not None:
             _check_reals(self.phase_cov, "phase_cov")
         phase_model = PhaseErrorModel(np.deg2rad(self.phase_sigma_deg), self.phase_cov)
@@ -210,7 +212,7 @@ class NetworkConfig:
                     raise ConfigError(
                         f"region {m}: power split factors sum to {arr.sum():.6f} > 1"
                     )
-        return phase_model
+        return users_per, per_terminal, rain, phase_model
 
 
 def power_split(policy: str, count: int, ratio: float = 3.0, explicit=None):
@@ -273,11 +275,8 @@ class Scenario:
     def power_caps(self) -> np.ndarray:
         return np.full(self.config.feeds, self.config.feed_power_cap_w)
 
-    def region_users(self, m: int):
-        return [u for u in self.users if u.region == m]
-
     def region_alpha_total(self, m: int) -> float:
-        return float(sum(u.alpha for u in self.region_users(m)))
+        return float(sum(u.alpha for u in self.users if u.region == m))
 
     def intra_weight(self, user: UserLink) -> float:
         """t1: stronger-rank splits at weight one plus eta-weighted weaker ranks."""
@@ -340,9 +339,8 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     position uniforms, (T, K) rain normals and (T, K) phases.  A Generator
     fills an array in stream order, so these are one draw per terminal's values.
     """
-    phase_model = config.validate()
+    users_per, per_terminal, rain, phase_model = config.validate()
     k, m = config.feeds, config.beams
-    users_per = config.users_per_region_list()
     total_users = sum(users_per)
 
     ss = np.random.SeedSequence(config.seed)
@@ -370,14 +368,9 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     )
     pattern = BeamPattern(10.0 ** (config.sat_gain_dbi / 10.0), angle3)
     gains = beam_gain(pattern, offaxis_angle(feed_pos, pos[:, None, :], config.altitude_m))
-    rain = RainModel(config.rain_mean_db, config.rain_var_db2)
     rain_amp = sample_rain(rain, (total_users, k), rng_rain)
     phases = rng_phase.uniform(0.0, 2.0 * np.pi, size=(total_users, k))
     channels = [assemble_channel(c_gain, *parts) for parts in zip(gains, rain_amp, phases)]
-
-    gammas = _as_list(config.gamma_db, total_users, "gamma_db")
-    outages = _as_list(config.outage_prob, total_users, "outage_prob")
-    etas = _as_list(config.sic_eta, total_users, "sic_eta")
 
     # (region, rank, alpha) of every terminal in user order.
     explicit = [None] * m if config.alpha_explicit is None else config.alpha_explicit
@@ -393,7 +386,7 @@ def build_scenario(config: NetworkConfig) -> Scenario:
     for bm, count in enumerate(users_per):
         order = sic_order(channels[flat : flat + count])
         for rank, src in enumerate(order):
-            eta = float(etas[flat + rank])
+            eta = float(per_terminal["sic_eta"][flat + rank])
             # Every split weighted by the one SIC rule, summed in user order.
             weights = np.zeros(m)
             for j, i, alpha in splits:
@@ -405,8 +398,8 @@ def build_scenario(config: NetworkConfig) -> Scenario:
                     channel=channels[flat + src],
                     alpha=splits[flat + rank][2],
                     eta=eta,
-                    gamma_lin=10.0 ** (float(gammas[flat + rank]) / 10.0),
-                    outage_prob=float(outages[flat + rank]),
+                    gamma_lin=10.0 ** (float(per_terminal["gamma_db"][flat + rank]) / 10.0),
+                    outage_prob=float(per_terminal["outage_prob"][flat + rank]),
                     phase_model=phase_model,
                     weights=weights,
                 )

@@ -9,7 +9,9 @@ from one dense solve of the whole linearized system, the real
 with Q on all K^2 coordinates of vec(Q), Monte-Carlo evaluation with
 every sample held at once, scenario assembly one terminal and one feed at a
 time, the SINR forms region by region with their own SIC rank loop, and
-svec/smat by fancy indexing on the upper triangle.
+svec/smat by fancy indexing on the upper triangle.  It also holds helpers
+only the tests use: a cone block's interior margin, the second-order
+expansion of one numeric x^H Z x and the Bernstein tail bound on its (Q, r, s).
 Expected values frozen into tests were computed with these routines.
 """
 
@@ -361,6 +363,36 @@ def dense_soc_nt(x, z):
     return W, W @ z
 
 
+def taylor_quadratic(z: np.ndarray, theta: np.ndarray) -> float:
+    """Second-order expansion of x^H Z x at x = exp(j theta).
+
+    Exact at theta = 0 (the constant term is the all-ones quadratic form);
+    the remainder is third order in ||theta||.
+    """
+    from leobeam.robust_outage import taylor_linear_vector, taylor_quad_matrix
+
+    z = np.asarray(z)
+    theta = np.asarray(theta, dtype=float)
+    const = float(z.sum().real)
+    quad = theta @ taylor_quad_matrix(z.real) @ theta
+    lin = theta @ taylor_linear_vector(z.imag)
+    return const + quad + lin
+
+
+def bernstein_tail_bound(q_mat: np.ndarray, r_vec: np.ndarray, s: float, mu: float):
+    """Lemma-style tail bound on Pr{e'Qe + 2 e'r + s <= 0} for e ~ N(0, I)."""
+    tau = s + float(np.trace(q_mat))
+    t_scale = mu * np.linalg.norm(q_mat, "fro") + np.linalg.norm(r_vec) / np.sqrt(2.0)
+    if t_scale == 0.0:
+        return 0.0 if tau > 0 else 1.0
+    if tau <= 0:
+        return 1.0
+    lam_mu = (1.0 - 0.5 / mu**2) * mu
+    if tau <= 2.0 * lam_mu * t_scale:
+        return float(np.exp(-(tau**2) / (4.0 * t_scale**2)))
+    return float(np.exp(-tau * lam_mu / t_scale + lam_mu**2))
+
+
 # ---------------------------------------------------------------------------
 # Outage program in the vec(Q) layout: the Q cone holds all K^2 entries of Q,
 # so each off-diagonal Q_kl = Q_lk has its own coupling row.  The norm is the
@@ -388,7 +420,7 @@ def vecq_outage_problem(scenario):
             q, r = taylor_terms(user, z, user.phase_model.factor(k))
             q = q.reshape(n, n)
             lin = q[:, :: k + 1].sum(axis=1) + z.reshape(n, n).sum(axis=1).real
-            betas = margin_scalars(scenario, user)
+            betas = margin_scalars(user)
             mu = mu_from_outage(user.outage_prob)
             g2 = 2.0 * np.sqrt(np.log(1.0 / user.outage_prob))
             r_soc = bld.add_soc(k + 1)
@@ -526,9 +558,8 @@ def loop_build_scenario(config):
     from leobeam.network import sic_order
     from leobeam.scenario import Scenario, UserLink, _as_list, hex_lattice, power_split
 
-    config.validate()
+    users_per = config.validate()[0]
     k, m = config.feeds, config.beams
-    users_per = config.users_per_region_list()
     total_users = sum(users_per)
 
     ss = np.random.SeedSequence(config.seed)

@@ -10,14 +10,14 @@ import pytest
 
 from conftest import desk_config
 
-from oracles import random_feasible_problem, solve_conic_admm
+from oracles import random_feasible_problem, solve_conic_admm, taylor_quadratic
 
 from leobeam.baselines import design_nonrobust, design_tdma, design_zfbf
 from leobeam.channel import BeamPattern, PhaseErrorModel, beam_gain, expected_phase_matrix
 from leobeam.conic import solve
 from leobeam.evaluator import evaluate
 from leobeam.robust_avg import design_avg_sinr
-from leobeam.robust_outage import design_outage, margin_matrix, taylor_quadratic
+from leobeam.robust_outage import design_outage, margin_matrix
 from leobeam.scenario import build_scenario
 
 
@@ -195,7 +195,7 @@ def test_a10_taylor_expansion_order(desk):
             size=(desk.feeds, desk.feeds)
         )
         ws.append(g @ g.conj().T / desk.feeds)
-    z = margin_matrix(desk, desk.users[0], ws)
+    z = margin_matrix(desk.users[0], ws)
     scales = np.array([1e-1, 3e-2, 1e-2, 3e-3])
     slopes = []
     for trial in range(5):

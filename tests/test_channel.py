@@ -121,7 +121,9 @@ class TestPhaseError:
         assert np.allclose(big.var(axis=0), sigma**2, rtol=0.01)
         assert draws.shape == (200, 4)
 
+    @pytest.mark.blas_kernels
     def test_batched_draws_equal_single_draws(self):
+        """One batched draw is the rows of successive single draws, bit for bit."""
         model = PhaseErrorModel(np.deg2rad(5.0))
         rng = np.random.default_rng(6)
         singles = np.array([sample_phase_error(model, 4, rng) for _ in range(50)])
@@ -129,7 +131,16 @@ class TestPhaseError:
         assert batched.shape == (50, 4)
         assert np.array_equal(batched, singles)
 
+    @pytest.mark.blas_kernels
     def test_chunked_draws_equal_one_draw(self):
+        """Correlated draws in chunks of 3, 2 and 2 rows equal one 7-row draw.
+
+        This needs the BLAS to round a row of the K=5 product nu @ fac.T the
+        same at 2, 3 and 7 rows.  The Haswell, Sandybridge and Zen kernels
+        do, and all three run on any AVX2 CPU; the Nehalem kernel (also
+        picked for Atom and Barcelona) does not, so the kernel reruns of
+        the ``blas_kernels`` tests use those three only.
+        """
         model = PhaseErrorModel(0.1, correlated_cov(5))
         whole = sample_phase_error(model, 5, np.random.default_rng(2), 7)
         rng, buf = np.random.default_rng(2), np.empty((3, 5))

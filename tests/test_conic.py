@@ -757,13 +757,14 @@ class TestSchurKernels:
         want = np.linalg.solve(S, r)
         assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("m", [1, 18, 30, 90, _SCHUR_BLOCK])
     def test_one_block_solve_gives_inverse_bits(self, m):
-        # At order <= 96 the factor is numpy's cholesky of S, written over
-        # S's lower triangle, and the solve is Linv'(Linv r) with Linv the
-        # LAPACK inverse of L: the arithmetic of an explicit inverse, so
-        # such programs keep their bits (avg-full's Schur order is 90, desk
-        # avg's 18, gamma-sweep's 30).
+        """At order <= 96 the factor is numpy's cholesky of S, written over
+        S's lower triangle, and the solve is Linv'(Linv r) with Linv the
+        LAPACK inverse of L: the calls of an explicit inverse, so such
+        programs round under any kernel as they did with one (avg-full's
+        Schur order is 90, desk avg's 18, gamma-sweep's 30)."""
         rng = np.random.default_rng(m + 1)
         g = rng.normal(size=(m, m))
         S = g @ g.T / m + np.eye(m)
@@ -778,11 +779,13 @@ class TestSchurKernels:
             r = rng.normal(size=m)
             assert factor.solve(r).tobytes() == (Linv.T @ (Linv @ r)).tobytes()
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("m", [_SCHUR_BLOCK + 1, 2 * _SCHUR_BLOCK + 1, 558, 954])
     def test_multi_block_factor(self, m):
-        # Above order 96 the left-looking pass gives numpy's L to rounding,
-        # in S's lower triangle, and leaves S's strict upper one as it was
-        # (test_blocked_factor_solves checks its solves at these orders).
+        """Above order 96 the left-looking pass of gemms over 96-column
+        panels gives numpy's L to 1e-12 under any kernel, in S's lower
+        triangle, and leaves S's strict upper one as it was
+        (test_blocked_factor_solves checks its solves at these orders)."""
         rng = np.random.default_rng(m + 2)
         g = rng.normal(size=(m, m))
         S = g @ g.T / m + np.eye(m)
@@ -820,14 +823,16 @@ class TestSchurKernels:
         assert np.tril(_factor(S.copy()).L).tobytes() == want.tobytes()
         assert _factor(-np.eye(3)) is None
 
+    @pytest.mark.blas_kernels
     def test_late_panel_retry(self, monkeypatch):
-        # S is positive definite on its first 299 rows and its last pivot
-        # lies between the first two ridges' negatives, so the first two
-        # attempts fail in the last panel, after three panels of L are
-        # written over S.  Each retry restores S's lower triangle, and the
-        # factor is that of S + ridge I with the explicit oracle's ridge.
-        # The near-singular row is the last, with small couplings, so L is
-        # well determined and the oracle's L is a fair reference.
+        """S is positive definite on its first 299 rows and its last pivot
+        lies between the first two ridges' negatives, so the first two
+        attempts fail in the last panel, after three panels of L are
+        written over S.  Each retry restores S's lower triangle, and the
+        factor is that of S + ridge I with the explicit oracle's ridge, to
+        1e-12 under any kernel.  The near-singular row is the last, with
+        small couplings, so L is well determined and the oracle's L is a
+        fair reference."""
         m = 300
         rng = np.random.default_rng(6)
         g = rng.normal(size=(m - 1, m - 1))
@@ -889,11 +894,19 @@ class TestSchurKernels:
         assert np.allclose(G, np.array([sc.apply_W(row) for row in A]), rtol=1e-12, atol=1e-12)
         assert np.allclose(G @ G.T, AHAt, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
     @pytest.mark.parametrize("d", [1, 2, 12, 60])
     def test_compact_rows_give_dense_bits(self, d, hermitian):
-        # G from rows expanded per chunk, the one-entry ones from their
-        # compact form, is bit for bit G from the whole (rows, d, d) stack.
+        """G from rows expanded per chunk, the one-entry ones from their
+        compact form, is bit for bit G from the whole (rows, d, d) stack.
+
+        That holds only where a stacked matmul rounds each matrix the same
+        at any chunking.  A diagonal one-entry row skips its first gemm:
+        that product is a column scale with one term per entry, exact on
+        any kernel.  Off-diagonal rows (complex coefficients) stay on both
+        gemms, because zgemm kernels round a single complex term
+        differently (fused or not)."""
         block = ConeBlock("psd", d, hermitian=hermitian)
         rng = np.random.default_rng(d + hermitian)
         sc = nt_scaling(ConeUnit([block]), interior_point(block, rng), interior_point(block, rng))
@@ -943,6 +956,7 @@ class TestSchurKernels:
         op.write_W_cols(sc, G)
         assert np.array_equal(G, sc.apply_W_cols(smat(A, d)))
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize(
         "chunks, extra",
         [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
@@ -950,8 +964,8 @@ class TestSchurKernels:
     )
     @pytest.mark.parametrize("kind, d", [("multi", 60), ("diag", 60), ("offdiag", 12)])
     def test_chunked_rows_give_dense_bits(self, kind, d, chunks, extra):
-        # Blocks of each row kind with row counts around the chunk size: G
-        # is bit for bit G from the whole stack.
+        """Blocks of each row kind with row counts around the chunk size: G
+        is bit for bit G from the whole stack (see the compact rows' test)."""
         block = ConeBlock("psd", d, hermitian=True)
         rng = np.random.default_rng(d + len(kind))
         sc = nt_scaling(ConeUnit([block]), interior_point(block, rng), interior_point(block, rng))
@@ -1044,6 +1058,7 @@ class TestStructuredSchur:
         else:
             assert singles == {k + len(scenario.users) * k * (k - 1) // 2}
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize(
         "design, overrides",
         [
@@ -1054,8 +1069,8 @@ class TestStructuredSchur:
         ids=["avg-desk", "outage-desk", "outage-cov"],
     )
     def test_rows_give_dense_bits_at_ipm_iterates(self, design, overrides, monkeypatch):
-        # Every PSD block of the real programs at real iterates: G from the
-        # chunked and compact rows is bit for bit G from the whole stack.
+        """Every PSD block of the real programs at real iterates: G from the
+        chunked and compact rows is bit for bit G from the whole stack."""
         problem, c = design_program(design, build_scenario(desk_config(**overrides)))
         iterates = ipm_scalings(problem, c, monkeypatch, (0, 2, 4))
         assert len(iterates) == 3
@@ -1109,9 +1124,11 @@ class TestNewtonSystem:
     desk programs: its direction solves the whole linearized system, as one
     dense solve of it does (``oracles.dense_newton``)."""
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("it", [2, 7])
     @pytest.mark.parametrize("design", [OutageProblem, AvgSinrProblem], ids=["outage", "avg"])
     def test_direction_matches_dense_solve(self, desk_scenario, design, it, monkeypatch):
+        """The direction agrees with the dense solve to 1e-10 under any kernel."""
         problem, c = design_program(design, desk_scenario)
         args = newton_systems(problem, c, monkeypatch)[it]
         _, cs, scalings, tau, kappa, _ = args
@@ -1129,6 +1146,106 @@ class TestNewtonSystem:
         assert norm(system.residual(rhs, want)) <= 1e-12 * norm(want)
         plain = system.solve(rhs)
         assert norm(system.residual(rhs, got)) <= norm(system.residual(rhs, plain))
+
+
+class TestStops:
+    """Each early stop of the solve, forced at a chosen iteration of the desk
+    avg program: the solve returns the best iterate it logged, with status
+    MAX_ITER unless that iterate meets ``tol_relaxed`` (then OPTIMAL), and
+    no LinAlgError escapes."""
+
+    @staticmethod
+    def solve_with(monkeypatch, desk_scenario, owner, name, late, after, opts=None):
+        """Solve with ``owner.name`` replaced by ``late(original, *args)``
+        from loop iteration ``after`` on, counted by Newton systems built."""
+        problem, c = design_program(AvgSinrProblem, desk_scenario)
+        built = []
+
+        class Counted(solver_module._NewtonSystem):
+            def __init__(self, *args):
+                built.append(None)
+                super().__init__(*args)
+
+        early = getattr(owner, name)
+        monkeypatch.setattr(solver_module, "_NewtonSystem", Counted)
+        monkeypatch.setattr(
+            owner, name, lambda *a: late(early, *a) if len(built) > after else early(*a)
+        )
+        return solve(problem, c, opts)
+
+    @staticmethod
+    def best_returned(sol, opts=None):
+        """The logged iterate the loop keeps as its best (the last whose worst
+        residual fell below 0.9 of the best before it), after checking that
+        the solution is that iterate, with the status it earns."""
+        best, score = None, np.inf
+        for info in sol.iterations:
+            if max(info.pres, info.dres, info.relgap) < 0.9 * score:
+                best, score = info, max(info.pres, info.dres, info.relgap)
+        assert (sol.obj_primal, sol.obj_dual, sol.gap, sol.pres, sol.dres) == (
+            best.pobj, best.dobj, best.relgap, best.pres, best.dres
+        )
+        relaxed = (opts or SolveOptions()).tol_relaxed
+        assert sol.status == (OPTIMAL if score <= relaxed else MAX_ITER)
+        assert np.isfinite(sol.x).all() and np.isfinite(sol.y).all()
+        return best
+
+    def test_three_short_steps(self, monkeypatch, desk_scenario):
+        # Steps in [1e-10, 1e-6) at iterations 5, 6 and 7 stall the solve.
+        sol = self.solve_with(
+            monkeypatch, desk_scenario, solver_module, "_step_len", lambda *_: 1e-7, after=5
+        )
+        assert sol.n_iter == 9 and sol.status == MAX_ITER
+        assert self.best_returned(sol).it == 5
+
+    def test_fifteen_iterations_without_progress(self, monkeypatch, desk_scenario):
+        # Steps of 1e-5 are not short, but no residual falls by 10%.
+        sol = self.solve_with(
+            monkeypatch, desk_scenario, solver_module, "_step_len", lambda *_: 1e-5, after=5
+        )
+        assert sol.n_iter == 21 and sol.status == MAX_ITER
+        assert self.best_returned(sol).it == 5
+
+    def test_no_ridge_factors(self, monkeypatch, desk_scenario):
+        # An indefinite S: each of _factor's four attempts raises LinAlgError
+        # inside it, it returns None, and the solve stops.
+        factors = []
+
+        def indefinite(factor, S):
+            factors.append(factor(np.negative(S, out=S)))
+            return factors[-1]
+
+        sol = self.solve_with(
+            monkeypatch, desk_scenario, solver_module, "_factor", indefinite, after=5
+        )
+        assert factors == [None]
+        assert sol.n_iter == 6 and sol.status == MAX_ITER
+        assert self.best_returned(sol).it == 5
+
+    def test_no_step(self, monkeypatch, desk_scenario):
+        # No step at iteration 9, whose iterate (near 2e-7) meets a
+        # tol_relaxed of 1e-5 but not TOL.
+        opts = SolveOptions(tol_relaxed=1e-5)
+        sol = self.solve_with(
+            monkeypatch, desk_scenario, solver_module, "_step_len", lambda *_: 0.0, 9, opts
+        )
+        assert sol.n_iter == 10 and sol.status == OPTIMAL
+        assert max(sol.pres, sol.dres, sol.gap) > solver_module.TOL
+        assert self.best_returned(sol, opts).it == 9
+
+    def test_non_finite_direction(self, monkeypatch, desk_scenario):
+        # A direction with NaN entries gets no step, and the solve stops.
+        def nan_dx(direction, system, rhs):
+            dx, *rest = direction(system, rhs)
+            return (np.full_like(dx, np.nan), *rest)
+
+        steps = count_calls(monkeypatch, solver_module, "_step_len")
+        sol = self.solve_with(
+            monkeypatch, desk_scenario, solver_module._NewtonSystem, "direction", nan_dx, after=5
+        )
+        assert sol.n_iter == 6 and sol.status == MAX_ITER
+        assert self.best_returned(sol).it == 5
+        assert np.isnan(steps[-1][2][0]).all()
 
 
 class TestSplitProducts:
@@ -1179,8 +1296,12 @@ class TestSplitProducts:
         assert p.matvec(v).shape == (0,) and p.matvec(v).dtype == float
         assert p.rmatvec(np.zeros(0)).tobytes() == np.zeros(8).tobytes()
 
+    @pytest.mark.blas_kernels
     @pytest.mark.parametrize("overrides", [{}, FULL_SCALE_AVG], ids=["desk", "full"])
     def test_products_without_soc_give_dense_bits(self, overrides):
+        """With no SOC block a product with As is one dense product over all
+        of As, so such programs (avg-full, desk avg) round under any kernel
+        as they did with whole-As products."""
         p = AvgSinrProblem(build_scenario(desk_config(**overrides))).problem
         assert p.runs == [slice(0, p.n)] and p.soc_cols.size == 0
         rng = np.random.default_rng(2)

@@ -203,7 +203,7 @@ class TestWeightRow:
     def test_margin_scalars(self, scenario):
         for u in scenario.users:
             want = loop_margin_scalars(scenario, u)
-            assert np.array_equal(margin_scalars(scenario, u), [want[j] for j in sorted(want)])
+            assert np.array_equal(margin_scalars(u), [want[j] for j in sorted(want)])
 
     def test_sinr_samples(self, scenario):
         # The folded product rounds differently from |h^H w|^2 on the true

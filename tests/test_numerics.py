@@ -6,15 +6,12 @@ from oracles import (
     embed_hermitian,
     full_eig_oracle,
     hermitian_from_embedding,
+    random_hermitian,
 )
 
 from leobeam.errors import ConvergenceError
+from leobeam import numerics
 from leobeam.numerics import bessel_j, max_eigpair
-
-
-def random_hermitian(rng, k):
-    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    return 0.5 * (m + m.conj().T)
 
 
 class TestBessel:
@@ -104,10 +101,12 @@ class TestMaxEigpair:
         assert val == pytest.approx(3.0, abs=1e-9)
         assert np.linalg.norm(m @ vec - val * vec) <= 1e-9 * np.linalg.norm(m, "fro")
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_EIG_TOL", 1e-16)
+        monkeypatch.setattr(numerics, "_EIG_MAX_STEPS", 3)
         m = np.diag([1.0, 1.0 - 1e-14, 0.5])
-        with pytest.raises(ConvergenceError):
-            max_eigpair(m, tol=1e-16, max_steps=3)
+        with pytest.raises(ConvergenceError, match=r"residual 1e-16\*\|\|m\|\| in 3 steps"):
+            max_eigpair(m)
 
 
 class TestEmbedding:

@@ -8,6 +8,7 @@ from conftest import count_calls, desk_config
 from leobeam import robust_avg
 from leobeam.conic import solver
 from leobeam.errors import ConfigError, ConvergenceError, InfeasibleDesignError
+from leobeam.network import per_feed_power
 from leobeam.robust_avg import (
     AvgSinrProblem,
     PenaltyConfig,
@@ -275,7 +276,7 @@ class TestDesign:
         assert alg1_design.status == "OPTIMAL"
         assert alg1_design.max_rank_gap <= 1e-6
         assert alg1_design.total_power > 0
-        assert np.all(alg1_design.per_feed <= desk_scenario.power_caps + 1e-8)
+        assert np.all(per_feed_power(alg1_design.beams) <= desk_scenario.power_caps + 1e-8)
 
     @pytest.mark.parametrize("design", [design_avg_sinr, design_outage])
     def test_overflowing_cap_stops_typed(self, desk_scenario, design):

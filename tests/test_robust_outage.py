@@ -9,13 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import correlated_cov, count_calls, desk_config
-from oracles import vecq_outage_problem
+from oracles import (
+    bernstein_tail_bound,
+    random_hermitian,
+    taylor_quadratic,
+    vecq_outage_problem,
+)
 
 from leobeam.channel import PhaseErrorModel
 from leobeam.conic.cones import smat, svec
 from leobeam.conic.solver import OPTIMAL, PRIMAL_INFEASIBLE
 from leobeam.errors import ConfigError, InfeasibleDesignError
 from leobeam.evaluator import CHUNK_ELEMENTS, evaluate
+from leobeam.network import per_feed_power
 from leobeam import robust_avg
 from leobeam.conic import ConeProgramBuilder
 from leobeam.robust_avg import (
@@ -27,7 +33,6 @@ from leobeam.robust_avg import (
 )
 from leobeam.robust_outage import (
     OutageProblem,
-    bernstein_tail_bound,
     design_outage,
     margin_form,
     margin_matrix,
@@ -36,15 +41,9 @@ from leobeam.robust_outage import (
     soc_row_values,
     taylor_linear_vector,
     taylor_quad_matrix,
-    taylor_quadratic,
     taylor_terms,
 )
 from leobeam.scenario import NetworkConfig, build_scenario
-
-
-def random_hermitian(rng, k):
-    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    return 0.5 * (g + g.conj().T)
 
 
 def with_cov(desk_scenario, cov):
@@ -175,14 +174,14 @@ class TestMarginMatrix:
         rng = np.random.default_rng(5)
         ws = [random_hermitian(rng, desk_scenario.feeds) for _ in range(desk_scenario.beams)]
         for u in desk_scenario.users:
-            z = margin_matrix(desk_scenario, u, ws)
+            z = margin_matrix(u, ws)
             assert np.allclose(z, z.conj().T)
 
     def test_all_ones_phasor_gives_entry_sum(self, desk_scenario):
         rng = np.random.default_rng(6)
         ws = [random_hermitian(rng, desk_scenario.feeds) for _ in range(desk_scenario.beams)]
         u = desk_scenario.users[0]
-        z = margin_matrix(desk_scenario, u, ws)
+        z = margin_matrix(u, ws)
         ones = np.ones(desk_scenario.feeds)
         assert np.real(ones @ z @ ones) == pytest.approx(float(z.sum().real), rel=1e-12)
 
@@ -195,13 +194,13 @@ class TestMarginMatrix:
         boundary_gamma = u.alpha * abs(h.conj() @ w) ** 2 / sc.noise_power
         sc2 = sc.with_config(gamma_db=10.0 * np.log10(boundary_gamma))
         u2 = sc2.users[0]
-        z = margin_matrix(sc2, u2, [np.outer(w, w.conj())])
+        z = margin_matrix(u2, [np.outer(w, w.conj())])
         q = np.ones(4)
         assert np.real(q @ z @ q) - sc.noise_power == pytest.approx(0.0, abs=1e-9)
 
     def test_scalars_sign(self, desk_scenario):
         for u in desk_scenario.users:
-            betas = margin_scalars(desk_scenario, u)
+            betas = margin_scalars(u)
             assert betas[u.region] > 0  # feasible targets keep the own-term positive
             for j, b in enumerate(betas):
                 if j != u.region:
@@ -237,7 +236,7 @@ class TestSocRows:
         # with no uncertainty Q = 0, r = 0, and the rows force the zero-error
         # margin: the all-ones phasor meets every target exactly or better
         for u in sc.users:
-            z = margin_matrix(sc, u, [np.outer(d.beams[:, j], d.beams[:, j].conj()) for j in range(sc.beams)])
+            z = margin_matrix(u, [np.outer(d.beams[:, j], d.beams[:, j].conj()) for j in range(sc.beams)])
             ones = np.ones(sc.feeds)
             assert np.real(ones @ z @ ones) >= sc.noise_power * (1 - 1e-5)
 
@@ -276,7 +275,7 @@ class TestSocRows:
         ws = [random_hermitian(rng, sc.feeds) for _ in range(sc.beams)]
         for u in sc.users:
             q, r, _ = soc_row_values(sc, u, ws)
-            q_sym, r_sym = taylor_terms(u, margin_matrix(sc, u, ws), croot)
+            q_sym, r_sym = taylor_terms(u, margin_matrix(u, ws), croot)
             assert np.trace(q) == pytest.approx(np.trace(q_sym), rel=1e-12)
             assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(q_sym), rel=1e-12)
             assert np.linalg.norm(r) == pytest.approx(np.linalg.norm(r_sym), rel=1e-12)
@@ -459,7 +458,7 @@ class TestDesignOutage:
     def test_desk_design(self, desk_scenario, alg2_design):
         assert alg2_design.status == "OPTIMAL"
         assert alg2_design.max_rank_gap <= 1e-6
-        assert np.all(alg2_design.per_feed <= desk_scenario.power_caps + 1e-8)
+        assert np.all(per_feed_power(alg2_design.beams) <= desk_scenario.power_caps + 1e-8)
 
     def test_empirical_outage_below_target(self, desk_scenario, alg2_design):
         sc = desk_scenario.with_config(outage_prob=0.05)
@@ -487,10 +486,15 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("design", [AvgSinrProblem, OutageProblem])
     @pytest.mark.parametrize("feeds", [12, 18])
-    def test_shape_estimate_equals_built_program(self, design, feeds):
+    def test_shape_estimate_equals_built_program(self, design, feeds, monkeypatch):
+        # The guard is given the built program's shape and SOC column count.
+        guarded = count_calls(monkeypatch, robust_avg, "check_memory")
         scenario = build_scenario(desk_config(feeds=feeds))
         p = design(scenario).problem
         assert design.program_shape(scenario) == (p.m, p.n)
+        soc = sum(blk.veclen for blk in p.cones if blk.kind == "soc")
+        assert guarded == [(p.m, p.n, soc)]
+        assert (soc > 0) == (design is OutageProblem)
 
     def test_full_scale_outage_refused_before_any_row(self, monkeypatch):
         # m = 30 (1 + 60 + 1830) + 60 and n = 10 * 60^2 + 30 (1 + 61 + 1831)

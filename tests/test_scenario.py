@@ -4,6 +4,7 @@ import pytest
 from conftest import correlated_cov, count_calls, desk_config
 from oracles import loop_build_scenario, scalar_offaxis_angle
 
+from leobeam import scenario as scenario_module
 from leobeam.errors import ConfigError
 from leobeam.scenario import (
     NetworkConfig,
@@ -67,7 +68,7 @@ class TestBuildScenario:
     def test_sic_order_applied(self):
         sc = build_scenario(desk_config())
         for m in range(sc.beams):
-            users = sc.region_users(m)
+            users = [u for u in sc.users if u.region == m]
             norms = [u.channel.norm for u in sorted(users, key=lambda u: u.rank)]
             assert all(norms[i] >= norms[i + 1] for i in range(len(norms) - 1))
 
@@ -135,8 +136,11 @@ ARRAY_CONFIGS = {
 }
 
 
+@pytest.mark.blas_kernels
 class TestArrayAssembly:
-    """The array assembly reproduces the per-terminal, per-feed loop bit for bit."""
+    """The array assembly reproduces the per-terminal, per-feed loop bit for
+    bit, which holds only where the BLAS rounds a row of a product (the
+    stacked off-axis dots among them) the same at any row count."""
 
     @pytest.mark.parametrize("overrides", ARRAY_CONFIGS.values(), ids=ARRAY_CONFIGS)
     def test_matches_loop_oracle(self, overrides):
@@ -234,8 +238,7 @@ class TestValidation:
     def test_numpy_integers_accepted(self):
         per = np.array([2, 1, 2])
         cfg = NetworkConfig(feeds=np.int64(12), users_per_region=per, seed=np.int64(7))
-        cfg.validate()
-        assert cfg.users_per_region_list() == [2, 1, 2]
+        assert cfg.validate()[0] == [2, 1, 2]
 
     @pytest.mark.parametrize(
         "cov", [np.eye(4), 0.5 * np.eye(12)], ids=["wrong-size", "half-diagonal"]
@@ -280,6 +283,17 @@ class TestValidation:
         eigs = count_calls(monkeypatch, np.linalg, "eigvalsh")
         build_scenario(desk_config(phase_cov=correlated_cov(12)))
         assert len(eigs) == 1
+
+    def test_build_uses_what_validate_derived(self, monkeypatch):
+        # The region counts, the three per-terminal lists and the rain model
+        # are derived once, by validate, and the build reads them from there.
+        lists = count_calls(monkeypatch, scenario_module, "_as_list")
+        rains = count_calls(monkeypatch, scenario_module, "RainModel")
+        sc = build_scenario(desk_config(users_per_region=[1, 3, 2], gamma_db=[1, 2, 3, 4, 5, 6]))
+        names = [args[2] for args in lists]
+        assert names == ["users_per_region", "sic_eta", "gamma_db", "outage_prob"]
+        assert len(rains) == 1
+        assert sorted(u.gamma_lin for u in sc.users) == [10.0 ** (g / 10.0) for g in range(1, 7)]
 
 
 def test_channel_ensemble_round_trip(tmp_path):
